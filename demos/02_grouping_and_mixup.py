@@ -7,8 +7,7 @@ the pure-noisy-group table that motivates grouping in the first place.
 import numpy as np
 
 from afm import tensor as T
-from afm.grouping import (GAParams, Group, attend, pure_noisy_group_ratio,
-                          sample_groups)
+from afm.grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
 from afm.mixing import interpolate
 from afm.data import one_hot
 
@@ -19,9 +18,11 @@ feats = T.constant(rng.normal(size=(10, 6)))
 labels_int = rng.integers(0, 3, size=10)
 labels = one_hot(labels_int, 3)
 
+# one group per row of an (m, K) array of batch indices
 groups = sample_groups(labels_int, m=5, k=2, rng=rng)
-for g in groups:
-    print(f"group {g.members}  labels {g.labels}  kind={g.kind}")
+for g, g_labels in zip(groups, labels_int[groups]):
+    kind = "intra" if len(set(g_labels)) == 1 else "inter"
+    print(f"group {g}  labels {g_labels}  kind={kind}")
 
 ga = GAParams(feature_dim=6, k=2, interaction="sum", projections="distinct",
               rng=np.random.default_rng(2))
@@ -36,7 +37,7 @@ print("\nsoft labels of the interpolations:")
 print(np.round(out.soft_labels.values, 3))
 
 # order sensitivity: distinct positional projections break the symmetry
-swapped = [Group(g.members[::-1], g.labels[::-1]) for g in groups]
+swapped = groups[:, ::-1]
 w_swap = attend(feats, swapped, ga).weights.values
 print("\nmax weight change under member-order swap (distinct projections):",
       f"{np.abs(att.weights.values - w_swap).max():.3g}")

@@ -7,25 +7,25 @@ experiments, sweeps, and verification.
 """
 
 from .errors import AfmError, ConfigError, NumericError, ShapeError, SubgradientWarning
-from .tensor import Tensor, apply_primitive, backward, grad_check
+from .tensor import Tensor, backward, grad_check
 from .model import Backbone, ClassifierPair, Model
-from .grouping import (AttentionOutput, GAParams, Group, attend,
+from .grouping import (AttentionOutput, GAParams, attend,
                        pure_noisy_group_ratio, sample_groups)
-from .mixing import Interpolation, InterpolationBatch, interpolate
+from .mixing import InterpolationBatch, interpolate
 from .data import NoisyDataset, generate, inject_noise, one_hot
 from .training import (MetricsLog, SGD, TrainConfig, TrainState,
-                       compute_loss, run_comparison_mode, train)
+                       compute_loss, train)
 
 __all__ = [
     "AfmError", "ConfigError", "NumericError", "ShapeError", "SubgradientWarning",
-    "Tensor", "apply_primitive", "backward", "grad_check",
+    "Tensor", "backward", "grad_check",
     "Backbone", "ClassifierPair", "Model",
-    "AttentionOutput", "GAParams", "Group", "attend",
+    "AttentionOutput", "GAParams", "attend",
     "pure_noisy_group_ratio", "sample_groups",
-    "Interpolation", "InterpolationBatch", "interpolate",
+    "InterpolationBatch", "interpolate",
     "NoisyDataset", "generate", "inject_noise", "one_hot",
     "MetricsLog", "SGD", "TrainConfig", "TrainState",
-    "compute_loss", "run_comparison_mode", "train",
+    "compute_loss", "train",
 ]
 
 __version__ = "0.1.0"

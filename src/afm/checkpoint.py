@@ -8,6 +8,7 @@ little-endian values. Round trips are bit-exact.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -39,25 +40,36 @@ def write_arrays(path, arrays: dict[str, np.ndarray], cfg_hash: bytes = b""):
 
 
 def read_arrays(path) -> tuple[dict[str, np.ndarray], bytes]:
+    """Read a file written by write_arrays. Every read is bounds-checked: a
+    truncated, padded or forged file raises ConfigError."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != MAGIC:
         raise ConfigError(f"{path}: bad magic, not a checkpoint file")
-    cfg_hash = data[4:36]
-    (count,) = struct.unpack_from("<I", data, 36)
-    offset = 40
+    offset = 4
+
+    def take(size, what):
+        nonlocal offset
+        if size > len(data) - offset:
+            raise ConfigError(f"{path}: truncated: {what} needs {size} bytes at "
+                              f"offset {offset}, {len(data) - offset} left")
+        offset += size
+        return data[offset - size:offset]
+
+    cfg_hash = take(32, "config hash")
+    (count,) = struct.unpack("<I", take(4, "record count"))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        name = data[offset:offset + nlen].decode("utf-8")
-        offset += nlen
-        (rank,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}Q", data, offset) if rank else ()
-        offset += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(dims)
-        offset += 8 * n
-        arrays[name] = arr.copy()
+        (nlen,) = struct.unpack("<I", take(4, "name length"))
+        try:
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: record name is not utf-8") from exc
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name!r}"))
+        payload = take(8 * math.prod(dims), f"values of {name!r}")
+        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+    if offset != len(data):
+        raise ConfigError(f"{path}: {len(data) - offset} trailing bytes after "
+                          f"{count} records")
     return arrays, cfg_hash

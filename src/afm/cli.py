@@ -251,7 +251,7 @@ def cmd_noise_ratio(args) -> int:
     for k in ks:
         closed = pure_noisy_group_ratio(args.n_noisy, args.n_total, k)
         groups = sample_groups(labels, args.trials, k, rng=rng)
-        freq = float(np.mean([all(noisy[i] for i in g.members) for g in groups]))
+        freq = float(noisy[groups].all(axis=1).mean())
         sigma3 = 3.0 * np.sqrt(max(closed * (1 - closed), 1e-300) / args.trials)
         ok = abs(freq - closed) <= sigma3 + 1e-12
         print(f"{k:>3} {closed:>14.8f} {freq:>14.8f} {abs(freq-closed):>12.8f} "

@@ -1,10 +1,10 @@
 """Group construction and the self-attention weight network.
 
 Groups of K distinct minibatch indices are sampled (with replacement
-across groups), each ordered member is projected through its own affine
-map, the projections are combined by an interaction (concat, sum, or
-elementwise product), and a two-layer net emits K sigmoid weights per
-group.
+across groups) as the rows of an (m, K) index array. Each ordered member
+is gathered by index and projected through its own affine map, the
+projections are combined by an interaction (concat, sum, or elementwise
+product), and a two-layer net emits K sigmoid weights per group.
 """
 
 from __future__ import annotations
@@ -22,32 +22,37 @@ INTERACTIONS = ("concat", "sum", "mul")
 PROJECTION_MODES = ("distinct", "shared", "none")
 
 
-@dataclass(frozen=True)
-class Group:
-    """Ordered tuple of K distinct minibatch positions with their given labels."""
-
-    members: tuple[int, ...]
-    labels: tuple[int, ...]
-
-    @property
-    def kind(self) -> str:
-        return "intra" if len(set(self.labels)) == 1 else "inter"
-
-
 @dataclass
 class AttentionOutput:
-    weights: Tensor  # (m, K), every entry strictly in (0, 1)
-    groups: list[Group]
+    weights: Tensor      # (m, K), every entry strictly in (0, 1)
+    groups: np.ndarray   # (m, K) member indices into the batch
+
+
+def _distinct_draws(rng: np.random.Generator, size, m: int, k: int) -> np.ndarray:
+    """(m, k) positions: row i holds k distinct values drawn uniformly and
+    in order from [0, size) (size is a scalar or one pool size per row).
+    Draw t picks among the size - t positions not taken yet: its value is
+    moved up by one past each taken position at or below it, visiting the
+    taken positions in increasing order."""
+    out = np.empty((m, k), dtype=np.int64)
+    for t in range(k):
+        r = rng.integers(0, size - t, size=m)
+        for taken in np.sort(out[:, :t], axis=1).T:
+            r += r >= taken
+        out[:, t] = r
+    return out
 
 
 def sample_groups(labels, m: int, k: int, ratio_policy: str = "random",
                   intra_ratio: float | None = None,
-                  rng: np.random.Generator | None = None) -> list[Group]:
-    """Sample m groups of K distinct indices from a minibatch.
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """Sample m groups of K distinct indices from a minibatch; returns an
+    (m, K) int64 array, one group per row. A group is intra-class when
+    ``labels[groups]`` is constant along its row.
 
     ratio_policy "random" draws members uniformly without replacement
     within a group; "fixed-ratio" forces round(intra_ratio * m) groups to
-    be intra-class and the rest inter-class.
+    be intra-class (the first rows) and the rest inter-class.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -58,12 +63,8 @@ def sample_groups(labels, m: int, k: int, ratio_policy: str = "random",
     if rng is None:
         rng = np.random.default_rng()
 
-    def make(idx):
-        idx = tuple(int(i) for i in idx)
-        return Group(idx, tuple(int(labels[i]) for i in idx))
-
     if ratio_policy == "random":
-        return [make(rng.choice(n, size=k, replace=False)) for _ in range(m)]
+        return _distinct_draws(rng, n, m, k)
 
     if ratio_policy != "fixed-ratio":
         raise ConfigError(f"unknown ratio policy {ratio_policy!r}")
@@ -71,7 +72,7 @@ def sample_groups(labels, m: int, k: int, ratio_policy: str = "random",
         raise ConfigError("fixed-ratio needs intra_ratio in [0, 1]")
 
     classes, counts = np.unique(labels, return_counts=True)
-    rich = classes[counts >= k]
+    rich = np.flatnonzero(counts >= k)
     m_intra = int(round(intra_ratio * m))
     m_inter = m - m_intra
     if m_intra > 0 and len(rich) == 0:
@@ -79,18 +80,21 @@ def sample_groups(labels, m: int, k: int, ratio_policy: str = "random",
     if m_inter > 0 and len(classes) < 2:
         raise ConfigError("single-class batch; inter groups unachievable")
 
-    groups = []
-    for _ in range(m_intra):
-        c = rich[rng.integers(len(rich))]
-        pool = np.flatnonzero(labels == c)
-        groups.append(make(rng.choice(pool, size=k, replace=False)))
-    for _ in range(m_inter):
-        while True:
-            idx = rng.choice(n, size=k, replace=False)
-            if len(set(labels[idx])) > 1:
-                groups.append(make(idx))
-                break
-    return groups
+    # intra: a class per group, then K distinct members of that class,
+    # found through the batch indices sorted by label
+    by_label = np.argsort(labels, kind="stable")
+    starts = np.cumsum(counts) - counts
+    c = rng.choice(rich, size=m_intra)
+    intra = by_label[starts[c][:, None] + _distinct_draws(rng, counts[c], m_intra, k)]
+
+    # inter: uniform groups, redrawing those whose labels all agree
+    inter = _distinct_draws(rng, n, m_inter, k)
+    while True:
+        same = (labels[inter] == labels[inter[:, :1]]).all(axis=1)
+        if not same.any():
+            break
+        inter[same] = _distinct_draws(rng, n, int(same.sum()), k)
+    return np.concatenate([intra, inter])
 
 
 class GAParams:
@@ -132,33 +136,33 @@ class GAParams:
         return out
 
 
-def member_selectors(groups: list[Group], n: int, k: int) -> list[np.ndarray]:
-    """One-hot (m, n) selector matrix per group position; S_k @ features
-    gathers the k-th member rows differentiably."""
-    m = len(groups)
-    sels = [np.zeros((m, n)) for _ in range(k)]
-    for gi, g in enumerate(groups):
-        if len(g.members) != k:
-            raise ShapeError(f"group {gi} has {len(g.members)} members, expected {k}")
-        for pos, idx in enumerate(g.members):
-            if not 0 <= idx < n:
-                raise ShapeError(f"group index {idx} out of range [0, {n})")
-            sels[pos][gi, idx] = 1.0
-    return sels
+def member_selectors(groups, n: int, k: int) -> list[np.ndarray]:
+    """The K member-index columns of an (m, K) group array over n samples.
+
+    This is where group arrays are validated: the array must be integer
+    with shape (m, K) and every index must lie in [0, n), because numpy
+    fancy indexing would silently wrap a negative index."""
+    groups = np.asarray(groups)
+    if groups.ndim != 2 or groups.shape[1] != k or not np.issubdtype(groups.dtype, np.integer):
+        raise ShapeError(f"groups must be an integer (m, {k}) array, got "
+                         f"{groups.dtype} {groups.shape}")
+    if groups.size and (groups.min() < 0 or groups.max() >= n):
+        bad = groups[(groups < 0) | (groups >= n)][0]
+        raise ShapeError(f"group index {bad} out of range [0, {n})")
+    return list(groups.T)
 
 
-def attend(features: Tensor, groups: list[Group], params: GAParams) -> AttentionOutput:
+def attend(features: Tensor, groups, params: GAParams) -> AttentionOutput:
     """Project each ordered member, combine via the interaction, and emit
     K sigmoid attention weights per group. Differentiable end-to-end."""
     n, d = features.values.shape
     if d != params.feature_dim:
         raise ShapeError(f"features width {d} != GA feature dim {params.feature_dim}")
-    k = params.k
-    sels = member_selectors(groups, n, k)
+    cols = member_selectors(groups, n, params.k)
 
     projected = []
-    for pos in range(k):
-        xk = T.matmul(T.constant(sels[pos]), features)
+    for pos, col in enumerate(cols):
+        xk = T.take_rows(features, col)
         if params.projections != "none":
             xk = params.proj[pos](xk)
         projected.append(xk)
@@ -176,7 +180,7 @@ def attend(features: Tensor, groups: list[Group], params: GAParams) -> Attention
 
     hidden = T.relu(params.att1(combined))
     weights = T.sigmoid(params.att2(hidden))
-    return AttentionOutput(weights=weights, groups=list(groups))
+    return AttentionOutput(weights=weights, groups=np.asarray(groups))
 
 
 def pure_noisy_group_ratio(n_noisy: int, n_total: int, k: int) -> float:

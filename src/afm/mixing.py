@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .grouping import AttentionOutput, Group, member_selectors
+from .grouping import AttentionOutput, member_selectors
 from .tensor import Tensor
 
 # Underflow guard on the weight-sum denominator. Sigmoid outputs are
@@ -24,44 +24,22 @@ DEFAULT_EPSILON = 1e-12
 
 
 @dataclass
-class Interpolation:
-    """One virtual sample: blended feature, soft label, and provenance."""
-
-    feature: np.ndarray
-    soft_label: np.ndarray
-    group: Group
-    normalized_weights: np.ndarray
-
-
-@dataclass
 class InterpolationBatch:
     """All m interpolations of a minibatch, kept as tensors for the tape."""
 
     features: Tensor      # (m, d)
     soft_labels: Tensor   # (m, C)
     weights: Tensor       # (m, K) normalized
-    groups: list[Group]
+    groups: np.ndarray    # (m, K) member indices into the batch
 
     def __len__(self):
         return len(self.groups)
 
-    def __getitem__(self, i) -> Interpolation:
-        return Interpolation(
-            feature=self.features.values[i].copy(),
-            soft_label=self.soft_labels.values[i].copy(),
-            group=self.groups[i],
-            normalized_weights=self.weights.values[i].copy(),
-        )
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-
-def _blend(weights_cols, member_mats, width):
-    ones_row = T.constant(np.ones((1, width)))
+def _blend(weight_cols, members):
     total = None
-    for w_col, mat in zip(weights_cols, member_mats):
-        term = T.mul(T.matmul(w_col, ones_row), mat)
+    for w_col, mat in zip(weight_cols, members):
+        term = T.scale_rows(mat, w_col)
         total = term if total is None else T.add(total, term)
     return total
 
@@ -73,31 +51,26 @@ def interpolate(features: Tensor, labels, attention: AttentionOutput,
     if epsilon < 0:
         raise ShapeError("epsilon must be nonnegative")
     labels = np.asarray(labels, dtype=np.float64)
-    n, d = features.values.shape
+    n = features.values.shape[0]
     if labels.ndim != 2 or labels.shape[0] != n:
         raise ShapeError(f"labels shape {labels.shape} does not match {n} samples")
-    n_classes = labels.shape[1]
     groups = attention.groups
     m = len(groups)
     k = attention.weights.values.shape[1]
     if attention.weights.values.shape != (m, k):
-        raise ShapeError("attention weights do not match group list")
+        raise ShapeError("attention weights do not match group array")
+    cols = member_selectors(groups, n, k)
 
-    sels = member_selectors(groups, n, k)
-
-    # normalized weights: alpha / (sum(alpha) + eps), shared by Eq-style
+    # normalized weights: alpha / (sum(alpha) + eps), shared by the
     # feature and label blends
     denom = T.matmul(attention.weights, T.constant(np.ones((k, 1))))
     if epsilon > 0:
         denom = T.add(denom, T.constant(np.full((m, 1), epsilon)))
-    inv = T.reciprocal(denom)
-    norm_w = T.mul(attention.weights, T.matmul(inv, T.constant(np.ones((1, k)))))
+    norm_w = T.scale_rows(attention.weights, T.reciprocal(denom))
 
-    w_cols = [T.matmul(norm_w, T.constant(np.eye(k)[:, pos:pos + 1])) for pos in range(k)]
-    feat_members = [T.matmul(T.constant(sels[pos]), features) for pos in range(k)]
-    label_members = [T.constant(sels[pos] @ labels) for pos in range(k)]
-
-    mixed_features = _blend(w_cols, feat_members, d)
-    soft_labels = _blend(w_cols, label_members, n_classes)
+    eye = np.eye(k)
+    w_cols = [T.matmul(norm_w, T.constant(eye[:, pos:pos + 1])) for pos in range(k)]
+    mixed_features = _blend(w_cols, [T.take_rows(features, col) for col in cols])
+    soft_labels = _blend(w_cols, [T.constant(labels[col]) for col in cols])
     return InterpolationBatch(features=mixed_features, soft_labels=soft_labels,
-                              weights=norm_w, groups=list(groups))
+                              weights=norm_w, groups=groups)

@@ -3,7 +3,8 @@
 Values are 64-bit floats stored in numpy arrays (row-major). Graph
 construction is single-threaded; tensors are immutable after creation
 except for their grad buffers. Broadcasting is deliberately restricted to
-(matrix, bias-row) addition so every shape rule stays auditable.
+(matrix, bias-row) addition and (matrix, column) row scaling so every
+shape rule stays auditable.
 
 relu's subgradient at 0 is defined as 0; grad_check skips coordinates
 whose finite-difference probes cross a relu kink.
@@ -274,27 +275,40 @@ def reciprocal(a: Tensor) -> Tensor:
     return _make(out_vals, (a,), backward)
 
 
-PRIMITIVES = {
-    "matmul": lambda inputs: matmul(*inputs),
-    "add": lambda inputs: add(*inputs),
-    "scalar-multiply": lambda inputs: smul(*inputs),
-    "elementwise-multiply": lambda inputs: mul(*inputs),
-    "concat-last-dim": concat_last,
-    "sum-reduce": lambda inputs: sum_reduce(*inputs),
-    "mean": lambda inputs: mean(*inputs),
-    "relu": lambda inputs: relu(*inputs),
-    "sigmoid": lambda inputs: sigmoid(*inputs),
-    "softmax": lambda inputs: softmax(*inputs),
-    "log": lambda inputs: log(*inputs),
-    "reciprocal": lambda inputs: reciprocal(*inputs),
-}
+def take_rows(a: Tensor, idx) -> Tensor:
+    """Rows ``a[idx]`` of a matrix; ``idx`` is a 1-D integer array. Indices
+    may repeat, and the gradients of repeated rows add up. Entries must
+    lie in [0, rows): numpy would wrap a negative one, so group indices
+    are checked once, by grouping.member_selectors."""
+    _check_finite(a.values)
+    idx = np.asarray(idx)
+    if a.values.ndim != 2 or idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"take_rows: {a.values.shape}[{idx.dtype} {idx.shape}]")
+    out_vals = a.values[idx]
+
+    def backward(out):
+        if a.requires_grad:
+            g = np.zeros_like(a.values)
+            np.add.at(g, idx, out.grad)
+            a._accumulate(g)
+
+    return _make(out_vals, (a,), backward)
 
 
-def apply_primitive(kind: str, inputs) -> Tensor:
-    """Apply a primitive by name to a list of tensors."""
-    if kind not in PRIMITIVES:
-        raise ShapeError(f"unknown primitive {kind!r}")
-    return PRIMITIVES[kind](list(inputs))
+def scale_rows(a: Tensor, col: Tensor) -> Tensor:
+    """Multiply row i of an (m, n) matrix by ``col[i, 0]``; col is (m, 1)."""
+    _check_finite(a.values, col.values)
+    if a.values.ndim != 2 or col.values.shape != (a.values.shape[0], 1):
+        raise ShapeError(f"scale_rows: {a.values.shape} * {col.values.shape}")
+    out_vals = a.values * col.values
+
+    def backward(out):
+        if a.requires_grad:
+            a._accumulate(out.grad * col.values)
+        if col.requires_grad:
+            col._accumulate((out.grad * a.values).sum(axis=1, keepdims=True))
+
+    return _make(out_vals, (a, col), backward)
 
 
 # ---------------------------------------------------------------------------

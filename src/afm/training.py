@@ -173,23 +173,25 @@ def soft_kl_divergence(probs: Tensor, targets: Tensor) -> Tensor:
     return T.add(ce, neg_entropy)
 
 
-def compute_loss(model: Model, batch_features: Tensor, batch_labels_onehot,
+def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
                  interpolations: InterpolationBatch | None,
                  config: TrainConfig) -> Tensor:
     """lambda * L_afm + (1 - lambda) * L_org.
 
-    L_org is the cross-entropy of the normal classifier on the batch's
-    given labels. L_afm is KL(s || p(z)) of the interpolation classifier
-    on the virtual pairs (z, s), not their cross-entropy H(s) + KL(s || p):
-    H(s) depends only on the mixing weights and is smallest at one-hot
-    weights, so minimising it would teach the attention net to pick a
-    single member regardless of its label. For the mixup modes s is a
-    constant, so the gradients equal those of cross-entropy and the loss
-    is lower by the constant mean H(s)."""
-    if batch_features.values.shape[0] == 0:
+    ``features`` are the backbone features of the batch, the same tensor
+    the attention net and the interpolations were built from, so the
+    backbone runs once per step. L_org is the cross-entropy of the normal
+    classifier on the batch's given labels. L_afm is KL(s || p(z)) of the
+    interpolation classifier on the virtual pairs (z, s), not their
+    cross-entropy H(s) + KL(s || p): H(s) depends only on the mixing
+    weights and is smallest at one-hot weights, so minimising it would
+    teach the attention net to pick a single member regardless of its
+    label. For the mixup modes s is a constant, so the gradients equal
+    those of cross-entropy and the loss is lower by the constant mean
+    H(s)."""
+    if features.values.shape[0] == 0:
         raise ConfigError("empty batch")
-    feats = model.extract_features(batch_features)
-    probs_org = model.classify(feats, head=2)
+    probs_org = model.classify(features, head=2)
     loss_org = soft_cross_entropy(probs_org, batch_labels_onehot)
     if config.lam == 0.0 and interpolations is None:
         return loss_org
@@ -203,31 +205,20 @@ def compute_loss(model: Model, batch_features: Tensor, batch_labels_onehot,
 def _beta_pairs(feats: Tensor, labels_onehot, groups, weights) -> InterpolationBatch:
     """Pairwise interpolation with fixed (w, 1-w) weights, used by the
     mixup comparison modes."""
-    m = len(groups)
     raw = np.column_stack([weights, 1.0 - weights])
     att = AttentionOutput(weights=T.constant(raw), groups=groups)
     return interpolate(feats, labels_onehot, att, epsilon=0.0)
 
 
 def _attention_stats(interp: InterpolationBatch, batch_idx, noise_mask):
-    """Mean normalized attention on clean vs noisy members, over groups
-    that mix at least one clean and one noisy sample. Uses hidden clean
-    labels for evaluation only."""
-    clean_sum = noisy_sum = 0.0
-    clean_n = noisy_n = 0
-    w = interp.weights.values
-    for gi, g in enumerate(interp.groups):
-        noisy = [noise_mask[batch_idx[i]] for i in g.members]
-        if not (any(noisy) and not all(noisy)):
-            continue
-        for pos, is_noisy in enumerate(noisy):
-            if is_noisy:
-                noisy_sum += w[gi, pos]
-                noisy_n += 1
-            else:
-                clean_sum += w[gi, pos]
-                clean_n += 1
-    return clean_sum, clean_n, noisy_sum, noisy_n
+    """Sums and counts of normalized attention on clean and on noisy
+    members, over groups that mix at least one clean and one noisy sample.
+    Uses hidden clean labels for evaluation only."""
+    noisy = noise_mask[batch_idx][interp.groups]
+    mixed = noisy.any(axis=1) & ~noisy.all(axis=1)
+    w, noisy = interp.weights.values[mixed], noisy[mixed]
+    return (float(w[~noisy].sum()), int((~noisy).sum()),
+            float(w[noisy].sum()), int(noisy.sum()))
 
 
 def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, MetricsLog]:
@@ -286,9 +277,9 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
             y = one_hot(dataset.given_labels[batch_idx], c)
             m = config.m if config.m is not None else nb
 
+            feats = model.extract_features(x)
             interp = None
             if config.mode == "afm":
-                feats = model.extract_features(x)
                 groups = sample_groups(dataset.given_labels[batch_idx], m,
                                        config.k, config.ratio_policy,
                                        config.intra_ratio, group_rng)
@@ -302,7 +293,6 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
                                        "random", None, group_rng)
                 w = group_rng.beta(config.beta_param, config.beta_param, size=m)
                 if config.mode == "manifold-mixup":
-                    feats = model.extract_features(x)
                     interp = _beta_pairs(feats, y, groups, w)
                 else:
                     mixed = _beta_pairs(x, y, groups, w)
@@ -312,7 +302,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
                                                 weights=mixed.weights,
                                                 groups=groups)
 
-            loss = compute_loss(model, x, y, interp, config)
+            loss = compute_loss(model, feats, y, interp, config)
             opt.zero_grad()
             backward(loss)
             opt.step()
@@ -330,12 +320,6 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
         )
         state.epoch = epoch + 1
     return state, log
-
-
-def run_comparison_mode(dataset: NoisyDataset, config: TrainConfig):
-    if config.mode not in ("standard-mixup", "manifold-mixup"):
-        raise ConfigError("run_comparison_mode needs a mixup comparison mode")
-    return train(dataset, config)
 
 
 # ---------------------------------------------------------------------------

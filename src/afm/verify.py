@@ -57,6 +57,14 @@ def check_gradients(inject_fault=None):
             T.mul(T.softmax(ls[0]), T.constant(np.arange(1.0, 1.0 + ls[0].values.size).reshape(ls[0].values.shape)))),
         "log": lambda ls: T.sum_reduce(T.log(ls[0])),
         "reciprocal": lambda ls: T.sum_reduce(T.reciprocal(ls[0])),
+        # row 2 is taken three times and row 1 never: a sample can sit in
+        # several groups, and a batch row need not be in any
+        "take-rows": lambda ls: T.sum_reduce(
+            T.mul(T.take_rows(ls[0], np.array([2, 0, 2, 3, 2])),
+                  T.constant(np.arange(1.0, 21.0).reshape(5, 4)))),
+        "scale-rows": lambda ls: T.sum_reduce(
+            T.mul(T.scale_rows(ls[0], ls[1]),
+                  T.constant(np.arange(1.0, 13.0).reshape(3, 4)))),
     }
     worst = 0.0
     for name, fn in cases.items():
@@ -67,6 +75,10 @@ def check_gradients(inject_fault=None):
                 pts = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
                 if name == "matmul":
                     pts[1] = rng.normal(size=(4, 2))
+            elif name == "take-rows":
+                pts = [rng.normal(size=(4, 4))]
+            elif name == "scale-rows":
+                pts = [rng.normal(size=(3, 4)), rng.normal(size=(3, 1))]
             else:
                 pts = [rng.normal(size=(3, 4))]
             with warnings.catch_warnings():
@@ -113,7 +125,7 @@ def build_afm_loss_graph(leaves, labels, groups, config):
     feats = model.extract_features(x)
     interp = interpolate(feats, labels, attend(feats, groups, ga),
                          config.mixup_epsilon)
-    return compute_loss(model, x, labels, interp, config)
+    return compute_loss(model, feats, labels, interp, config)
 
 
 def afm_loss_grad_check(n_points=3, seed=11):
@@ -159,7 +171,7 @@ def run_all(inject_fault=None):
 
     # order swap with shared projections + sum interaction is exactly invariant
     feats2, _, ga_shared, groups2 = _random_ga_setup(rng, projections="shared")
-    swapped = [type(g)(g.members[::-1], g.labels[::-1]) for g in groups2]
+    swapped = groups2[:, ::-1]
     wa = attend(feats2, groups2, ga_shared).weights.values
     wb = attend(feats2, swapped, ga_shared).weights.values
     results.append(("order-invariance-shared-projections",
@@ -169,9 +181,8 @@ def run_all(inject_fault=None):
     hits = 0
     for _ in range(100):
         f3, _, ga3, g3 = _random_ga_setup(rng, projections="distinct")
-        sw = [type(g)(g.members[::-1], g.labels[::-1]) for g in g3]
         d = np.abs(attend(f3, g3, ga3).weights.values
-                   - attend(f3, sw, ga3).weights.values).max()
+                   - attend(f3, g3[:, ::-1], ga3).weights.values).max()
         hits += d > 1e-9
     results.append(("order-sensitivity-distinct-projections", hits >= 99,
                     f"{hits}/100 trials differ"))
@@ -188,7 +199,7 @@ def run_all(inject_fault=None):
     trials = 20000
     mask = ds.noise_mask[ds.train_idx]
     g = sample_groups(ds.given_labels[ds.train_idx], trials, 2, rng=rng)
-    freq = np.mean([all(mask[i] for i in grp.members) for grp in g])
+    freq = mask[g].all(axis=1).mean()
     sigma = np.sqrt(p * (1 - p) / trials)
     results.append(("pure-noisy-ratio-monte-carlo",
                     abs(freq - p) < 3 * sigma + 1e-12,
@@ -202,9 +213,9 @@ def run_all(inject_fault=None):
                     f"row-sum err {np.abs(y.sum(axis=1)-1).max():.2e}"))
 
     hull_ok = True
-    for gi, grp in enumerate(interp.groups):
-        xi = feats.values[grp.members[0]]
-        xj = feats.values[grp.members[1]]
+    for gi, (i, j) in enumerate(interp.groups):
+        xi = feats.values[i]
+        xj = feats.values[j]
         xp = interp.features.values[gi]
         # reconstruct the convex coefficient from the blend
         denom = xi - xj

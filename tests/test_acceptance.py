@@ -14,7 +14,7 @@ import pytest
 from afm import tensor as T
 from afm.data import generate, inject_noise, one_hot
 from afm.errors import SubgradientWarning
-from afm.grouping import (GAParams, Group, attend, pure_noisy_group_ratio,
+from afm.grouping import (GAParams, attend, pure_noisy_group_ratio,
                           sample_groups)
 from afm.mixing import interpolate
 from afm.training import TrainConfig, train
@@ -89,7 +89,7 @@ def test_criterion_2_order_symmetry():
         feats = T.constant(rng.normal(size=(8, d)))
         labels = rng.integers(0, 3, size=8)
         groups = sample_groups(labels, 4, 2, rng=rng)
-        swapped = [Group(g.members[::-1], g.labels[::-1]) for g in groups]
+        swapped = groups[:, ::-1]
         shared = GAParams(d, 2, "sum", "shared", np.random.default_rng(1000 + trial))
         w1 = attend(feats, groups, shared).weights.values
         w2 = attend(feats, swapped, shared).weights.values
@@ -113,7 +113,7 @@ def test_criterion_3_pure_noisy_ratio():
     noisy[:200] = True
     groups = sample_groups(np.zeros(1000, dtype=int), trials, 2,
                            rng=np.random.default_rng(3))
-    freq = np.mean([all(noisy[i] for i in g.members) for g in groups])
+    freq = np.mean([all(noisy[i] for i in g) for g in groups])
     sigma = np.sqrt(closed * (1 - closed) / trials)
     mc_ok = abs(freq - closed) < 3 * sigma
     ineq_ok = closed < pure_noisy_group_ratio(200, 1000, 1)
@@ -143,8 +143,8 @@ def test_criterion_4_simplex_invariants():
         # convex-hull membership via coefficient reconstruction (K=2)
         for gi, g in enumerate(groups):
             w = out.weights.values[gi]
-            recon = (w[0] * feats.values[g.members[0]]
-                     + w[1] * feats.values[g.members[1]])
+            recon = (w[0] * feats.values[g[0]]
+                     + w[1] * feats.values[g[1]])
             if (np.abs(recon - out.features.values[gi]).max() > 1e-9
                     or not -1e-9 <= w[0] <= 1 + 1e-9):
                 hull_ok = False

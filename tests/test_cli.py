@@ -157,6 +157,19 @@ def test_dump_features(config_file, tmp_path):
     assert sum(w) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("cut", [10, 45, -8])
+def test_dump_features_truncated_checkpoint_exit_2(config_file, tmp_path, capsys, cut):
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    ck = run / "checkpoint.bin"
+    ck.write_bytes(ck.read_bytes()[:cut])
+    rc = main(["dump-features", "--checkpoint", str(ck),
+               "--dataset", str(run / "dataset.bin"),
+               "--out", str(tmp_path / "features.csv")])
+    assert rc == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_verify_command(capsys):
     assert main(["verify"]) == 0
     text = capsys.readouterr().out

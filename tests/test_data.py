@@ -150,3 +150,51 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(Exception):
         read_arrays(p)
+
+
+def checkpoint_bytes(tmp_path):
+    p = tmp_path / "good.bin"
+    write_arrays(p, {"w": np.arange(6.0).reshape(2, 3), "b": np.array([1.5])},
+                 config_hash("cfg"))
+    return p.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [10, 45, -8, -1])
+def test_checkpoint_truncated_raises_config_error(tmp_path, cut):
+    # 10: inside the config hash; 45: before the first record's rank; -8
+    # and -1: inside the last record's values
+    data = checkpoint_bytes(tmp_path)
+    p = tmp_path / "cut.bin"
+    p.write_bytes(data[:cut])
+    with pytest.raises(ConfigError, match="truncated"):
+        read_arrays(p)
+
+
+def test_checkpoint_trailing_bytes_raise_config_error(tmp_path):
+    p = tmp_path / "long.bin"
+    p.write_bytes(checkpoint_bytes(tmp_path) + b"\x00" * 8)
+    with pytest.raises(ConfigError, match="trailing"):
+        read_arrays(p)
+
+
+@pytest.mark.parametrize("count,match", [(3, "truncated"), (1, "trailing"),
+                                         (2**32 - 1, "truncated")])
+def test_checkpoint_forged_record_count(tmp_path, count, match):
+    data = bytearray(checkpoint_bytes(tmp_path))
+    data[36:40] = count.to_bytes(4, "little")
+    p = tmp_path / "forged.bin"
+    p.write_bytes(bytes(data))
+    with pytest.raises(ConfigError, match=match):
+        read_arrays(p)
+
+
+# the first record starts at byte 40: name length (4 bytes), name "w"
+# (1 byte), rank at 45, dims from 49
+@pytest.mark.parametrize("at,patch", [(45, b"\xff" * 4), (49, b"\xff" * 8)])
+def test_checkpoint_forged_rank_and_dims(tmp_path, at, patch):
+    data = bytearray(checkpoint_bytes(tmp_path))
+    data[at:at + len(patch)] = patch
+    p = tmp_path / "forged.bin"
+    p.write_bytes(bytes(data))
+    with pytest.raises(ConfigError, match="truncated"):
+        read_arrays(p)

@@ -1,13 +1,15 @@
 """Group sampling, the attention net, and the pure-noisy-group ratio."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afm import tensor as T
 from afm.errors import ConfigError, ShapeError
-from afm.grouping import (GAParams, Group, attend, member_selectors,
+from afm.grouping import (GAParams, attend, member_selectors,
                           pure_noisy_group_ratio, sample_groups)
 from afm.tensor import backward
 
@@ -17,38 +19,81 @@ def labels_balanced(n, c=3, seed=0):
     return rng.integers(0, c, size=n)
 
 
+def is_intra(labels, groups):
+    """Per group: whether all its members carry the same label."""
+    member_labels = np.asarray(labels)[groups]
+    return (member_labels == member_labels[:, :1]).all(axis=1)
+
+
 def test_sample_groups_basic_shape():
     groups = sample_groups(labels_balanced(20), 7, 3, rng=np.random.default_rng(1))
-    assert len(groups) == 7
+    assert groups.shape == (7, 3)
+    assert groups.dtype == np.int64
     for g in groups:
-        assert len(g.members) == 3
-        assert len(set(g.members)) == 3  # distinct within a group
+        assert len(set(g)) == 3  # distinct within a group
 
 
 def test_sample_groups_two_of_two():
     groups = sample_groups(np.array([0, 1]), 1, 2, rng=np.random.default_rng(0))
-    assert sorted(groups[0].members) == [0, 1]
+    assert sorted(groups[0]) == [0, 1]
 
 
 def test_sample_groups_all_same_label_intra():
-    groups = sample_groups(np.zeros(8, dtype=int), 5, 2,
-                           rng=np.random.default_rng(0))
-    assert all(g.kind == "intra" for g in groups)
+    labels = np.zeros(8, dtype=int)
+    groups = sample_groups(labels, 5, 2, rng=np.random.default_rng(0))
+    assert is_intra(labels, groups).all()
 
 
 def test_sample_groups_deterministic():
     a = sample_groups(labels_balanced(30), 10, 2, rng=np.random.default_rng(9))
     b = sample_groups(labels_balanced(30), 10, 2, rng=np.random.default_rng(9))
-    assert [g.members for g in a] == [g.members for g in b]
+    np.testing.assert_array_equal(a, b)
 
 
 def test_sample_groups_fixed_ratio():
     labels = np.array([0] * 10 + [1] * 10)
     groups = sample_groups(labels, 10, 2, "fixed-ratio", 0.3,
                            rng=np.random.default_rng(2))
-    kinds = [g.kind for g in groups]
-    assert kinds.count("intra") == 3
-    assert kinds.count("inter") == 7
+    assert is_intra(labels, groups).tolist() == [True] * 3 + [False] * 7
+
+
+def test_sample_groups_ordered_pair_frequencies():
+    # every ordered pair of distinct members is equally likely: for n=4,
+    # K=2 each of the 12 pairs lies within 3 binomial sigma of 1/12
+    trials = 120_000
+    groups = sample_groups(np.zeros(4, dtype=int), trials, 2,
+                           rng=np.random.default_rng(21))
+    counts = np.zeros((4, 4), dtype=int)
+    np.add.at(counts, (groups[:, 0], groups[:, 1]), 1)
+    p = 1 / 12
+    sigma = np.sqrt(p * (1 - p) / trials)
+    assert np.all(np.diag(counts) == 0)
+    for i, j in permutations(range(4), 2):
+        assert abs(counts[i, j] / trials - p) < 3 * sigma, (i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_classes=st.integers(2, 4), n=st.integers(4, 30), k=st.integers(2, 4),
+       m=st.integers(1, 40), intra_ratio=st.floats(0.0, 1.0),
+       policy=st.sampled_from(["random", "fixed-ratio"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_groups_properties(n_classes, n, k, m, intra_ratio, policy, seed):
+    # every class gets at least k members, so both kinds of group exist
+    labels = np.random.default_rng(seed).permutation(np.arange(n) % n_classes)
+    if np.bincount(labels).min() < k:
+        labels = np.repeat(np.arange(n_classes), k)
+    kw = dict(ratio_policy=policy,
+              intra_ratio=intra_ratio if policy == "fixed-ratio" else None)
+    groups = sample_groups(labels, m, k, rng=np.random.default_rng(seed), **kw)
+    assert groups.shape == (m, k) and groups.dtype == np.int64
+    assert groups.min() >= 0 and groups.max() < len(labels)
+    assert all(len(set(g)) == k for g in groups)
+    again = sample_groups(labels, m, k, rng=np.random.default_rng(seed), **kw)
+    np.testing.assert_array_equal(groups, again)
+    if policy == "fixed-ratio":
+        m_intra = int(round(intra_ratio * m))
+        intra = is_intra(labels, groups)
+        assert intra[:m_intra].all() and not intra[m_intra:].any()
 
 
 def test_sample_groups_rejects_bad_args():
@@ -62,22 +107,21 @@ def test_sample_groups_rejects_bad_args():
                       rng=np.random.default_rng(0))
 
 
-def test_group_kind():
-    assert Group((0, 1), (2, 2)).kind == "intra"
-    assert Group((0, 1), (0, 2)).kind == "inter"
-
-
 def test_member_selectors_gather():
-    groups = [Group((2, 0), (0, 0)), Group((1, 2), (0, 0))]
-    sels = member_selectors(groups, 3, 2)
+    cols = member_selectors(np.array([[2, 0], [1, 2]]), 3, 2)
     feats = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(sels[0] @ feats, feats[[2, 1]])
-    np.testing.assert_array_equal(sels[1] @ feats, feats[[0, 2]])
+    np.testing.assert_array_equal(feats[cols[0]], feats[[2, 1]])
+    np.testing.assert_array_equal(feats[cols[1]], feats[[0, 2]])
 
 
 def test_member_selectors_bad_index():
-    with pytest.raises(ShapeError):
-        member_selectors([Group((0, 5), (0, 0))], 3, 2)
+    for groups in ([[0, 5]],       # past the end
+                   [[0, -1]],      # numpy would wrap this to the last row
+                   [[0, 1, 2]],    # K=3 where K=2 is expected
+                   [0, 1],         # not a 2-D array
+                   [[0.0, 1.0]]):  # not integer
+        with pytest.raises(ShapeError):
+            member_selectors(np.array(groups), 3, 2)
 
 
 @pytest.mark.parametrize("interaction", ["concat", "sum", "mul"])
@@ -103,17 +147,13 @@ def test_attend_gradients_reach_projections():
             assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 
 
-def swap(groups):
-    return [Group(g.members[::-1], g.labels[::-1]) for g in groups]
-
-
 def test_order_invariance_sum_shared():
     # sum interaction with a shared projection is symmetric in member order
     params = GAParams(5, 2, "sum", "shared", np.random.default_rng(3))
     feats = T.constant(np.random.default_rng(4).standard_normal((8, 5)))
     groups = sample_groups(labels_balanced(8), 6, 2, rng=np.random.default_rng(5))
     w1 = attend(feats, groups, params).weights.values
-    w2 = attend(feats, swap(groups), params).weights.values
+    w2 = attend(feats, groups[:, ::-1], params).weights.values
     np.testing.assert_array_equal(w1, w2)  # bit-identical
 
 
@@ -122,7 +162,7 @@ def test_order_sensitivity_distinct_projections():
     feats = T.constant(np.random.default_rng(4).standard_normal((8, 5)))
     groups = sample_groups(labels_balanced(8), 6, 2, rng=np.random.default_rng(5))
     w1 = attend(feats, groups, params).weights.values
-    w2 = attend(feats, swap(groups), params).weights.values
+    w2 = attend(feats, groups[:, ::-1], params).weights.values
     assert np.abs(w1 - w2).max() > 1e-9
 
 
@@ -130,7 +170,7 @@ def test_attend_feature_dim_mismatch():
     params = GAParams(5, 2, rng=np.random.default_rng(0))
     with pytest.raises(ShapeError):
         attend(T.constant(np.zeros((4, 3))),
-               [Group((0, 1), (0, 0))], params)
+               np.array([[0, 1]]), params)
 
 
 def test_gaparams_rejects_unknown_modes():
@@ -176,7 +216,7 @@ def test_pure_noisy_ratio_monte_carlo():
     noisy[:n_noisy] = True
     rng = np.random.default_rng(12)
     groups = sample_groups(np.zeros(n_total, dtype=int), trials, k, rng=rng)
-    hits = sum(all(noisy[i] for i in g.members) for g in groups)
+    hits = noisy[groups].all(axis=1).sum()
     p = pure_noisy_group_ratio(n_noisy, n_total, k)
     sigma = np.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) < 3 * sigma

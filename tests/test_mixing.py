@@ -5,7 +5,7 @@ import pytest
 
 from afm import tensor as T
 from afm.errors import ShapeError
-from afm.grouping import AttentionOutput, GAParams, Group, attend, sample_groups
+from afm.grouping import AttentionOutput, GAParams, attend, sample_groups
 from afm.mixing import DEFAULT_EPSILON, interpolate
 from afm.tensor import Tensor, backward
 
@@ -48,27 +48,28 @@ def test_features_are_member_convex_combinations():
     # reconstruct the K=2 coefficients from the interpolation and members
     feats, labels, att, _ = make_batch(seed=5)
     out = interpolate(feats, labels, att)
-    for item, g in zip(out, out.groups):
-        a = feats.values[g.members[0]]
-        b = feats.values[g.members[1]]
-        w = item.normalized_weights
-        np.testing.assert_allclose(item.feature, w[0] * a + w[1] * b, atol=1e-9)
+    for gi, (i, j) in enumerate(out.groups):
+        a = feats.values[i]
+        b = feats.values[j]
+        w = out.weights.values[gi]
+        np.testing.assert_allclose(out.features.values[gi], w[0] * a + w[1] * b,
+                                   atol=1e-9)
         assert -1e-9 <= w[0] <= 1 + 1e-9
 
 
 def test_same_weights_blend_features_and_labels():
     feats, labels, att, _ = make_batch(seed=6)
     out = interpolate(feats, labels, att)
-    for item, g in zip(out, out.groups):
-        w = item.normalized_weights
-        expect = w[0] * labels[g.members[0]] + w[1] * labels[g.members[1]]
-        np.testing.assert_allclose(item.soft_label, expect, atol=1e-9)
+    for gi, (i, j) in enumerate(out.groups):
+        w = out.weights.values[gi]
+        expect = w[0] * labels[i] + w[1] * labels[j]
+        np.testing.assert_allclose(out.soft_labels.values[gi], expect, atol=1e-9)
 
 
 def test_intra_group_soft_label_stays_one_hot():
     feats = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
     labels = np.eye(2)[[1, 1, 0, 0]]
-    groups = [Group((0, 1), (1, 1))]
+    groups = np.array([[0, 1]])
     att = AttentionOutput(weights=T.constant(np.array([[0.3, 0.9]])), groups=groups)
     out = interpolate(feats, labels, att)
     np.testing.assert_allclose(out.soft_labels.values, [[0.0, 1.0]], atol=1e-9)
@@ -78,7 +79,7 @@ def test_scale_invariance_of_raw_weights():
     # multiplying both raw weights by a positive constant changes nothing
     feats = Tensor(np.random.default_rng(1).standard_normal((4, 3)))
     labels = np.eye(2)[[0, 1, 0, 1]]
-    groups = [Group((0, 1), (0, 1)), Group((2, 3), (0, 1))]
+    groups = np.array([[0, 1], [2, 3]])
     raw = np.array([[0.2, 0.6], [0.9, 0.1]])
     out1 = interpolate(feats, labels, AttentionOutput(T.constant(raw), groups),
                        epsilon=0.0)
@@ -91,7 +92,7 @@ def test_epsilon_guard_bounds_deviation():
     # default epsilon must keep weight sums within 1e-9 of 1 even for small raws
     feats = Tensor(np.random.default_rng(2).standard_normal((2, 3)))
     labels = np.eye(2)[[0, 1]]
-    groups = [Group((0, 1), (0, 1))]
+    groups = np.array([[0, 1]])
     raw = np.array([[1e-3, 1e-3]])
     out = interpolate(feats, labels, AttentionOutput(T.constant(raw), groups))
     assert abs(out.weights.values.sum() - 1.0) < 1e-9

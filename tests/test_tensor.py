@@ -7,7 +7,7 @@ import pytest
 
 from afm import tensor as T
 from afm.errors import ShapeError, SubgradientWarning
-from afm.tensor import Tensor, apply_primitive, backward, grad_check
+from afm.tensor import Tensor, backward, grad_check
 
 
 def rnd(*shape, seed=0):
@@ -110,12 +110,22 @@ def test_backward_requires_scalar_root():
         backward(T.relu(x))
 
 
-def test_apply_primitive_dispatch():
-    a = T.constant(rnd(2, 2))
-    out = apply_primitive("relu", [a])
-    np.testing.assert_allclose(out.values, np.maximum(a.values, 0.0))
+def test_take_rows_repeated_rows_add_gradients():
+    a = Tensor(rnd(3, 2), requires_grad=True)
+    out = T.take_rows(a, np.array([2, 0, 2]))
+    np.testing.assert_array_equal(out.values, a.values[[2, 0, 2]])
+    backward(T.sum_reduce(out))
+    np.testing.assert_array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
     with pytest.raises(ShapeError):
-        apply_primitive("nonexistent", [a])
+        T.take_rows(a, np.array([[0, 1]]))
+
+
+def test_scale_rows_shapes():
+    a = Tensor(rnd(3, 2))
+    out = T.scale_rows(a, T.constant(np.array([[2.0], [0.0], [-1.0]])))
+    np.testing.assert_array_equal(out.values, a.values * [[2.0], [0.0], [-1.0]])
+    with pytest.raises(ShapeError):
+        T.scale_rows(a, T.constant(np.ones((1, 2))))
 
 
 @pytest.mark.parametrize("fn,shapes", [

@@ -6,12 +6,12 @@ import pytest
 from afm import tensor as T
 from afm.data import generate, inject_noise, one_hot
 from afm.errors import ConfigError, NumericError
-from afm.grouping import AttentionOutput, GAParams, Group, attend, sample_groups
+from afm.grouping import AttentionOutput, GAParams, attend, sample_groups
 from afm.mixing import InterpolationBatch, interpolate
 from afm.model import Model
 from afm.tensor import Tensor
-from afm.training import (MetricsLog, SGD, TrainConfig, compute_loss,
-                          load_state, run_comparison_mode, save_state,
+from afm.training import (MetricsLog, SGD, TrainConfig, _attention_stats,
+                          compute_loss, load_state, save_state,
                           soft_cross_entropy, soft_kl_divergence, train)
 
 
@@ -90,7 +90,7 @@ def test_mixing_loss_gives_gate_no_gradient_when_prediction_matches():
     model = Model([2, 2], 2, rng=np.random.default_rng(0))
     model.classifiers.head1.weight.values = np.eye(2)
     y = one_hot(np.array([0, 1, 0, 1]), 2)
-    groups = [Group((0, 1), (0, 1)), Group((2, 3), (0, 1)), Group((1, 2), (1, 0))]
+    groups = np.array([[0, 1], [2, 3], [1, 2]])
     raw = T.parameter(np.array([[0.9, 0.2], [0.3, 0.6], [0.7, 0.4]]))
     interp = interpolate(T.constant(np.zeros((4, 2))), y, AttentionOutput(raw, groups))
     # logits log(s) through an identity classifier give p(z) = s
@@ -109,8 +109,9 @@ def test_compute_loss_lambda_zero_is_org_only():
     x = T.constant(np.random.default_rng(1).standard_normal((6, 8)))
     y = one_hot(np.array([0, 1, 2, 0, 1, 2]), 3)
     cfg = tiny_config(lam=0.0, mode="baseline")
-    loss = compute_loss(model, x, y, None, cfg)
-    probs = model.classify(model.extract_features(x), head=2)
+    feats = model.extract_features(x)
+    loss = compute_loss(model, feats, y, None, cfg)
+    probs = model.classify(feats, head=2)
     np.testing.assert_allclose(float(loss.values),
                                float(soft_cross_entropy(probs, y).values))
 
@@ -129,17 +130,17 @@ def test_compute_loss_convex_combination():
     losses = {}
     for lam in (0.0, 0.3, 1.0):
         cfg = tiny_config(lam=lam, mode="afm")
-        losses[lam] = float(compute_loss(model, x, y, interp, cfg).values)
-    mixed = float(compute_loss(model, x, y, interp, tiny_config(lam=0.3, mode="afm")).values)
+        losses[lam] = float(compute_loss(model, feats, y, interp, cfg).values)
+    mixed = float(compute_loss(model, feats, y, interp, tiny_config(lam=0.3, mode="afm")).values)
     np.testing.assert_allclose(mixed, 0.3 * losses[1.0] + 0.7 * losses[0.0], rtol=1e-9)
 
 
 def test_compute_loss_needs_interp_when_lambda_positive():
     model = Model([8, 8], 3, rng=np.random.default_rng(0))
-    x = T.constant(np.zeros((2, 8)))
+    feats = model.extract_features(T.constant(np.zeros((2, 8))))
     y = one_hot(np.array([0, 1]), 3)
     with pytest.raises(ConfigError):
-        compute_loss(model, x, y, None, tiny_config(lam=0.5, mode="afm"))
+        compute_loss(model, feats, y, None, tiny_config(lam=0.5, mode="afm"))
 
 
 # ------------------------------------------------------------------- training
@@ -161,14 +162,46 @@ def test_train_afm_smoke_logs_attention():
 
 @pytest.mark.parametrize("mode", ["standard-mixup", "manifold-mixup"])
 def test_train_mixup_modes(mode):
-    state, log = run_comparison_mode(tiny_dataset(), tiny_config(mode=mode))
+    state, log = train(tiny_dataset(), tiny_config(mode=mode))
     assert len(log.rows) == 2
     assert state.ga is None
 
 
-def test_run_comparison_mode_rejects_afm():
-    with pytest.raises(ConfigError):
-        run_comparison_mode(tiny_dataset(), tiny_config(mode="afm"))
+def test_afm_step_runs_backbone_once(monkeypatch):
+    # 120 training samples in batches of 5 give 24 steps; the 25th call
+    # is the end-of-epoch test evaluation
+    calls = []
+    forward = Model.extract_features
+
+    def counted(self, batch):
+        calls.append(batch.values.shape)
+        return forward(self, batch)
+
+    monkeypatch.setattr(Model, "extract_features", counted)
+    state, _ = train(tiny_dataset(), tiny_config(mode="afm", epochs=1, batch_size=5))
+    assert state.step == 24
+    assert len(calls) == 25
+
+
+def test_attention_stats_matches_per_group_loop():
+    rng = np.random.default_rng(3)
+    batch_idx = rng.permutation(40)[:20]
+    noise_mask = rng.random(40) < 0.4
+    groups = sample_groups(np.zeros(20, dtype=int), 50, 3, rng=rng)
+    weights = rng.random((50, 3))
+    interp = InterpolationBatch(features=None, soft_labels=None,
+                                weights=T.constant(weights), groups=groups)
+    # reference: per group, skip all-clean and all-noisy groups
+    expect = [0.0, 0, 0.0, 0]
+    for g, w in zip(groups, weights):
+        noisy = noise_mask[batch_idx[g]]
+        if noisy.any() and not noisy.all():
+            for is_noisy, wi in zip(noisy, w):
+                expect[2 if is_noisy else 0] += wi
+                expect[3 if is_noisy else 1] += 1
+    got = _attention_stats(interp, batch_idx, noise_mask)
+    assert got[1] == expect[1] and got[3] == expect[3]
+    np.testing.assert_allclose(got, expect, rtol=1e-12)
 
 
 def test_train_learns_something():
