@@ -347,21 +347,24 @@ def save_state(path, state: TrainState):
 def load_state(path) -> tuple[Model, GAParams | None]:
     arrays, _ = read_arrays(path)
 
-    def scalar(name):
-        return arrays[name].reshape(-1)[0]
+    def integers(name, low, high=float("inf")):
+        values = arrays[name].reshape(-1).tolist()
+        if not values or not all(v.is_integer() and low <= v < high for v in values):
+            raise ConfigError(f"{path}: checkpoint metadata {name} = {values}, "
+                              f"expected integers in [{low}, {high})")
+        return [int(v) for v in values]
 
     try:
-        widths = [int(v) for v in arrays["__meta__/widths"]]
-        n_classes = int(scalar("__meta__/n_classes"))
-        shared = bool(scalar("__meta__/shared"))
+        model = Model(integers("__meta__/widths", 1), integers("__meta__/n_classes", 1)[0],
+                      integers("__meta__/shared", 0, 2)[0])
+        ga = None
+        if "__meta__/k" in arrays:
+            interaction = integers("__meta__/interaction", 0, len(INTERACTIONS))[0]
+            projections = integers("__meta__/projections", 0, len(PROJECTION_MODES))[0]
+            ga = GAParams(model.backbone.feature_dim, integers("__meta__/k", 2)[0],
+                          INTERACTIONS[interaction], PROJECTION_MODES[projections])
     except KeyError as exc:
         raise ConfigError(f"{path}: missing checkpoint metadata {exc}") from exc
-    model = Model(widths, n_classes, shared)
-    ga = None
-    if "__meta__/k" in arrays:
-        ga = GAParams(model.backbone.feature_dim, int(scalar("__meta__/k")),
-                      INTERACTIONS[int(scalar("__meta__/interaction"))],
-                      PROJECTION_MODES[int(scalar("__meta__/projections"))])
     for name, p in model.parameters() + (ga.parameters() if ga else []):
         if name not in arrays:
             raise ConfigError(f"{path}: missing parameter {name!r}")

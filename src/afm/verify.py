@@ -1,12 +1,15 @@
-"""Self-contained property suite backing the `verify` command.
+"""The property checks behind `afm verify` and the acceptance gate.
 
-Each property returns (name, passed, detail). The `inject_fault` hook
-("grad-sign") flips the analytic gradient sign inside the gradient-check
-property, for testing that failures are detected and named.
+Each `check_*` function returns (passed, detail); `run_all` and
+tests/test_acceptance.py call the same functions. The `inject_fault` hook
+("grad-sign") negates the tape gradient of the functions the gradient
+checks differentiate, for testing that failures are detected and named.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 import warnings
 from fractions import Fraction
 
@@ -15,99 +18,70 @@ import numpy as np
 from . import tensor as T
 from .data import generate, inject_noise, one_hot
 from .errors import SubgradientWarning
-from .grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
+from .grouping import (AttentionOutput, GAParams, attend,
+                       pure_noisy_group_ratio, sample_groups)
 from .mixing import interpolate
 from .model import Model
-from .training import (MetricsLog, TrainConfig, compute_loss, save_state,
-                       load_state, train)
+from .training import (TrainConfig, compute_loss, save_state, load_state,
+                       train)
 
 
-def _small_dataset(seed=0, rho=0.4):
-    ds = generate("blobs", classes=3, per_class_train=60, per_class_test=20,
-                  d0=8, separation=4.0, seed=seed)
-    return inject_noise(ds, "symmetric", rho, seed=seed)
+def _ramp(rows, cols):
+    """Distinct constant weights, so a misrouted gradient cannot pass."""
+    return T.constant(np.arange(1.0, 1.0 + rows * cols).reshape(rows, cols))
 
 
-def _random_ga_setup(rng, n=6, d=5, c=3, m=4, k=2, projections="distinct"):
-    feats = T.constant(rng.normal(size=(n, d)))
-    labels = one_hot(rng.integers(0, c, size=n), c)
-    ga = GAParams(d, k, "sum", projections, rng)
-    groups = sample_groups(rng.integers(0, c, size=n), m, k, rng=rng)
-    return feats, labels, ga, groups
+# name -> (scalar function of the leaves, leaf shapes)
+PRIMITIVE_CASES = {
+    "matmul": (lambda ls: T.sum_reduce(T.matmul(*ls)), [(3, 4), (4, 2)]),
+    "add": (lambda ls: T.sum_reduce(T.add(*ls)), [(3, 4), (3, 4)]),
+    "scalar-multiply": (lambda ls: T.sum_reduce(T.smul(ls[0], 1.7)), [(3, 4)]),
+    "elementwise-multiply": (lambda ls: T.sum_reduce(T.mul(*ls)), [(3, 4), (3, 4)]),
+    "concat-last-dim": (lambda ls: T.sum_reduce(T.mul(T.concat_last(ls), _ramp(3, 8))),
+                        [(3, 4), (3, 4)]),
+    "sum-reduce": (lambda ls: T.sum_reduce(T.mul(ls[0], ls[0])), [(3, 4)]),
+    "mean": (lambda ls: T.mean(T.mul(ls[0], ls[0])), [(3, 4)]),
+    "relu": (lambda ls: T.sum_reduce(T.relu(ls[0])), [(3, 4)]),
+    "sigmoid": (lambda ls: T.sum_reduce(T.sigmoid(ls[0])), [(3, 4)]),
+    "softmax": (lambda ls: T.sum_reduce(T.mul(T.softmax(ls[0]), _ramp(3, 4))), [(3, 4)]),
+    "log": (lambda ls: T.sum_reduce(T.log(ls[0])), [(3, 4)]),
+    "reciprocal": (lambda ls: T.sum_reduce(T.reciprocal(ls[0])), [(3, 4)]),
+    # row 2 is taken three times and row 1 never: a sample can sit in
+    # several groups, and a batch row need not be in any
+    "take-rows": (lambda ls: T.sum_reduce(
+        T.mul(T.take_rows(ls[0], np.array([2, 0, 2, 3, 2])), _ramp(5, 4))), [(4, 4)]),
+    "scale-rows": (lambda ls: T.sum_reduce(T.mul(T.scale_rows(*ls), _ramp(3, 4))),
+                   [(3, 4), (3, 1)]),
+}
+_POSITIVE_DOMAIN = ("log", "reciprocal")  # drawn from [0.5, 1.5), off their poles
+PRIMITIVE_POINTS = 5  # random points per primitive
+
+
+def _with_fault(fn, inject_fault):
+    """fn, or under "grad-sign" 2 * fn(constant copy) - fn(leaves): the same
+    value with the negated tape gradient."""
+    if inject_fault != "grad-sign":
+        return fn
+
+    def negated(leaves):
+        frozen = fn([T.constant(leaf.values) for leaf in leaves])
+        return T.add(T.smul(frozen, 2.0), T.smul(fn(leaves), -1.0))
+    return negated
 
 
 def check_gradients(inject_fault=None):
-    """Finite-difference check over every primitive at random points."""
+    """Worst finite-difference error over every primitive at random points."""
     rng = np.random.default_rng(7)
-    sign = -1.0 if inject_fault == "grad-sign" else 1.0
-    cases = {
-        "matmul": lambda ls: T.sum_reduce(T.matmul(ls[0], ls[1])),
-        "add": lambda ls: T.sum_reduce(T.add(ls[0], ls[1])),
-        "scalar-multiply": lambda ls: T.sum_reduce(T.smul(ls[0], 1.7)),
-        "elementwise-multiply": lambda ls: T.sum_reduce(T.mul(ls[0], ls[1])),
-        "concat-last-dim": lambda ls: T.sum_reduce(
-            T.mul(T.concat_last(ls),
-                  T.constant(np.arange(1.0, 1.0 + 2 * ls[0].values.size)
-                             .reshape(ls[0].values.shape[0], -1)))),
-        "sum-reduce": lambda ls: T.sum_reduce(T.mul(ls[0], ls[0])),
-        "mean": lambda ls: T.mean(T.mul(ls[0], ls[0])),
-        "relu": lambda ls: T.sum_reduce(T.relu(ls[0])),
-        "sigmoid": lambda ls: T.sum_reduce(T.sigmoid(ls[0])),
-        "softmax": lambda ls: T.sum_reduce(
-            T.mul(T.softmax(ls[0]), T.constant(np.arange(1.0, 1.0 + ls[0].values.size).reshape(ls[0].values.shape)))),
-        "log": lambda ls: T.sum_reduce(T.log(ls[0])),
-        "reciprocal": lambda ls: T.sum_reduce(T.reciprocal(ls[0])),
-        # row 2 is taken three times and row 1 never: a sample can sit in
-        # several groups, and a batch row need not be in any
-        "take-rows": lambda ls: T.sum_reduce(
-            T.mul(T.take_rows(ls[0], np.array([2, 0, 2, 3, 2])),
-                  T.constant(np.arange(1.0, 21.0).reshape(5, 4)))),
-        "scale-rows": lambda ls: T.sum_reduce(
-            T.mul(T.scale_rows(ls[0], ls[1]),
-                  T.constant(np.arange(1.0, 13.0).reshape(3, 4)))),
-    }
     worst = 0.0
-    for name, fn in cases.items():
-        for _ in range(5):
-            if name in ("log", "reciprocal"):
-                pts = [0.5 + rng.uniform(size=(3, 4))]
-            elif name in ("matmul", "add", "elementwise-multiply", "concat-last-dim"):
-                pts = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
-                if name == "matmul":
-                    pts[1] = rng.normal(size=(4, 2))
-            elif name == "take-rows":
-                pts = [rng.normal(size=(4, 4))]
-            elif name == "scale-rows":
-                pts = [rng.normal(size=(3, 4)), rng.normal(size=(3, 1))]
-            else:
-                pts = [rng.normal(size=(3, 4))]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SubgradientWarning)
-                err = _grad_check_signed(fn, pts, sign)
-            worst = max(worst, err)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SubgradientWarning)
+        for name, (fn, shapes) in PRIMITIVE_CASES.items():
+            fn = _with_fault(fn, inject_fault)
+            for _ in range(PRIMITIVE_POINTS):
+                point = [0.5 + rng.uniform(size=s) if name in _POSITIVE_DOMAIN
+                         else rng.normal(size=s) for s in shapes]
+                worst = max(worst, T.grad_check(fn, point))
     return worst
-
-
-def _grad_check_signed(fn, point, sign, epsilon=1e-5):
-    """grad_check with an optional sign flip on the analytic gradient,
-    used by the fault-injection hook."""
-    if sign == 1.0:
-        return T.grad_check(fn, [T.constant(p) for p in point], epsilon)
-    leaves = [T.parameter(np.asarray(p, dtype=np.float64).copy()) for p in point]
-    T.backward(fn(leaves))
-    max_err = 0.0
-    for li, leaf in enumerate(leaves):
-        grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.values)
-        for i in range(leaf.values.size):
-            probe = [l.values.copy() for l in leaves]
-            probe[li].flat[i] += epsilon
-            f_plus = float(fn([T.constant(p) for p in probe]).values)
-            probe[li].flat[i] -= 2 * epsilon
-            f_minus = float(fn([T.constant(p) for p in probe]).values)
-            fd = (f_plus - f_minus) / (2 * epsilon)
-            ad = sign * float(grad.flat[i])
-            max_err = max(max_err, abs(ad - fd) / max(1.0, abs(ad), abs(fd)))
-    return max_err
 
 
 def build_afm_loss_graph(leaves, labels, groups, config):
@@ -128,7 +102,7 @@ def build_afm_loss_graph(leaves, labels, groups, config):
     return compute_loss(model, feats, labels, interp, config)
 
 
-def afm_loss_grad_check(n_points=3, seed=11):
+def afm_loss_grad_check(n_points=3, seed=11, inject_fault=None):
     """Finite-difference check of the full afm loss. Half the groups are
     intra-class, so their soft labels are one-hot and the KL mixing term
     meets 0 * log 0."""
@@ -145,87 +119,119 @@ def afm_loss_grad_check(n_points=3, seed=11):
         for shape in shapes:
             point += [rng.normal(size=shape) * 0.5,
                       rng.normal(size=(1, shape[1])) * 0.1]
-        fn = lambda ls: build_afm_loss_graph(ls, labels, groups, config)
+        fn = _with_fault(lambda ls: build_afm_loss_graph(ls, labels, groups, config),
+                         inject_fault)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SubgradientWarning)
-            worst = max(worst, T.grad_check(fn, [T.constant(p) for p in point], 1e-5))
+            worst = max(worst, T.grad_check(fn, point, 1e-5))
     return worst
+
+
+def check_order_symmetry():
+    """Criterion 2: swapping a pair's members leaves shared-projection sum
+    weights bit-identical and changes distinct-projection weights."""
+    rng = np.random.default_rng(0)
+    invariant = sensitive = 0
+    for trial in range(100):
+        feats = T.constant(rng.normal(size=(8, 6)))
+        labels = rng.integers(0, 3, size=8)
+        groups = sample_groups(labels, 4, 2, rng=rng)
+        swapped = groups[:, ::-1]
+        shared = GAParams(6, 2, "sum", "shared", np.random.default_rng(1000 + trial))
+        w1 = attend(feats, groups, shared).weights.values
+        w2 = attend(feats, swapped, shared).weights.values
+        invariant += int(np.array_equal(w1, w2))
+        distinct = GAParams(6, 2, "sum", "distinct", np.random.default_rng(2000 + trial))
+        v1 = attend(feats, groups, distinct).weights.values
+        v2 = attend(feats, swapped, distinct).weights.values
+        sensitive += int(np.abs(v1 - v2).max() > 1e-9)
+    return (invariant == 100 and sensitive >= 99,
+            f"shared bit-identical {invariant}/100, distinct differ {sensitive}/100")
+
+
+def check_pure_noisy_ratio():
+    """Criterion 3: the closed-form pure-noisy-group ratio is exact, matches
+    100,000 sampled groups within 3 sigma, and falls from K=1 to K=2."""
+    closed = pure_noisy_group_ratio(200, 1000, 2)
+    exact = Fraction(200, 1000) * Fraction(199, 999)
+    exact_ok = abs(closed - float(exact)) < 1e-12
+    trials = 100_000
+    noisy = np.zeros(1000, dtype=bool)
+    noisy[:200] = True
+    groups = sample_groups(np.zeros(1000, dtype=int), trials, 2,
+                           rng=np.random.default_rng(3))
+    freq = noisy[groups].all(axis=1).mean()
+    sigma = np.sqrt(closed * (1 - closed) / trials)
+    mc_ok = abs(freq - closed) < 3 * sigma
+    ineq_ok = closed < pure_noisy_group_ratio(200, 1000, 1)
+    return (exact_ok and mc_ok and ineq_ok,
+            f"closed {closed:.6g} vs exact, MC {freq:.6g} within 3sigma, "
+            f"K=2 < K=1 {ineq_ok}")
+
+
+def check_simplex_and_hull():
+    """Criterion 4: over 10,000 K=2 interpolations the soft labels lie on the
+    simplex and the weights, all in [0, 1], rebuild each interpolated feature."""
+    rng = np.random.default_rng(4)
+    checked = 0
+    worst_sum = worst_neg = 0.0
+    hull_ok = True
+    while checked < 10_000:
+        n = int(rng.integers(6, 40))
+        m = min(200, 10_000 - checked)
+        feats = T.constant(rng.normal(size=(n, 7)))
+        labels_int = rng.integers(0, 3, size=n)
+        groups = sample_groups(labels_int, m, 2, rng=rng)
+        ga = GAParams(7, 2, rng=rng)
+        out = interpolate(feats, one_hot(labels_int, 3), attend(feats, groups, ga))
+        s = out.soft_labels.values
+        worst_sum = max(worst_sum, np.abs(s.sum(axis=1) - 1.0).max())
+        worst_neg = min(worst_neg, s.min())
+        w = out.weights.values
+        recon = np.einsum("gk,gkd->gd", w, feats.values[groups])
+        hull_ok &= bool(np.abs(recon - out.features.values).max() <= 1e-9
+                        and w.min() >= -1e-9 and w.max() <= 1 + 1e-9)
+        checked += m
+    return (worst_sum < 1e-9 and worst_neg >= -1e-12 and hull_ok,
+            f"{checked} interpolations, worst row-sum err {worst_sum:.2e}, "
+            f"min coord {worst_neg:.2e}, hull reconstruction {hull_ok}")
+
+
+def check_inference_equivalence(model, x):
+    """Criterion 8: inference_predict agrees with the tape's normal classifier."""
+    fast = model.inference_predict(x)
+    probs = model.classify(model.extract_features(T.constant(x)), head=2)
+    same = int((fast == np.argmax(probs.values, axis=1)).sum())
+    return same == len(x), f"{same}/{len(x)} predictions identical"
+
+
+def check_determinism(dataset, config, log=None):
+    """Criterion 9: a rerun with the same seed logs byte-identical metrics.
+    Rows are compared through repr, so the NaN attention columns of
+    baseline and mixup runs compare equal."""
+    if log is None:
+        log = train(dataset, config)[1]
+    same = repr(log.rows) == repr(train(dataset, config)[1].rows)
+    return same, "two identical-seed runs produce byte-identical metrics"
 
 
 def run_all(inject_fault=None):
     """Run every property; returns a list of (name, passed, detail)."""
-    results = []
+    results = [(name, err < 1e-5, f"max rel err {err:.2e}") for name, err in (
+        ("grad-check-primitives", check_gradients(inject_fault=inject_fault)),
+        ("grad-check-afm-loss", afm_loss_grad_check(inject_fault=inject_fault)))]
+
     rng = np.random.default_rng(42)
-
-    err = check_gradients(inject_fault)
-    results.append(("grad-check-primitives", err < 1e-5, f"max rel err {err:.2e}"))
-
-    err = afm_loss_grad_check()
-    results.append(("grad-check-afm-loss", err < 1e-5, f"max rel err {err:.2e}"))
-
-    feats, labels, ga, groups = _random_ga_setup(rng)
-    att = attend(feats, groups, ga)
-    w = att.weights.values
+    feats = T.constant(rng.normal(size=(6, 5)))
+    labels_int = rng.integers(0, 3, size=6)
+    groups = sample_groups(labels_int, 4, 2, rng=rng)
+    w = attend(feats, groups, GAParams(5, 2, rng=rng)).weights.values
     results.append(("attention-weight-range", bool(np.all((w > 0) & (w < 1))),
                     f"range [{w.min():.3f}, {w.max():.3f}]"))
-
-    # order swap with shared projections + sum interaction is exactly invariant
-    feats2, _, ga_shared, groups2 = _random_ga_setup(rng, projections="shared")
-    swapped = groups2[:, ::-1]
-    wa = attend(feats2, groups2, ga_shared).weights.values
-    wb = attend(feats2, swapped, ga_shared).weights.values
-    results.append(("order-invariance-shared-projections",
-                    bool(np.array_equal(wa, wb)),
-                    f"max abs diff {np.abs(wa - wb).max():.2e}"))
-
-    hits = 0
-    for _ in range(100):
-        f3, _, ga3, g3 = _random_ga_setup(rng, projections="distinct")
-        d = np.abs(attend(f3, g3, ga3).weights.values
-                   - attend(f3, g3[:, ::-1], ga3).weights.values).max()
-        hits += d > 1e-9
-    results.append(("order-sensitivity-distinct-projections", hits >= 99,
-                    f"{hits}/100 trials differ"))
-
-    exact = Fraction(200, 1000) * Fraction(199, 999)
-    got = pure_noisy_group_ratio(200, 1000, 2)
-    results.append(("pure-noisy-ratio-closed-form",
-                    abs(got - float(exact)) < 1e-12, f"{got!r} vs {float(exact)!r}"))
-
-    ds = _small_dataset()
-    n_noisy = ds.train_noise_count()
-    n_tr = ds.n_train
-    p = pure_noisy_group_ratio(n_noisy, n_tr, 2)
-    trials = 20000
-    mask = ds.noise_mask[ds.train_idx]
-    g = sample_groups(ds.given_labels[ds.train_idx], trials, 2, rng=rng)
-    freq = mask[g].all(axis=1).mean()
-    sigma = np.sqrt(p * (1 - p) / trials)
-    results.append(("pure-noisy-ratio-monte-carlo",
-                    abs(freq - p) < 3 * sigma + 1e-12,
-                    f"closed {p:.5f} empirical {freq:.5f} (3 sigma {3*sigma:.5f})"))
-
-    feats, labels, ga, groups = _random_ga_setup(rng, n=12, m=40)
-    interp = interpolate(feats, labels, attend(feats, groups, ga))
-    y = interp.soft_labels.values
-    simplex_ok = bool(np.all(y >= -1e-12) and np.all(np.abs(y.sum(axis=1) - 1) < 1e-9))
-    results.append(("soft-label-simplex", simplex_ok,
-                    f"row-sum err {np.abs(y.sum(axis=1)-1).max():.2e}"))
-
-    hull_ok = True
-    for gi, (i, j) in enumerate(interp.groups):
-        xi = feats.values[i]
-        xj = feats.values[j]
-        xp = interp.features.values[gi]
-        # reconstruct the convex coefficient from the blend
-        denom = xi - xj
-        idx = np.argmax(np.abs(denom))
-        a = (xp - xj)[idx] / denom[idx]
-        hull_ok &= -1e-9 <= a <= 1 + 1e-9
-        hull_ok &= np.allclose(a * xi + (1 - a) * xj, xp, atol=1e-8)
-    results.append(("convex-hull-reconstruction", bool(hull_ok), "K=2 coefficients"))
-
-    from .grouping import AttentionOutput
+    results.append(("order-symmetry", *check_order_symmetry()))
+    results.append(("pure-noisy-ratio", *check_pure_noisy_ratio()))
+    results.append(("simplex-and-hull", *check_simplex_and_hull()))
+    labels = one_hot(labels_int, 3)
     raw = rng.uniform(0.1, 0.9, size=(len(groups), 2))
     a1 = interpolate(feats, labels, AttentionOutput(T.constant(raw), groups), 0.0)
     a2 = interpolate(feats, labels, AttentionOutput(T.constant(raw * 3.7), groups), 0.0)
@@ -233,31 +239,19 @@ def run_all(inject_fault=None):
     results.append(("weight-scale-invariance", bool(scale_ok),
                     "common positive scaling leaves interpolations unchanged"))
 
+    ds = inject_noise(generate("blobs", 3, 60, 20, 8, 4.0, seed=0),
+                      "symmetric", 0.4, seed=0)
     cfg = TrainConfig(epochs=2, batch_size=32, hidden=(16, 8), seed=3,
                       lr=0.05, lr_decay_every=10)
     state, log = train(ds, cfg)
-    x = ds.features[ds.test_idx][:100]
-    pred_inference = state.model.inference_predict(x)
-    probs = state.model.classify(state.model.extract_features(T.constant(x)), head=2)
-    pred_graph = np.argmax(probs.values, axis=1)
     results.append(("inference-equivalence",
-                    bool(np.array_equal(pred_inference, pred_graph)),
-                    f"{len(x)} samples"))
+                     *check_inference_equivalence(state.model, ds.features[ds.test_idx])))
 
-    import os
-    import tempfile
     with tempfile.TemporaryDirectory() as td:
         ck = os.path.join(td, "ck.bin")
         save_state(ck, state)
-        model2, _ = load_state(ck)
-        same = all(np.array_equal(p.values, q.values)
-                   for (_, p), (_, q) in zip(state.model.parameters(),
-                                             model2.parameters()))
+        pairs = zip(state.model.parameters(), load_state(ck)[0].parameters())
+        same = all(np.array_equal(p.values, q.values) for (_, p), (_, q) in pairs)
     results.append(("checkpoint-roundtrip", same, "bit-exact parameters"))
-
-    _, log_b = train(ds, TrainConfig(epochs=2, batch_size=32, hidden=(16, 8),
-                                     seed=3, lr=0.05, lr_decay_every=10))
-    det = log.rows == log_b.rows
-    results.append(("metrics-determinism", det, "two runs, identical seed"))
-
+    results.append(("metrics-determinism", *check_determinism(ds, cfg, log)))
     return results

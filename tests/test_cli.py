@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from afm.checkpoint import read_arrays, write_arrays
 from afm.cli import main, parse_config
 from afm.errors import ConfigError
 
@@ -170,6 +171,26 @@ def test_dump_features_truncated_checkpoint_exit_2(config_file, tmp_path, capsys
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,value", [
+    ("__meta__/interaction", 7.0),      # past the end of INTERACTIONS
+    ("__meta__/interaction", -1.0),     # would index from the end
+    ("__meta__/projections", 2.5),      # would truncate to an index
+    ("__meta__/widths", [8.0, -8.0]),
+])
+def test_dump_features_forged_metadata_exit_2(config_file, tmp_path, capsys, name, value):
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    ck = run / "checkpoint.bin"
+    arrays, cfg_hash = read_arrays(ck)
+    arrays[name] = np.asarray(value)
+    write_arrays(ck, arrays, cfg_hash)
+    rc = main(["dump-features", "--checkpoint", str(ck),
+               "--dataset", str(run / "dataset.bin"),
+               "--out", str(tmp_path / "features.csv"), "--interpolations", "5"])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+
+
 def test_verify_command(capsys):
     assert main(["verify"]) == 0
     text = capsys.readouterr().out
@@ -177,6 +198,9 @@ def test_verify_command(capsys):
 
 
 def test_verify_fault_injection_detected(capsys):
-    # a deliberately negated gradient must be caught by the oracle
+    # a deliberately negated gradient must be caught by both grad checks
     assert main(["verify", "--inject-fault", "grad-sign"]) == 1
-    assert "[FAIL]" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "[FAIL] grad-check-primitives" in out
+    assert "[FAIL] grad-check-afm-loss" in out
+    assert "failing properties: grad-check-primitives, grad-check-afm-loss" in err

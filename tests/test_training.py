@@ -13,6 +13,7 @@ from afm.tensor import Tensor
 from afm.training import (MetricsLog, SGD, TrainConfig, _attention_stats,
                           compute_loss, load_state, save_state,
                           soft_cross_entropy, soft_kl_divergence, train)
+from afm.verify import check_determinism
 
 
 def tiny_dataset(seed=0, rho=0.4):
@@ -214,6 +215,15 @@ def test_metrics_determinism():
     a = train(tiny_dataset(), tiny_config(mode="afm"))[1]
     b = train(tiny_dataset(), tiny_config(mode="afm"))[1]
     assert a.rows == b.rows
+
+
+def test_determinism_check_passes_baseline_nan_columns():
+    # baseline runs log NaN attention means, which never compare equal with ==
+    cfg = tiny_config(mode="baseline", lam=0.0)
+    log = train(tiny_dataset(), cfg)[1]
+    assert np.isnan(log.rows[-1]["mean_attn_clean"])
+    passed, _ = check_determinism(tiny_dataset(), cfg, log)
+    assert passed
 
 
 def test_seed_changes_trajectory():
