@@ -41,7 +41,8 @@ def write_arrays(path, arrays: dict[str, np.ndarray], cfg_hash: bytes = b""):
 
 def read_arrays(path) -> tuple[dict[str, np.ndarray], bytes]:
     """Read a file written by write_arrays. Every read is bounds-checked: a
-    truncated, padded or forged file raises ConfigError."""
+    truncated, padded or forged file, a duplicate record name, a shape
+    numpy cannot make, or a NaN or inf value raises ConfigError."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != MAGIC:
@@ -65,10 +66,19 @@ def read_arrays(path) -> tuple[dict[str, np.ndarray], bytes]:
             name = take(nlen, "name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: record name is not utf-8") from exc
+        if name in arrays:
+            raise ConfigError(f"{path}: duplicate record {name!r}")
         (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name!r}"))
         payload = take(8 * math.prod(dims), f"values of {name!r}")
-        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        try:  # numpy limits the rank and each dim even when a dim is 0
+            values = np.frombuffer(payload, dtype="<f8").reshape(dims)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: record {name!r} has unusable shape "
+                              f"{dims}: {exc}") from exc
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"{path}: record {name!r} holds NaN or inf")
+        arrays[name] = values.copy()
     if offset != len(data):
         raise ConfigError(f"{path}: {len(data) - offset} trailing bytes after "
                           f"{count} records")

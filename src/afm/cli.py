@@ -80,7 +80,8 @@ def parse_config(path) -> tuple[TrainConfig, dict]:
         raise ConfigError(f"config file not found: {path}")
     train_kwargs: dict = {}
     data_spec = {k: v for k, (v, _) in DATA_KEYS.items()}
-    with open(path) as f:
+    # undecodable bytes read as U+FFFD, which the key and value checks reject
+    with open(path, encoding="utf-8", errors="replace") as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -104,7 +105,7 @@ def build_dataset(spec: dict) -> NoisyDataset:
     ds = generate(spec["data_kind"], spec["data_classes"],
                   spec["data_per_class_train"], spec["data_per_class_test"],
                   spec["data_d0"], spec["data_separation"], spec["data_seed"])
-    if spec["noise_rate"] > 0:
+    if spec["noise_rate"] != 0:  # inject_noise rejects a negative or NaN rate
         ds = inject_noise(ds, spec["noise_model"], spec["noise_rate"],
                           spec["noise_seed"])
     return ds
@@ -125,12 +126,11 @@ def cmd_train(args) -> int:
     try:
         config, data_spec = parse_config(args.config)
         dataset = build_dataset(data_spec)
+        os.makedirs(args.out, exist_ok=True)
+        state, log = train(dataset, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    try:
-        state, log = train(dataset, config)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

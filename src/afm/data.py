@@ -51,8 +51,12 @@ def generate(kind: str, classes: int, per_class_train: int, per_class_test: int,
     """Deterministic noise-free dataset; train block first, then test block."""
     if kind not in DATASET_KINDS:
         raise ConfigError(f"kind must be one of {DATASET_KINDS}")
-    if classes < 2 or per_class_train < 1 or per_class_test < 1:
-        raise ConfigError("need classes >= 2 and per-class counts >= 1")
+    if classes < 2 or per_class_train < 1 or per_class_test < 1 or seed < 0:
+        raise ConfigError("need classes >= 2, per-class counts >= 1 and seed >= 0")
+    if kind != "blobs" and d0 < 2:
+        raise ConfigError(f"{kind} draws its pattern in 2 dims, needs d0 >= 2")
+    if not np.isfinite(separation):
+        raise ConfigError(f"separation must be finite, got {separation}")
     rng = np.random.default_rng([int(seed), 0xDA7A])
 
     if kind == "blobs":
@@ -118,6 +122,8 @@ def inject_noise(dataset: NoisyDataset, model: str, rho: float, seed: int) -> No
         raise ConfigError(f"noise model must be one of {NOISE_MODELS}")
     if not 0.0 <= rho <= 1.0:
         raise ConfigError(f"noise rate must be in [0, 1], got {rho}")
+    if seed < 0:
+        raise ConfigError(f"noise seed must be >= 0, got {seed}")
     rng = np.random.default_rng([int(seed), 0x401E])
     given = dataset.clean_labels.copy()
     c = dataset.n_classes

@@ -4,7 +4,9 @@ Values are 64-bit floats stored in numpy arrays (row-major). Graph
 construction is single-threaded; tensors are immutable after creation
 except for their grad buffers. Broadcasting is deliberately restricted to
 (matrix, bias-row) addition and (matrix, column) row scaling so every
-shape rule stays auditable.
+shape rule stays auditable. Primitives return what numpy computes and do
+not scan for NaN or inf: finiteness is checked where values enter (files,
+configs) and where training uses them (each step's loss, every gradient).
 
 relu's subgradient at 0 is defined as 0; grad_check skips coordinates
 whose finite-difference probes cross a relu kink.
@@ -21,12 +23,6 @@ from .errors import NumericError, ShapeError, SubgradientWarning
 # When non-empty, relu appends its activation mask here. grad_check uses
 # this to detect finite-difference probes that cross a kink.
 _relu_trace: list[np.ndarray] | None = None
-
-
-def _check_finite(*arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NumericError("non-finite value in operand")
 
 
 class Tensor:
@@ -79,7 +75,6 @@ def parameter(values):
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite(a.values, b.values)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
         raise ShapeError(f"matmul: {a.values.shape} @ {b.values.shape}")
     out_vals = a.values @ b.values
@@ -95,7 +90,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise addition; also allows (m,n) + (1,n) bias-row broadcast."""
-    _check_finite(a.values, b.values)
     bias_row = (
         a.values.ndim == 2
         and b.values.ndim == 2
@@ -121,7 +115,6 @@ def smul(a: Tensor, c) -> Tensor:
     if isinstance(c, Tensor):
         if c.values.ndim != 0:
             raise ShapeError(f"smul: scalar operand has shape {c.values.shape}")
-        _check_finite(a.values, c.values)
         out_vals = a.values * c.values
 
         def backward(out):
@@ -133,7 +126,6 @@ def smul(a: Tensor, c) -> Tensor:
         return _make(out_vals, (a, c), backward)
 
     c = float(c)
-    _check_finite(a.values, np.asarray(c))
     out_vals = a.values * c
 
     def backward(out):
@@ -144,7 +136,6 @@ def smul(a: Tensor, c) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite(a.values, b.values)
     if a.values.shape != b.values.shape:
         raise ShapeError(f"mul: {a.values.shape} * {b.values.shape}")
     out_vals = a.values * b.values
@@ -160,7 +151,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def concat_last(tensors) -> Tensor:
     tensors = list(tensors)
-    _check_finite(*(t.values for t in tensors))
     lead = tensors[0].values.shape[:-1]
     for t in tensors:
         if t.values.ndim == 0 or t.values.shape[:-1] != lead:
@@ -179,7 +169,6 @@ def concat_last(tensors) -> Tensor:
 
 
 def sum_reduce(a: Tensor) -> Tensor:
-    _check_finite(a.values)
     out_vals = np.asarray(a.values.sum())
 
     def backward(out):
@@ -190,7 +179,6 @@ def sum_reduce(a: Tensor) -> Tensor:
 
 
 def mean(a: Tensor) -> Tensor:
-    _check_finite(a.values)
     if a.values.size == 0:
         raise ShapeError("mean of empty tensor")
     out_vals = np.asarray(a.values.mean())
@@ -204,7 +192,6 @@ def mean(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    _check_finite(a.values)
     mask = a.values > 0  # subgradient at 0 is 0
     if _relu_trace is not None:
         _relu_trace.append(mask.copy())
@@ -218,7 +205,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    _check_finite(a.values)
     out_vals = np.empty_like(a.values, dtype=np.float64)
     pos = a.values >= 0
     out_vals[pos] = 1.0 / (1.0 + np.exp(-a.values[pos]))
@@ -234,7 +220,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilised by max subtraction."""
-    _check_finite(a.values)
     if a.values.ndim == 0:
         raise ShapeError("softmax needs at least one axis")
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
@@ -250,9 +235,8 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    _check_finite(a.values)
     if np.any(a.values <= 0):
-        raise NumericError("log of non-positive value")
+        raise NumericError(f"log of non-positive value, operand shape {a.values.shape}")
     out_vals = np.log(a.values)
 
     def backward(out):
@@ -263,9 +247,8 @@ def log(a: Tensor) -> Tensor:
 
 
 def reciprocal(a: Tensor) -> Tensor:
-    _check_finite(a.values)
     if np.any(a.values == 0):
-        raise NumericError("reciprocal of zero")
+        raise NumericError(f"reciprocal of zero, operand shape {a.values.shape}")
     out_vals = 1.0 / a.values
 
     def backward(out):
@@ -280,7 +263,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
     may repeat, and the gradients of repeated rows add up. Entries must
     lie in [0, rows): numpy would wrap a negative one, so group indices
     are checked once, by grouping.member_selectors."""
-    _check_finite(a.values)
     idx = np.asarray(idx)
     if a.values.ndim != 2 or idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"take_rows: {a.values.shape}[{idx.dtype} {idx.shape}]")
@@ -297,7 +279,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
 
 def scale_rows(a: Tensor, col: Tensor) -> Tensor:
     """Multiply row i of an (m, n) matrix by ``col[i, 0]``; col is (m, 1)."""
-    _check_finite(a.values, col.values)
     if a.values.ndim != 2 or col.values.shape != (a.values.shape[0], 1):
         raise ShapeError(f"scale_rows: {a.values.shape} * {col.values.shape}")
     out_vals = a.values * col.values

@@ -51,6 +51,8 @@ class TrainConfig:
     ga_lr_scale: float = 10.0       # lr multiplier for the attention net
 
     def validate(self):
+        """Reject values train() cannot run; comparisons are written so
+        that NaN fails them."""
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
         if self.k < 2:
@@ -63,16 +65,29 @@ class TrainConfig:
             raise ConfigError(f"projections must be one of {PROJECTION_MODES}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if self.beta_param <= 0:
-            raise ConfigError("beta_param must be positive")
+        if self.ratio_policy not in ("random", "fixed-ratio"):
+            raise ConfigError("ratio_policy must be random or fixed-ratio")
+        if self.ratio_policy == "fixed-ratio" and not (
+                self.intra_ratio is not None and 0.0 <= self.intra_ratio <= 1.0):
+            raise ConfigError("fixed-ratio needs intra_ratio in [0, 1]")
+        if self.epochs < 0 or self.seed < 0:
+            raise ConfigError("epochs and seed must be nonnegative")
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
+        if self.lr_decay_every < 1:
+            raise ConfigError("lr_decay_every must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        for name in ("lr", "beta_param", "ga_lr_scale"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and positive")
+        for name in ("weight_decay", "lr_decay", "mixup_epsilon"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if not 0.0 < self.data_fraction <= 1.0:
             raise ConfigError("data_fraction must be in (0, 1]")
         if self.m is not None and self.m < 1:
             raise ConfigError("m must be >= 1")
-        if self.ga_lr_scale <= 0:
-            raise ConfigError("ga_lr_scale must be positive")
         return self
 
     def canonical_text(self) -> str:
@@ -225,7 +240,8 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     """Run the configured training mode; fully reproducible from the seed.
 
     Three independent rng streams (init, data order, grouping) keep the
-    data-order randomness identical across modes.
+    data-order randomness identical across modes. Raises NumericError when
+    a step's loss or a gradient is not finite.
     """
     config.validate()
     init_rng = np.random.default_rng([config.seed, 0])
@@ -303,6 +319,8 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
                                                 groups=groups)
 
             loss = compute_loss(model, feats, y, interp, config)
+            if not np.isfinite(loss.values):
+                raise NumericError(f"non-finite loss at epoch {epoch}, step {state.step}")
             opt.zero_grad()
             backward(loss)
             opt.step()

@@ -5,9 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afm.checkpoint import read_arrays, write_arrays
-from afm.cli import main, parse_config
+from afm.cli import DATA_KEYS, KEY_ALIASES, TRAIN_KEY_TYPES, main, parse_config
 from afm.errors import ConfigError
 
 SMALL = """
@@ -65,6 +66,28 @@ def test_parse_config_missing_file():
         parse_config("/no/such/file.cfg")
 
 
+CONFIG_KEYS = sorted([*DATA_KEYS, *TRAIN_KEY_TYPES, *KEY_ALIASES])
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "0.5", "1e309", "nan", "-inf", "true",
+                     "afm", "baseline", "sum", "fixed-ratio", "blobs", "8,4", "8,-1", ""]),
+    st.text(max_size=10))
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES).map(
+        lambda kv: f"{kv[0]} = {kv[1]}".encode("utf-8")),
+    st.binary(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=8))
+def test_parse_config_gives_config_or_config_error(tmp_path_factory, lines):
+    p = tmp_path_factory.getbasetemp() / "property.cfg"
+    p.write_bytes(b"\n".join(lines))
+    try:
+        parse_config(str(p))
+    except ConfigError:
+        pass
+
+
 def test_train_command(config_file, tmp_path):
     out = tmp_path / "run"
     assert main(["train", "--config", config_file, "--out", str(out)]) == 0
@@ -76,10 +99,26 @@ def test_train_command(config_file, tmp_path):
     assert (out / "dataset.bin").exists()
 
 
-def test_train_command_bad_config_exit_2(tmp_path):
+BAD_CONFIG_LINES = [
+    "nope=1", "hidden=0", "hidden=8,-1", "lr_decay_every=0", "mixup_epsilon=-1",
+    "ratio_policy=bogus", "ratio_policy=fixed-ratio",
+    "ratio_policy=fixed-ratio;intra_ratio=1.5",
+    "lr=0", "lr=nan", "lr=inf", "momentum=1", "momentum=nan", "momentum=inf",
+    "weight_decay=nan", "weight_decay=inf", "lr_decay=-1",
+    "ga_lr_scale=nan", "ga_lr_scale=inf", "beta_param=nan", "beta_param=inf",
+    "seed=-1", "data_kind=rings;data_d0=1", "data_kind=two-moons;data_classes=2;data_d0=1",
+    "data_separation=nan", "data_separation=inf", "data_seed=-1", "noise_seed=-1",
+    "noise_rate=nan", "noise_rate=-0.5",
+]
+
+
+@pytest.mark.parametrize("lines", BAD_CONFIG_LINES)
+def test_train_command_bad_config_exit_2(tmp_path, capsys, lines):
+    # appended to the small config, so a line the checks miss trains briefly
     p = tmp_path / "bad.cfg"
-    p.write_text("nope = 1\n")
+    p.write_text(SMALL + lines.replace(";", "\n") + "\n")
     assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_train_determinism_byte_identical(config_file, tmp_path):
@@ -189,6 +228,22 @@ def test_dump_features_forged_metadata_exit_2(config_file, tmp_path, capsys, nam
                "--out", str(tmp_path / "features.csv"), "--interpolations", "5"])
     assert rc == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file,name,value", [("checkpoint.bin", "backbone.0.weight", np.nan),
+                                             ("dataset.bin", "features", np.inf)])
+def test_dump_features_nonfinite_values_exit_2(config_file, tmp_path, capsys, file,
+                                               name, value):
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    arrays, cfg_hash = read_arrays(run / file)
+    arrays[name][1, 2] = value
+    write_arrays(run / file, arrays, cfg_hash)
+    rc = main(["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
+               "--dataset", str(run / "dataset.bin"),
+               "--out", str(tmp_path / "features.csv")])
+    assert rc == 2
+    assert f"record {name!r} holds NaN or inf" in capsys.readouterr().err
 
 
 def test_verify_command(capsys):

@@ -1,7 +1,10 @@
 """Synthetic datasets, noise injection, and serialization."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afm.checkpoint import config_hash, read_arrays, write_arrays
 from afm.data import (NoisyDataset, dataset_to_csv, generate, inject_noise,
@@ -188,13 +191,52 @@ def test_checkpoint_forged_record_count(tmp_path, count, match):
         read_arrays(p)
 
 
+def forged(at, patch, match, name=None):
+    # without a name, the id is the one pytest derives from (at, patch)
+    return pytest.param(at, patch, match, id=name or f"{at}-{patch.decode('latin-1')}")
+
+
 # the first record starts at byte 40: name length (4 bytes), name "w"
-# (1 byte), rank at 45, dims from 49
-@pytest.mark.parametrize("at,patch", [(45, b"\xff" * 4), (49, b"\xff" * 8)])
-def test_checkpoint_forged_rank_and_dims(tmp_path, at, patch):
+# (1 byte), rank at 45, dims from 49, values from 65; the name of the
+# second record, "b", is at 117
+@pytest.mark.parametrize("at,patch,match", [
+    forged(45, b"\xff" * 4, "truncated"),
+    forged(49, b"\xff" * 8, "truncated"),
+    # rank 70 > numpy's limit, with 70 dims of 1 and one value
+    forged(45, struct.pack("<I70Qd", 70, *[1] * 70, 0.0), "unusable shape", "rank-70"),
+    forged(49, struct.pack("<2Q", 0, 2**63), "unusable shape", "dims-0-2**63"),
+    forged(117, b"w", "duplicate record 'w'", "duplicate-name"),
+    forged(65, struct.pack("<d", np.nan), "record 'w' holds NaN or inf", "nan-value"),
+    forged(105, struct.pack("<d", -np.inf), "record 'w' holds NaN or inf", "inf-value"),
+])
+def test_checkpoint_forged_rank_and_dims(tmp_path, at, patch, match):
     data = bytearray(checkpoint_bytes(tmp_path))
     data[at:at + len(patch)] = patch
     p = tmp_path / "forged.bin"
     p.write_bytes(bytes(data))
-    with pytest.raises(ConfigError, match="truncated"):
+    with pytest.raises(ConfigError, match=match):
         read_arrays(p)
+
+
+def file_variants(good):
+    """Arbitrary bytes, a valid header before arbitrary bytes, and every
+    truncation and single-byte change of a valid file."""
+    return st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda tail: good[:40] + tail),
+        st.integers(0, len(good) - 1).map(lambda n: good[:n]),
+        st.tuples(st.integers(0, len(good) - 1), st.integers(0, 255)).map(
+            lambda at_byte: (good[:at_byte[0]] + bytes([at_byte[1]])
+                             + good[at_byte[0] + 1:])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_arrays_loads_or_raises_config_error(tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    p = base / "variant.bin"
+    p.write_bytes(data.draw(file_variants(checkpoint_bytes(base))))
+    try:
+        read_arrays(p)
+    except ConfigError:
+        pass

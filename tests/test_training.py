@@ -168,6 +168,15 @@ def test_train_mixup_modes(mode):
     assert state.ga is None
 
 
+@pytest.mark.parametrize("mode,lam", [("afm", 0.75), ("baseline", 0.0)])
+def test_train_rejects_nonfinite_loss(mode, lam):
+    # the first update takes the weights near 1e300, so the second
+    # step's forward pass overflows
+    with pytest.raises(NumericError, match="non-finite loss at epoch 0, step 1"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        train(tiny_dataset(), tiny_config(mode=mode, lam=lam, lr=1e300))
+
+
 def test_afm_step_runs_backbone_once(monkeypatch):
     # 120 training samples in batches of 5 give 24 steps; the 25th call
     # is the end-of-epoch test evaluation
