@@ -6,7 +6,6 @@ evaluation only; the test split is never corrupted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,31 +157,38 @@ def save_dataset(path, dataset: NoisyDataset):
 
 
 def load_dataset(path) -> NoisyDataset:
+    """Read a dataset file. Raises ConfigError unless its N samples carry
+    labels in [0, n_classes) with 2 <= n_classes <= N and a 0/1 noise mask,
+    and its split indices are integers in [0, N) with no sample in both
+    splits or twice in one."""
     arrays, _ = read_arrays(path)
+
+    def integers(name, low, high, size=None):
+        values = arrays[name].reshape(-1)
+        if (size is not None and len(values) != size) or not np.all(
+                (values == np.floor(values)) & (values >= low) & (values < high)):
+            raise ConfigError(f"{path}: dataset field {name!r} must hold only integers "
+                              f"in [{low}, {high})" + (f", {size} of them" if size else ""))
+        return values.astype(np.int64)
+
     try:
-        return NoisyDataset(
+        if arrays["features"].ndim != 2:
+            raise ConfigError(f"{path}: dataset field 'features' must be a matrix")
+        n = len(arrays["features"])
+        n_classes = int(integers("n_classes", 2, n + 1, 1)[0])
+        dataset = NoisyDataset(
             features=arrays["features"],
-            given_labels=arrays["given_labels"].astype(np.int64),
-            clean_labels=arrays["clean_labels"].astype(np.int64),
-            noise_mask=arrays["noise_mask"].astype(bool),
-            train_idx=arrays["train_idx"].astype(np.int64),
-            test_idx=arrays["test_idx"].astype(np.int64),
-            n_classes=int(arrays["n_classes"].reshape(-1)[0]),
+            given_labels=integers("given_labels", 0, n_classes, n),
+            clean_labels=integers("clean_labels", 0, n_classes, n),
+            noise_mask=integers("noise_mask", 0, 2, n).astype(bool),
+            train_idx=integers("train_idx", 0, n),
+            test_idx=integers("test_idx", 0, n),
+            n_classes=n_classes,
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing dataset field {exc}") from exc
-
-
-def dataset_to_csv(path, dataset: NoisyDataset):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        d = dataset.input_dim
-        writer.writerow([f"x{i}" for i in range(d)]
-                        + ["given_label", "clean_label", "is_noisy", "split"])
-        train = set(dataset.train_idx.tolist())
-        for i in range(len(dataset.clean_labels)):
-            writer.writerow(
-                [repr(v) for v in dataset.features[i]]
-                + [int(dataset.given_labels[i]), int(dataset.clean_labels[i]),
-                   int(dataset.noise_mask[i]),
-                   "train" if i in train else "test"])
+    split = np.concatenate([dataset.train_idx, dataset.test_idx])
+    if len(np.unique(split)) != len(split):
+        raise ConfigError(f"{path}: dataset fields 'train_idx' and 'test_idx' "
+                          f"repeat a sample index")
+    return dataset

@@ -36,14 +36,6 @@ class InterpolationBatch:
         return len(self.groups)
 
 
-def _blend(weight_cols, members):
-    total = None
-    for w_col, mat in zip(weight_cols, members):
-        term = T.scale_rows(mat, w_col)
-        total = term if total is None else T.add(total, term)
-    return total
-
-
 def interpolate(features: Tensor, labels, attention: AttentionOutput,
                 epsilon: float = DEFAULT_EPSILON) -> InterpolationBatch:
     """Blend group member features and labels with normalized attention
@@ -55,22 +47,9 @@ def interpolate(features: Tensor, labels, attention: AttentionOutput,
     if labels.ndim != 2 or labels.shape[0] != n:
         raise ShapeError(f"labels shape {labels.shape} does not match {n} samples")
     groups = attention.groups
-    m = len(groups)
-    k = attention.weights.values.shape[1]
-    if attention.weights.values.shape != (m, k):
-        raise ShapeError("attention weights do not match group array")
-    cols = member_selectors(groups, n, k)
-
-    # normalized weights: alpha / (sum(alpha) + eps), shared by the
-    # feature and label blends
-    denom = T.matmul(attention.weights, T.constant(np.ones((k, 1))))
-    if epsilon > 0:
-        denom = T.add(denom, T.constant(np.full((m, 1), epsilon)))
-    norm_w = T.scale_rows(attention.weights, T.reciprocal(denom))
-
-    eye = np.eye(k)
-    w_cols = [T.matmul(norm_w, T.constant(eye[:, pos:pos + 1])) for pos in range(k)]
-    mixed_features = _blend(w_cols, [T.take_rows(features, col) for col in cols])
-    soft_labels = _blend(w_cols, [T.constant(labels[col]) for col in cols])
-    return InterpolationBatch(features=mixed_features, soft_labels=soft_labels,
+    member_selectors(groups, n, attention.weights.values.shape[-1])
+    # blend_rows requires weights of the groups' shape
+    norm_w = T.normalize_rows(attention.weights, epsilon)
+    return InterpolationBatch(features=T.blend_rows(features, groups, norm_w),
+                              soft_labels=T.blend_rows(T.constant(labels), groups, norm_w),
                               weights=norm_w, groups=groups)

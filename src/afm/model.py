@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .tensor import Tensor
 
 
@@ -25,14 +25,7 @@ class Affine:
     def fan_in(self):
         return self.weight.values.shape[0]
 
-    @property
-    def fan_out(self):
-        return self.weight.values.shape[1]
-
     def __call__(self, x: Tensor) -> Tensor:
-        if x.values.shape[0] == 0:
-            # empty batch short-circuits; no tape entry needed
-            return T.constant(np.zeros((0, self.fan_out)))
         return T.add(T.matmul(x, self.weight), self.bias)
 
     def parameters(self, prefix: str):
@@ -64,9 +57,7 @@ class Backbone:
             )
         h = batch
         for layer in self.layers:
-            h = layer(h)
-            if h.values.shape[0] > 0:
-                h = T.relu(h)
+            h = T.relu(layer(h))
         return h
 
     def parameters(self):
@@ -91,6 +82,7 @@ class ClassifierPair:
         self.head2 = self.head1 if self.shared else Affine(feature_dim, n_classes, rng)
 
     def classify(self, features: Tensor, head: int) -> Tensor:
+        """The logits of one head; the losses take their softmax."""
         if head not in (1, 2):
             raise ShapeError(f"head must be 1 or 2, got {head}")
         layer = self.head1 if head == 1 else self.head2
@@ -98,10 +90,7 @@ class ClassifierPair:
             raise ShapeError(
                 f"classifier expects width {layer.fan_in}, got {features.values.shape}"
             )
-        logits = layer(features)
-        if logits.values.shape[0] == 0:
-            return logits
-        return T.softmax(logits)
+        return layer(features)
 
     def parameters(self):
         out = self.head1.parameters("classifier.head1")
@@ -126,13 +115,14 @@ class Model:
         return self.classifiers.classify(features, head)
 
     def inference_predict(self, batch) -> np.ndarray:
-        """argmax of the normal-classifier probabilities; no group/mixup
-        computation occurs. Ties break toward the lowest class index."""
+        """argmax of the normal-classifier logits; no group/mixup computation
+        occurs. Ties break toward the lowest class index. A logit that is not
+        finite gives no prediction and raises NumericError."""
         x = batch if isinstance(batch, Tensor) else T.constant(batch)
-        probs = self.classify(self.extract_features(x), head=2)
-        if probs.values.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.argmax(probs.values, axis=1)
+        logits = self.classify(self.extract_features(x), head=2).values
+        if not np.all(np.isfinite(logits)):
+            raise NumericError(f"non-finite logits, shape {logits.shape}")
+        return np.argmax(logits, axis=1)
 
     def parameters(self):
         return self.backbone.parameters() + self.classifiers.parameters()

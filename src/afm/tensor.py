@@ -3,10 +3,10 @@
 Values are 64-bit floats stored in numpy arrays (row-major). Graph
 construction is single-threaded; tensors are immutable after creation
 except for their grad buffers. Broadcasting is deliberately restricted to
-(matrix, bias-row) addition and (matrix, column) row scaling so every
-shape rule stays auditable. Primitives return what numpy computes and do
-not scan for NaN or inf: finiteness is checked where values enter (files,
-configs) and where training uses them (each step's loss, every gradient).
+(matrix, bias-row) addition so every shape rule stays auditable.
+Primitives return what numpy computes and do not scan for NaN or inf:
+finiteness is checked where values enter (files, configs) and where
+training uses them (each step's loss, every gradient).
 
 relu's subgradient at 0 is defined as 0; grad_check skips coordinates
 whose finite-difference probes cross a relu kink.
@@ -110,21 +110,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_vals, (a, b), backward)
 
 
-def smul(a: Tensor, c) -> Tensor:
-    """Multiply by a scalar (python float or scalar-shaped Tensor)."""
-    if isinstance(c, Tensor):
-        if c.values.ndim != 0:
-            raise ShapeError(f"smul: scalar operand has shape {c.values.shape}")
-        out_vals = a.values * c.values
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad * c.values)
-            if c.requires_grad:
-                c._accumulate(np.asarray((out.grad * a.values).sum()))
-
-        return _make(out_vals, (a, c), backward)
-
+def smul(a: Tensor, c: float) -> Tensor:
+    """Multiply by a python scalar."""
     c = float(c)
     out_vals = a.values * c
 
@@ -277,19 +264,70 @@ def take_rows(a: Tensor, idx) -> Tensor:
     return _make(out_vals, (a,), backward)
 
 
-def scale_rows(a: Tensor, col: Tensor) -> Tensor:
-    """Multiply row i of an (m, n) matrix by ``col[i, 0]``; col is (m, 1)."""
-    if a.values.ndim != 2 or col.values.shape != (a.values.shape[0], 1):
-        raise ShapeError(f"scale_rows: {a.values.shape} * {col.values.shape}")
-    out_vals = a.values * col.values
+def blend_rows(a: Tensor, groups, w: Tensor) -> Tensor:
+    """Row i is sum_k w[i, k] * a[groups[i, k]]: each group's members,
+    gathered from a matrix by index and blended with that group's weights.
+    ``groups`` is an (m, K) integer array and ``w`` an (m, K) tensor. As in
+    take_rows, indices may repeat and are range-checked by
+    grouping.member_selectors. The backward reaches both ``a`` and ``w``."""
+    groups = np.asarray(groups)
+    if (a.values.ndim != 2 or groups.ndim != 2 or w.values.shape != groups.shape
+            or not np.issubdtype(groups.dtype, np.integer)):
+        raise ShapeError(f"blend_rows: {a.values.shape}[{groups.shape}] * {w.values.shape}")
+    members = a.values[groups]  # (m, K, n)
+    out_vals = np.einsum("mk,mkn->mn", w.values, members)
 
     def backward(out):
         if a.requires_grad:
-            a._accumulate(out.grad * col.values)
-        if col.requires_grad:
-            col._accumulate((out.grad * a.values).sum(axis=1, keepdims=True))
+            g = np.zeros_like(a.values)
+            np.add.at(g, groups, w.values[:, :, None] * out.grad[:, None, :])
+            a._accumulate(g)
+        if w.requires_grad:
+            w._accumulate(np.einsum("mn,mkn->mk", out.grad, members))
 
-    return _make(out_vals, (a, col), backward)
+    return _make(out_vals, (a, w), backward)
+
+
+def normalize_rows(w: Tensor, eps: float) -> Tensor:
+    """Each row of a matrix divided by its sum plus ``eps``."""
+    if w.values.ndim != 2:
+        raise ShapeError(f"normalize_rows: needs a matrix, got {w.values.shape}")
+    denom = w.values.sum(axis=1, keepdims=True) + eps
+    out_vals = w.values / denom
+
+    def backward(out):
+        if w.requires_grad:
+            dot = (out.grad * out_vals).sum(axis=1, keepdims=True)
+            w._accumulate((out.grad - dot) / denom)
+
+    return _make(out_vals, (w,), backward)
+
+
+def kl_from_logits(logits: Tensor, targets) -> Tensor:
+    """Mean over rows of KL(t || p) = sum_c t_c (log t_c - log p_c) with
+    p = softmax(z), natural log and 0 * log 0 = 0; for one-hot targets, the
+    cross-entropy. log p is z minus its log-sum-exp, so a probability that
+    underflows to 0 is never logged. The targets are an array or a tensor;
+    their gradient at t_c = 0 is -log p_c, that of the cross-entropy term."""
+    t = targets if isinstance(targets, Tensor) else constant(targets)
+    z = logits.values
+    if z.ndim != 2 or z.shape[0] == 0 or t.values.shape != z.shape:
+        raise ShapeError(f"kl_from_logits: logits {z.shape}, targets {t.values.shape}")
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    carried = t.values > 0
+    log_t = np.log(t.values, out=np.zeros_like(z), where=carried)
+    out_vals = np.asarray((t.values * (log_t - log_p)).sum() / len(z))
+
+    def backward(out):
+        g = out.grad / len(z)
+        if logits.requires_grad:
+            mass = t.values.sum(axis=1, keepdims=True)
+            logits._accumulate(g * (np.exp(log_p) * mass - t.values))
+        if t.requires_grad:
+            t._accumulate(g * (log_t + carried - log_p))
+
+    return _make(out_vals, (logits, t), backward)
 
 
 # ---------------------------------------------------------------------------

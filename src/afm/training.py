@@ -47,7 +47,6 @@ class TrainConfig:
     ratio_policy: str = "random"
     intra_ratio: float | None = None
     data_fraction: float = 1.0
-    mixup_epsilon: float = 1e-12
     ga_lr_scale: float = 10.0       # lr multiplier for the attention net
 
     def validate(self):
@@ -81,7 +80,7 @@ class TrainConfig:
         for name in ("lr", "beta_param", "ga_lr_scale"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and positive")
-        for name in ("weight_decay", "lr_decay", "mixup_epsilon"):
+        for name in ("weight_decay", "lr_decay"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if not 0.0 < self.data_fraction <= 1.0:
@@ -166,28 +165,6 @@ class TrainState:
     config: TrainConfig
 
 
-def soft_cross_entropy(probs: Tensor, targets) -> Tensor:
-    """Mean over rows of -sum_c target_c * log(prob_c); natural log."""
-    rows = probs.values.shape[0]
-    if rows == 0:
-        raise ConfigError("cross-entropy over empty batch")
-    t = targets if isinstance(targets, Tensor) else T.constant(targets)
-    return T.smul(T.sum_reduce(T.mul(t, T.log(probs))), -1.0 / rows)
-
-
-def soft_kl_divergence(probs: Tensor, targets: Tensor) -> Tensor:
-    """Mean over rows of KL(t || p) = sum_c t_c * (log t_c - log p_c), with
-    0 * log 0 = 0; natural log. Equals soft_cross_entropy(probs, targets)
-    minus the mean entropy H(t) of the targets."""
-    ce = soft_cross_entropy(probs, targets)
-    t = targets.values
-    # log(t + [t == 0]) is log t where t > 0 and 0 where t == 0; zero
-    # entries are classes no group member carries, so no weight moves them
-    log_t = T.log(T.add(targets, T.constant((t == 0).astype(np.float64))))
-    neg_entropy = T.smul(T.sum_reduce(T.mul(targets, log_t)), 1.0 / t.shape[0])
-    return T.add(ce, neg_entropy)
-
-
 def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
                  interpolations: InterpolationBatch | None,
                  config: TrainConfig) -> Tensor:
@@ -195,9 +172,10 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
 
     ``features`` are the backbone features of the batch, the same tensor
     the attention net and the interpolations were built from, so the
-    backbone runs once per step. L_org is the cross-entropy of the normal
-    classifier on the batch's given labels. L_afm is KL(s || p(z)) of the
-    interpolation classifier on the virtual pairs (z, s), not their
+    backbone runs once per step. Both terms are kl_from_logits of a head's
+    logits. L_org is the cross-entropy (KL against one-hot targets) of the
+    normal classifier on the batch's given labels. L_afm is KL(s || p(z)) of
+    the interpolation classifier on the virtual pairs (z, s), not their
     cross-entropy H(s) + KL(s || p): H(s) depends only on the mixing
     weights and is smallest at one-hot weights, so minimising it would
     teach the attention net to pick a single member regardless of its
@@ -206,14 +184,13 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
     H(s)."""
     if features.values.shape[0] == 0:
         raise ConfigError("empty batch")
-    probs_org = model.classify(features, head=2)
-    loss_org = soft_cross_entropy(probs_org, batch_labels_onehot)
+    loss_org = T.kl_from_logits(model.classify(features, head=2), batch_labels_onehot)
     if config.lam == 0.0 and interpolations is None:
         return loss_org
     if interpolations is None or len(interpolations) == 0:
         raise ConfigError("interpolations required when lambda > 0")
-    probs_mix = model.classify(interpolations.features, head=1)
-    loss_afm = soft_kl_divergence(probs_mix, interpolations.soft_labels)
+    loss_afm = T.kl_from_logits(model.classify(interpolations.features, head=1),
+                                interpolations.soft_labels)
     return T.add(T.smul(loss_afm, config.lam), T.smul(loss_org, 1.0 - config.lam))
 
 
@@ -241,7 +218,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
 
     Three independent rng streams (init, data order, grouping) keep the
     data-order randomness identical across modes. Raises NumericError when
-    a step's loss or a gradient is not finite.
+    a step's loss, a gradient or an epoch's test logits are not finite.
     """
     config.validate()
     init_rng = np.random.default_rng([config.seed, 0])
@@ -300,7 +277,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
                                        config.k, config.ratio_policy,
                                        config.intra_ratio, group_rng)
                 att = attend(feats, groups, ga)
-                interp = interpolate(feats, y, att, config.mixup_epsilon)
+                interp = interpolate(feats, y, att)
                 dcs, dcn, dns, dnn = _attention_stats(interp, batch_idx,
                                                       dataset.noise_mask)
                 cs, cn, ns, nn = cs + dcs, cn + dcn, ns + dns, nn + dnn
@@ -327,7 +304,10 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
             state.step += 1
             losses.append(float(loss.values))
 
-        preds = model.inference_predict(test_x)
+        try:
+            preds = model.inference_predict(test_x)
+        except NumericError as exc:
+            raise NumericError(f"test evaluation at epoch {epoch}: {exc}") from exc
         log.append(
             epoch=epoch,
             train_loss=float(np.mean(losses)) if losses else float("nan"),

@@ -50,10 +50,16 @@ PRIMITIVE_CASES = {
     # several groups, and a batch row need not be in any
     "take-rows": (lambda ls: T.sum_reduce(
         T.mul(T.take_rows(ls[0], np.array([2, 0, 2, 3, 2])), _ramp(5, 4))), [(4, 4)]),
-    "scale-rows": (lambda ls: T.sum_reduce(T.mul(T.scale_rows(*ls), _ramp(3, 4))),
-                   [(3, 4), (3, 1)]),
+    # rows repeat across groups here too; the gradient reaches rows and weights
+    "blend-rows": (lambda ls: T.sum_reduce(T.mul(T.blend_rows(
+        ls[0], np.array([[2, 0], [2, 3], [0, 2]]), ls[1]), _ramp(3, 4))), [(4, 4), (3, 2)]),
+    "normalize-rows": (lambda ls: T.sum_reduce(T.mul(T.normalize_rows(ls[0], 0.5),
+                                                     _ramp(3, 4))), [(3, 4)]),
+    # strictly positive targets: a probe below t = 0 leaves KL undefined
+    "kl-from-logits": (lambda ls: T.kl_from_logits(*ls), [(3, 4), (3, 4)]),
 }
-_POSITIVE_DOMAIN = ("log", "reciprocal")  # drawn from [0.5, 1.5), off their poles
+# drawn from [0.5, 1.5), off the poles and inside the domains
+_POSITIVE_DOMAIN = ("log", "reciprocal", "normalize-rows", "kl-from-logits")
 PRIMITIVE_POINTS = 5  # random points per primitive
 
 
@@ -97,8 +103,7 @@ def build_afm_loss_graph(leaves, labels, groups, config):
     for layer, (w, b) in zip(layers, zip(params[::2], params[1::2])):
         layer.weight, layer.bias = w, b
     feats = model.extract_features(x)
-    interp = interpolate(feats, labels, attend(feats, groups, ga),
-                         config.mixup_epsilon)
+    interp = interpolate(feats, labels, attend(feats, groups, ga))
     return compute_loss(model, feats, labels, interp, config)
 
 

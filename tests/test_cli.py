@@ -100,7 +100,7 @@ def test_train_command(config_file, tmp_path):
 
 
 BAD_CONFIG_LINES = [
-    "nope=1", "hidden=0", "hidden=8,-1", "lr_decay_every=0", "mixup_epsilon=-1",
+    "nope=1", "hidden=0", "hidden=8,-1", "lr_decay_every=0",
     "ratio_policy=bogus", "ratio_policy=fixed-ratio",
     "ratio_policy=fixed-ratio;intra_ratio=1.5",
     "lr=0", "lr=nan", "lr=inf", "momentum=1", "momentum=nan", "momentum=inf",
@@ -244,6 +244,33 @@ def test_dump_features_nonfinite_values_exit_2(config_file, tmp_path, capsys, fi
                "--out", str(tmp_path / "features.csv")])
     assert rc == 2
     assert f"record {name!r} holds NaN or inf" in capsys.readouterr().err
+
+
+# the small config's dataset has 3 classes and 150 samples: train indices
+# 0-119, test indices 120-149
+@pytest.mark.parametrize("name,at,value", [
+    ("test_idx", 0, 1e9),
+    ("train_idx", 0, -1.0),
+    ("train_idx", 0, 0.5),
+    ("train_idx", 1, 0.0),          # repeats train_idx[0]
+    ("given_labels", 0, 3.0),
+    ("clean_labels", 0, -1.0),
+    ("noise_mask", None, 2.0),      # on every noisy sample, so it agrees with the labels
+    ("n_classes", None, 2.5),
+])
+def test_dump_features_forged_dataset_exit_2(config_file, tmp_path, capsys, name, at,
+                                             value):
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    arrays, cfg_hash = read_arrays(run / "dataset.bin")
+    field = arrays[name]
+    field[field != 0 if at is None else at] = value
+    write_arrays(run / "dataset.bin", arrays, cfg_hash)
+    rc = main(["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
+               "--dataset", str(run / "dataset.bin"),
+               "--out", str(tmp_path / "features.csv"), "--interpolations", "5"])
+    assert rc == 2
+    assert repr(name) in capsys.readouterr().err
 
 
 def test_verify_command(capsys):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afm.checkpoint import config_hash, read_arrays, write_arrays
-from afm.data import (NoisyDataset, dataset_to_csv, generate, inject_noise,
-                      load_dataset, one_hot, save_dataset)
+from afm.data import (NoisyDataset, generate, inject_noise, load_dataset,
+                      one_hot, save_dataset)
 from afm.errors import ConfigError
 
 
@@ -122,15 +122,6 @@ def test_dataset_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.given_labels, ds.given_labels)
     np.testing.assert_array_equal(back.noise_mask, ds.noise_mask)
     assert back.n_classes == ds.n_classes
-
-
-def test_dataset_to_csv(tmp_path):
-    ds = small_blobs()
-    p = tmp_path / "ds.csv"
-    dataset_to_csv(p, ds)
-    lines = p.read_text().strip().splitlines()
-    assert len(lines) == 1 + len(ds.features)
-    assert "given_label" in lines[0]
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):

@@ -56,15 +56,6 @@ def test_mul_grad():
     np.testing.assert_allclose(b.grad, a.values)
 
 
-def test_smul_scalar_tensor():
-    a = Tensor(rnd(2, 3), requires_grad=True)
-    s = Tensor(np.array(2.5), requires_grad=True)
-    out = T.smul(a, s)
-    np.testing.assert_allclose(out.values, 2.5 * a.values)
-    backward(T.sum_reduce(out))
-    np.testing.assert_allclose(float(s.grad), a.values.sum())
-
-
 def test_concat_last_dim():
     a = T.constant(rnd(2, 3))
     b = T.constant(rnd(2, 4, seed=1))
@@ -120,12 +111,25 @@ def test_take_rows_repeated_rows_add_gradients():
         T.take_rows(a, np.array([[0, 1]]))
 
 
-def test_scale_rows_shapes():
-    a = Tensor(rnd(3, 2))
-    out = T.scale_rows(a, T.constant(np.array([[2.0], [0.0], [-1.0]])))
-    np.testing.assert_array_equal(out.values, a.values * [[2.0], [0.0], [-1.0]])
+def test_blend_rows_matches_member_sum():
+    a = T.constant(rnd(4, 3))
+    groups = np.array([[2, 0], [2, 3], [1, 1]])
+    w = T.constant(rnd(3, 2, seed=1))
+    out = T.blend_rows(a, groups, w)
+    expect = np.einsum("mk,mkn->mn", w.values, a.values[groups])
+    np.testing.assert_allclose(out.values, expect, rtol=1e-15)
     with pytest.raises(ShapeError):
-        T.scale_rows(a, T.constant(np.ones((1, 2))))
+        T.blend_rows(a, groups, T.constant(rnd(3, 3)))
+    with pytest.raises(ShapeError):
+        T.blend_rows(a, groups.astype(np.float64), w)
+
+
+def test_kl_from_logits_one_hot_is_cross_entropy():
+    z = rnd(5, 4) * 10
+    y = np.eye(4)[[0, 3, 1, 1, 2]]
+    loss = float(T.kl_from_logits(T.constant(z), y).values)
+    log_softmax = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(loss, -(y * log_softmax).sum(axis=1).mean(), rtol=1e-12)
 
 
 @pytest.mark.parametrize("fn,shapes", [

@@ -11,8 +11,7 @@ from afm.mixing import InterpolationBatch, interpolate
 from afm.model import Model
 from afm.tensor import Tensor
 from afm.training import (MetricsLog, SGD, TrainConfig, _attention_stats,
-                          compute_loss, load_state, save_state,
-                          soft_cross_entropy, soft_kl_divergence, train)
+                          compute_loss, load_state, save_state, train)
 from afm.verify import check_determinism
 
 
@@ -71,15 +70,16 @@ def test_sgd_rejects_nonfinite_gradient():
 # ----------------------------------------------------------------------- loss
 
 def test_soft_cross_entropy_uniform():
-    probs = T.constant(np.full((4, 3), 1 / 3))
-    loss = soft_cross_entropy(probs, np.eye(3)[[0, 1, 2, 0]])
+    # equal logits: every class has probability 1/3
+    loss = T.kl_from_logits(T.constant(np.zeros((4, 3))), np.eye(3)[[0, 1, 2, 0]])
     np.testing.assert_allclose(float(loss.values), np.log(3.0))
 
 
 def test_soft_kl_divergence_defines_zero_log_zero():
-    probs = T.constant(np.array([[0.7, 0.2, 0.1], [0.2, 0.5, 0.3]]))
+    # logits log(p) give softmax p, since each row of p sums to 1
+    logits = T.constant(np.log([[0.7, 0.2, 0.1], [0.2, 0.5, 0.3]]))
     targets = T.constant(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]))
-    kl = soft_kl_divergence(probs, targets)
+    kl = T.kl_from_logits(logits, targets)
     expected = (np.log(1 / 0.7) + 0.5 * np.log(0.5 / 0.2)) / 2
     np.testing.assert_allclose(float(kl.values), expected, rtol=1e-12)
 
@@ -112,9 +112,21 @@ def test_compute_loss_lambda_zero_is_org_only():
     cfg = tiny_config(lam=0.0, mode="baseline")
     feats = model.extract_features(x)
     loss = compute_loss(model, feats, y, None, cfg)
-    probs = model.classify(feats, head=2)
-    np.testing.assert_allclose(float(loss.values),
-                               float(soft_cross_entropy(probs, y).values))
+    z = model.classify(feats, head=2).values
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(float(loss.values), -(y * log_p).sum(axis=1).mean(),
+                               rtol=1e-12)
+
+
+def test_compute_loss_finite_when_a_probability_underflows():
+    # a logit gap of 1e3 gives the given label probability exp(-1e3) = 0
+    # in float64; the loss is the gap itself
+    model = Model([2], 2, rng=np.random.default_rng(0))
+    model.classifiers.head2.weight.values = np.array([[1e3, 0.0], [0.0, 0.0]])
+    feats = T.constant(np.array([[1.0, 0.0]]))
+    loss = compute_loss(model, feats, one_hot(np.array([1]), 2), None,
+                        tiny_config(lam=0.0, mode="baseline"))
+    np.testing.assert_allclose(float(loss.values), 1e3)
 
 
 def test_compute_loss_convex_combination():
@@ -175,6 +187,15 @@ def test_train_rejects_nonfinite_loss(mode, lam):
     with pytest.raises(NumericError, match="non-finite loss at epoch 0, step 1"), \
             np.errstate(over="ignore", invalid="ignore"):
         train(tiny_dataset(), tiny_config(mode=mode, lam=lam, lr=1e300))
+
+
+def test_train_rejects_nonfinite_test_logits():
+    # one step on all 120 samples leaves finite weights near 1e300, whose
+    # test logits overflow; the loss and gradients of that step are finite
+    cfg = tiny_config(mode="baseline", lam=0.0, epochs=1, batch_size=128, lr=1e300)
+    with pytest.raises(NumericError, match="test evaluation at epoch 0"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        train(tiny_dataset(), cfg)
 
 
 def test_afm_step_runs_backbone_once(monkeypatch):
