@@ -285,12 +285,7 @@ def cmd_dump_features(args) -> int:
     header = [f"f{i}" for i in range(d)] + [
         "given_label", "clean_label", "is_noisy", "is_interpolation",
         "attention_weights"]
-    rows = []
-    for i in range(len(feats)):
-        rows.append([repr(float(v)) for v in feats[i]]
-                    + [int(dataset.given_labels[i]), int(dataset.clean_labels[i]),
-                       int(dataset.noise_mask[i]), 0, ""])
-
+    interp = None
     if args.interpolations > 0:
         rng = np.random.default_rng(args.seed)
         tr = dataset.train_idx
@@ -299,11 +294,20 @@ def cmd_dump_features(args) -> int:
         groups = sample_groups(dataset.given_labels[tr], args.interpolations,
                                ga.k, rng=rng)
         interp = interpolate(train_feats, labels, attend(train_feats, groups, ga))
-        for gi in range(len(groups)):
-            w = "|".join(repr(float(v)) for v in interp.weights.values[gi])
-            rows.append([repr(float(v)) for v in interp.features.values[gi]]
-                        + [-1, -1, 0, 1, w])
-    _write_csv(args.out, header, rows)
+
+    # the lines csv.writer would write: no field holds a comma, quote or
+    # newline, and repr of a python float is its shortest round-trip text.
+    # Each line is written as it is made, so the file is never held whole.
+    with open(args.out, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for row, given, clean, noisy in zip(feats, dataset.given_labels.tolist(),
+                                            dataset.clean_labels.tolist(),
+                                            dataset.noise_mask.tolist()):
+            f.write(f"{','.join(map(repr, row.tolist()))},{given},{clean},{int(noisy)},0,\n")
+        if interp is not None:
+            for row, w in zip(interp.features.values, interp.weights.values):
+                f.write(f"{','.join(map(repr, row.tolist()))},-1,-1,0,1,"
+                        f"{'|'.join(map(repr, w.tolist()))}\n")
     return 0
 
 

@@ -45,9 +45,13 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        if g.shape != self.values.shape:
+            raise ShapeError(f"gradient {g.shape} for value {self.values.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # a copy: add's backward hands the same array to both parents
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -245,6 +249,16 @@ def reciprocal(a: Tensor) -> Tensor:
     return _make(out_vals, (a,), backward)
 
 
+def _scatter_rows(idx, rows, n):
+    """An (n, d) matrix whose row r is the sum of the rows ``rows[j]`` with
+    ``idx[j] == r``; ``rows`` has shape ``idx.shape + (d,)``. This is
+    ``np.add.at(np.zeros((n, d)), idx, rows)`` as one bincount, which adds
+    the same values in the same order, so the sums are bit-identical."""
+    d = rows.shape[-1]
+    bins = (idx.reshape(-1, 1).astype(np.intp, copy=False) * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+
+
 def take_rows(a: Tensor, idx) -> Tensor:
     """Rows ``a[idx]`` of a matrix; ``idx`` is a 1-D integer array. Indices
     may repeat, and the gradients of repeated rows add up. Entries must
@@ -257,9 +271,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            g = np.zeros_like(a.values)
-            np.add.at(g, idx, out.grad)
-            a._accumulate(g)
+            a._accumulate(_scatter_rows(idx, out.grad, len(a.values)))
 
     return _make(out_vals, (a,), backward)
 
@@ -279,9 +291,8 @@ def blend_rows(a: Tensor, groups, w: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            g = np.zeros_like(a.values)
-            np.add.at(g, groups, w.values[:, :, None] * out.grad[:, None, :])
-            a._accumulate(g)
+            a._accumulate(_scatter_rows(groups, w.values[:, :, None] * out.grad[:, None, :],
+                                        len(a.values)))
         if w.requires_grad:
             w._accumulate(np.einsum("mn,mkn->mk", out.grad, members))
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import config_hash, read_arrays, write_arrays
 from .data import NoisyDataset, one_hot
-from .errors import ConfigError, NumericError
+from .errors import AfmError, ConfigError, NumericError
 from .grouping import (AttentionOutput, GAParams, INTERACTIONS,
                        PROJECTION_MODES, attend, sample_groups)
 from .mixing import InterpolationBatch, interpolate
@@ -123,36 +123,53 @@ class SGD:
     ``lr_scales`` maps parameter names to per-parameter learning-rate
     multipliers; ``decay_overrides`` maps names to per-parameter weight
     decay. Both are used to give the attention net its own regime.
+
+    The constructor copies each distinct parameter (a shared one is listed
+    under several names and stepped once, with its first name's settings)
+    into one contiguous vector and rebinds its ``values`` to a view of its
+    slice, so a step is a few whole-vector operations that update every
+    parameter in place. Rebinding a parameter's ``values`` afterwards
+    detaches it from the vector, and ``step`` raises for it.
     """
 
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0, lr_scales=None,
                  decay_overrides=None):
-        self.params = list(params)  # [(name, Tensor)]
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.lr_scales = dict(lr_scales or {})
-        self.decay_overrides = dict(decay_overrides or {})
-        self.velocity = {name: np.zeros_like(p.values) for name, p in self.params}
+        distinct = {}
+        for name, p in params:
+            distinct.setdefault(id(p), (name, p))
+        self.params = list(distinct.values())  # [(name, Tensor)], each tensor once
+        names = [name for name, _ in self.params]
+        sizes = [p.values.size for _, p in self.params]
+        self.flat = np.concatenate([p.values.ravel() for _, p in self.params])
+        for (_, p), piece in zip(self.params, np.split(self.flat, np.cumsum(sizes)[:-1])):
+            p.values = piece.reshape(p.values.shape)
+        self._views = [p.values for _, p in self.params]
+        lr_scales, decay_overrides = lr_scales or {}, decay_overrides or {}
+        self._lr_scale = np.repeat([lr_scales.get(n, 1.0) for n in names], sizes)
+        self._decay = np.repeat([decay_overrides.get(n, weight_decay) for n in names], sizes)
+        self.velocity = np.zeros_like(self.flat)
 
     def zero_grad(self):
         for _, p in self.params:
             p.zero_grad()
 
     def step(self):
-        seen = set()
-        for name, p in self.params:
-            if id(p) in seen:  # shared classifiers appear once
-                continue
-            seen.add(id(p))
-            g = p.grad if p.grad is not None else np.zeros_like(p.values)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
-            v = self.velocity[name]
-            v *= self.momentum
-            wd = self.decay_overrides.get(name, self.weight_decay)
-            v += g + wd * p.values
-            p.values = p.values - self.lr * self.lr_scales.get(name, 1.0) * v
+        for (name, p), view in zip(self.params, self._views):
+            if p.values is not view:
+                raise AfmError(f"parameter {name!r} was rebound after the "
+                               "optimizer was built; build a new optimizer")
+        g = np.concatenate([(np.zeros_like(view) if p.grad is None else p.grad).ravel()
+                            for (_, p), view in zip(self.params, self._views)])
+        if not np.isfinite(g).all():
+            for name, p in self.params:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise NumericError(f"non-finite gradient for parameter {name!r}")
+        v = self.velocity
+        v *= self.momentum
+        v += g + self._decay * self.flat
+        self.flat -= self.lr * self._lr_scale * v
 
 
 @dataclass

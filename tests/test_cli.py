@@ -1,15 +1,21 @@
 """CLI: config parsing, subcommands, exit codes, sweep harness."""
 
 import csv
+import io
 import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from afm import tensor as T
 from afm.checkpoint import read_arrays, write_arrays
 from afm.cli import DATA_KEYS, KEY_ALIASES, TRAIN_KEY_TYPES, main, parse_config
+from afm.data import load_dataset, one_hot
 from afm.errors import ConfigError
+from afm.grouping import attend, sample_groups
+from afm.mixing import interpolate
+from afm.training import load_state
 
 SMALL = """
 # tiny run for tests
@@ -195,6 +201,37 @@ def test_dump_features(config_file, tmp_path):
     assert len(interp) == 5
     w = [float(x) for x in interp[0]["attention_weights"].split("|")]
     assert sum(w) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_dump_features_bytes_match_csv_writer(config_file, tmp_path):
+    """dump-features formats its lines itself; they must be the bytes that
+    csv.writer writes for the same rows from the same checkpoint."""
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    out = tmp_path / "features.csv"
+    assert main(["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--dataset", str(run / "dataset.bin"), "--out", str(out),
+                 "--interpolations", "7", "--seed", "3"]) == 0
+
+    model, ga = load_state(run / "checkpoint.bin")
+    ds = load_dataset(run / "dataset.bin")
+    feats = model.extract_features(T.constant(ds.features)).values
+    rows = [[f"f{i}" for i in range(feats.shape[1])] + [
+        "given_label", "clean_label", "is_noisy", "is_interpolation", "attention_weights"]]
+    for i in range(len(feats)):
+        rows.append([repr(float(v)) for v in feats[i]]
+                    + [int(ds.given_labels[i]), int(ds.clean_labels[i]),
+                       int(ds.noise_mask[i]), 0, ""])
+    tr = ds.train_idx
+    groups = sample_groups(ds.given_labels[tr], 7, ga.k, rng=np.random.default_rng(3))
+    interp = interpolate(T.constant(feats[tr]), one_hot(ds.given_labels[tr], ds.n_classes),
+                         attend(T.constant(feats[tr]), groups, ga))
+    for f, w in zip(interp.features.values, interp.weights.values):
+        rows.append([repr(float(v)) for v in f]
+                    + [-1, -1, 0, 1, "|".join(repr(float(v)) for v in w)])
+    expect = io.StringIO()
+    csv.writer(expect, lineterminator="\n").writerows(rows)
+    assert out.read_bytes() == expect.getvalue().encode()
 
 
 @pytest.mark.parametrize("cut", [10, 45, -8])

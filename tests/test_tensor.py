@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afm import tensor as T
 from afm.errors import ShapeError, SubgradientWarning
@@ -93,6 +94,50 @@ def test_gradient_accumulation_diamond():
     out = T.add(T.mul(x, x), x)  # x^2 + x -> d/dx = 2x + 1
     backward(T.sum_reduce(out))
     np.testing.assert_allclose(x.grad, [[7.0]])
+
+
+def test_add_gradients_are_unaliased():
+    # add's backward hands one array to both parents; each must own its grad
+    a = Tensor(rnd(2, 3), requires_grad=True)
+    b = Tensor(rnd(2, 3, seed=1), requires_grad=True)
+    backward(T.sum_reduce(T.mul(T.add(a, b), T.constant(rnd(2, 3, seed=2)))))
+    np.testing.assert_array_equal(a.grad, rnd(2, 3, seed=2))
+    np.testing.assert_array_equal(b.grad, rnd(2, 3, seed=2))
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, rnd(2, 3, seed=2))
+
+    x = Tensor(rnd(2, 3), requires_grad=True)
+    doubled = T.add(x, x)
+    backward(T.sum_reduce(doubled))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+    np.testing.assert_array_equal(doubled.grad, np.ones((2, 3)))
+
+
+def test_gradient_of_wrong_shape_raises():
+    x = Tensor(rnd(2, 3), requires_grad=True)
+    with pytest.raises(ShapeError):
+        x._accumulate(np.ones((1, 3)))  # would broadcast into a (2, 3) buffer
+    x._accumulate(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        x._accumulate(np.ones(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), d=st.integers(1, 4), k=st.integers(0, 3),
+       m=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_scatter_rows_equals_add_at_bit_for_bit(n, d, k, m, seed):
+    """k == 0 gives a 1-D index as in take_rows, k >= 1 an (m, k) one as in
+    blend_rows. Drawing m*k indices from n rows repeats rows and leaves
+    others untaken."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=(m,) if k == 0 else (m, k))
+    rows = rng.standard_normal(idx.shape + (d,)) * 10.0 ** rng.integers(-8, 9, idx.shape + (d,))
+    expect = np.zeros((n, d))
+    np.add.at(expect, idx, rows)
+    got = T._scatter_rows(idx, rows, n)
+    assert got.shape == (n, d)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_backward_requires_scalar_root():

@@ -5,7 +5,7 @@ import pytest
 
 from afm import tensor as T
 from afm.data import generate, inject_noise, one_hot
-from afm.errors import ConfigError, NumericError
+from afm.errors import AfmError, ConfigError, NumericError
 from afm.grouping import AttentionOutput, GAParams, attend, sample_groups
 from afm.mixing import InterpolationBatch, interpolate
 from afm.model import Model
@@ -58,6 +58,34 @@ def test_sgd_shared_parameter_stepped_once():
     opt = SGD([("a", p), ("b", p)], lr=0.1, momentum=0.0)
     opt.step()
     np.testing.assert_allclose(p.values, [[0.9]])  # not 0.8
+
+
+def test_sgd_updates_parameters_in_place_through_one_vector():
+    a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    b = Tensor(np.array([[5.0]]), requires_grad=True)
+    opt = SGD([("a", a), ("b", b), ("a2", a)], lr=0.5, momentum=0.0,
+              lr_scales={"b": 2.0})
+    np.testing.assert_array_equal(opt.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert np.shares_memory(a.values, opt.flat) and np.shares_memory(b.values, opt.flat)
+    held = a.values
+    a.grad = np.ones((2, 2))  # b.grad stays None: a zero gradient
+    opt.step()
+    assert a.values is held
+    np.testing.assert_array_equal(held, [[0.5, 1.5], [2.5, 3.5]])
+    np.testing.assert_array_equal(b.values, [[5.0]])
+    b.grad = np.array([[1.0]])
+    opt.step()
+    np.testing.assert_array_equal(opt.flat, [0.0, 1.0, 2.0, 3.0, 4.0])
+
+
+def test_sgd_rejects_parameter_rebound_after_construction():
+    p = Tensor(np.array([[1.0]]), requires_grad=True)
+    opt = SGD([("p", p)], lr=0.1)
+    p.values = np.array([[2.0]])  # no longer a view of the optimizer's vector
+    p.grad = np.array([[1.0]])
+    with pytest.raises(AfmError, match="'p' was rebound"):
+        opt.step()
+    np.testing.assert_array_equal(p.values, [[2.0]])
 
 
 def test_sgd_rejects_nonfinite_gradient():
