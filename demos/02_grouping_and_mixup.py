@@ -26,11 +26,11 @@ for g, g_labels in zip(groups, labels_int[groups]):
 
 ga = GAParams(feature_dim=6, k=2, interaction="sum", projections="distinct",
               rng=np.random.default_rng(2))
-att = attend(feats, groups, ga)
+raw = attend(feats, groups, ga)
 print("\nraw sigmoid attention weights:")
-print(np.round(att.weights.values, 3))
+print(np.round(raw.values, 3))
 
-out = interpolate(feats, labels, att)
+out = interpolate(feats, labels, groups, raw)
 print("\nnormalized weights (rows sum to 1):")
 print(np.round(out.weights.values, 3))
 print("\nsoft labels of the interpolations:")
@@ -38,13 +38,13 @@ print(np.round(out.soft_labels.values, 3))
 
 # order sensitivity: distinct positional projections break the symmetry
 swapped = groups[:, ::-1]
-w_swap = attend(feats, swapped, ga).weights.values
+w_swap = attend(feats, swapped, ga).values
 print("\nmax weight change under member-order swap (distinct projections):",
-      f"{np.abs(att.weights.values - w_swap).max():.3g}")
+      f"{np.abs(raw.values - w_swap).max():.3g}")
 
 shared = GAParams(6, 2, "sum", "shared", np.random.default_rng(2))
-w_a = attend(feats, groups, shared).weights.values
-w_b = attend(feats, swapped, shared).weights.values
+w_a = attend(feats, groups, shared).values
+w_b = attend(feats, swapped, shared).values
 print("same, with a shared projection (order-invariant):",
       np.abs(w_a - w_b).max())
 

@@ -9,8 +9,7 @@ experiments, sweeps, and verification.
 from .errors import AfmError, ConfigError, NumericError, ShapeError, SubgradientWarning
 from .tensor import Tensor, backward, grad_check
 from .model import Backbone, ClassifierPair, Model
-from .grouping import (AttentionOutput, GAParams, attend,
-                       pure_noisy_group_ratio, sample_groups)
+from .grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
 from .mixing import InterpolationBatch, interpolate
 from .data import NoisyDataset, generate, inject_noise, one_hot
 from .training import (MetricsLog, SGD, TrainConfig, TrainState,
@@ -20,7 +19,7 @@ __all__ = [
     "AfmError", "ConfigError", "NumericError", "ShapeError", "SubgradientWarning",
     "Tensor", "backward", "grad_check",
     "Backbone", "ClassifierPair", "Model",
-    "AttentionOutput", "GAParams", "attend",
+    "GAParams", "attend",
     "pure_noisy_group_ratio", "sample_groups",
     "InterpolationBatch", "interpolate",
     "NoisyDataset", "generate", "inject_noise", "one_hot",

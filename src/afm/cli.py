@@ -7,11 +7,12 @@ are rejected. CSV output uses '.' decimals and LF line endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -40,7 +41,8 @@ DATA_KEYS = {
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
 
-def _parse_value(name, raw, kind):
+def _parse_value(what, raw, kind):
+    """``raw`` as a ``kind``; ``what`` names the value in the ConfigError."""
     try:
         if kind is bool:
             return _BOOL[raw.strip().lower()]
@@ -48,7 +50,12 @@ def _parse_value(name, raw, kind):
             return tuple(int(v) for v in raw.split(",") if v.strip())
         return kind(raw)
     except (ValueError, KeyError) as exc:
-        raise ConfigError(f"config key {name!r}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"{what}: cannot parse {raw!r}") from exc
+
+
+def _parse_list(what, raw, kind):
+    """The comma-separated entries of ``raw``, each parsed as a ``kind``."""
+    return [_parse_value(what, v.strip(), kind) for v in raw.split(",") if v.strip()]
 
 
 def _train_key_types():
@@ -90,10 +97,11 @@ def parse_config(path) -> tuple[TrainConfig, dict]:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, raw = (s.strip() for s in line.split("=", 1))
             key = KEY_ALIASES.get(key, key)
+            what = f"config key {key!r}"
             if key in DATA_KEYS:
-                data_spec[key] = _parse_value(key, raw, DATA_KEYS[key][1])
+                data_spec[key] = _parse_value(what, raw, DATA_KEYS[key][1])
             elif key in TRAIN_KEY_TYPES:
-                train_kwargs[key] = _parse_value(key, raw, TRAIN_KEY_TYPES[key])
+                train_kwargs[key] = _parse_value(what, raw, TRAIN_KEY_TYPES[key])
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
     config = TrainConfig(**train_kwargs)
@@ -123,97 +131,65 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    try:
-        config, data_spec = parse_config(args.config)
-        dataset = build_dataset(data_spec)
-        os.makedirs(args.out, exist_ok=True)
-        state, log = train(dataset, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+    config, data_spec = parse_config(args.config)
+    dataset = build_dataset(data_spec)
+    os.makedirs(args.out, exist_ok=True)
+    state, log = train(dataset, config)
     log.to_csv(os.path.join(args.out, "metrics.csv"))
     save_state(os.path.join(args.out, "checkpoint.bin"), state)
     save_dataset(os.path.join(args.out, "dataset.bin"), dataset)
     return 0
 
 
-AXES = ("lambda", "group-size", "interaction", "intra-inter-ratio", "data-fraction")
+# sweep axis -> the TrainConfig field it sets
+AXES = {"lambda": "lam", "group-size": "k", "interaction": "interaction",
+        "intra-inter-ratio": "intra_ratio", "data-fraction": "data_fraction"}
 
 
-def _apply_axis(config: TrainConfig, axis: str, value):
-    import copy
-    cfg = copy.deepcopy(config)
-    if axis == "lambda":
-        cfg.lam = float(value)
-    elif axis == "group-size":
-        cfg.k = int(value)
-    elif axis == "interaction":
-        cfg.interaction = str(value)
-    elif axis == "intra-inter-ratio":
-        cfg.ratio_policy = "fixed-ratio"
-        cfg.intra_ratio = float(value)
-    elif axis == "data-fraction":
-        cfg.data_fraction = float(value)
-    else:
-        raise ConfigError(f"axis must be one of {AXES}")
-    return cfg
+def _apply_axis(config: TrainConfig, axis: str, raw: str) -> TrainConfig:
+    """A copy of ``config`` with the axis's field set to ``raw`` parsed;
+    an intra-inter ratio also selects the fixed-ratio policy."""
+    if axis not in AXES:
+        raise ConfigError(f"axis must be one of {tuple(AXES)}")
+    name = AXES[axis]
+    value = _parse_value(f"--values for axis {axis}", raw, TRAIN_KEY_TYPES[name])
+    policy = {"ratio_policy": "fixed-ratio"} if name == "intra_ratio" else {}
+    return replace(config, **{name: value}, **policy)
 
 
 def _sweep_worker(job):
-    config, data_spec, axis, value, seed, run_dir = job
-    cfg = _apply_axis(config, axis, value)
-    cfg.seed = int(seed)
-    cfg.validate()
-    dataset = build_dataset(data_spec)
-    _, log = train(dataset, cfg)
+    config, data_spec, run_dir = job
+    _, log = train(build_dataset(data_spec), config)
     os.makedirs(run_dir, exist_ok=True)
     log.to_csv(os.path.join(run_dir, "metrics.csv"))
-    return value, seed, log.final("test_acc")
+    return log.final("test_acc")
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config, data_spec = parse_config(args.config)
-        if args.axis not in AXES:
-            raise ConfigError(f"axis must be one of {AXES}")
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not values or not seeds or len(set(seeds)) != len(seeds):
-            raise ConfigError("need nonempty values and distinct seeds")
-        for v in values:  # fail fast on invalid axis values
-            _apply_axis(config, args.axis, v).validate()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config, data_spec = parse_config(args.config)
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    seeds = _parse_list("--seeds", args.seeds, int)
+    if not values or not seeds or len(set(values)) != len(values) \
+            or len(set(seeds)) != len(seeds):
+        raise ConfigError("need nonempty lists of distinct values and seeds")
+    # every run's config is checked before the first run starts
+    jobs = [(v, s, (replace(_apply_axis(config, args.axis, v), seed=s).validate(),
+                    data_spec, os.path.join(args.out, f"{args.axis}_{v}", f"seed_{s}")))
+            for v in values for s in seeds]
     os.makedirs(args.out, exist_ok=True)
 
-    jobs = []
-    for v in values:
-        for s in seeds:
-            run_dir = os.path.join(args.out, f"{args.axis}_{v}", f"seed_{s}")
-            jobs.append((config, data_spec, args.axis, v, s, run_dir))
-
-    workers = int(os.environ.get("AFM_THREADS", "1"))
+    # with AFM_THREADS > 1 the runs start at once in that many worker
+    # processes; otherwise each runs when the loop below reaches it
+    workers = _parse_value("AFM_THREADS", os.environ.get("AFM_THREADS", "1"), int)
     results, failures = {}, []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(job, pool.submit(_sweep_worker, job)) for job in jobs]
-            for job, fut in futures:
-                try:
-                    v, s, acc = fut.result()
-                    results.setdefault(v, []).append(acc)
-                except Exception as exc:
-                    failures.append((job[3], job[4], str(exc)))
-    else:
-        for job in jobs:
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        futures = [pool.submit(_sweep_worker, job) if pool else None for _, _, job in jobs]
+        for (v, s, job), future in zip(jobs, futures):
             try:
-                v, s, acc = _sweep_worker(job)
+                acc = future.result() if future else _sweep_worker(job)
                 results.setdefault(v, []).append(acc)
             except Exception as exc:
-                failures.append((job[3], job[4], str(exc)))
+                failures.append((v, s, str(exc)))
 
     rows = []
     for v in values:
@@ -230,17 +206,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_noise_ratio(args) -> int:
-    try:
-        ks = [int(v) for v in args.values.split(",") if v.strip()]
-        if not ks:
-            raise ConfigError("need at least one K value")
-        for k in ks:
-            pure_noisy_group_ratio(args.n_noisy, args.n_total, k)
-        if args.trials < 1:
-            raise ConfigError("trials must be >= 1")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ks = _parse_list("--values", args.values, int)
+    if not ks:
+        raise ConfigError("need at least one K value")
+    for k in ks:
+        pure_noisy_group_ratio(args.n_noisy, args.n_total, k)
+    if args.trials < 1 or args.seed < 0:
+        raise ConfigError(f"need --trials >= 1 and --seed >= 0, got {args.trials} "
+                          f"and {args.seed}")
 
     rng = np.random.default_rng(args.seed)
     labels = np.zeros(args.n_total, dtype=np.int64)
@@ -266,19 +239,18 @@ def cmd_noise_ratio(args) -> int:
 
 
 def cmd_dump_features(args) -> int:
-    try:
-        model, ga = load_state(args.checkpoint)
-        dataset = load_dataset(args.dataset)
-        if dataset.input_dim != model.backbone.input_dim:
-            raise ConfigError(
-                f"dataset width {dataset.input_dim} does not match "
-                f"backbone input {model.backbone.input_dim}")
-        if args.interpolations > 0 and ga is None:
-            raise ConfigError("checkpoint has no attention parameters; "
-                              "cannot generate interpolations")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.interpolations < 0 or args.seed < 0:
+        raise ConfigError(f"need --interpolations >= 0 and --seed >= 0, got "
+                          f"{args.interpolations} and {args.seed}")
+    model, ga = load_state(args.checkpoint)
+    dataset = load_dataset(args.dataset)
+    if dataset.input_dim != model.backbone.input_dim:
+        raise ConfigError(
+            f"dataset width {dataset.input_dim} does not match "
+            f"backbone input {model.backbone.input_dim}")
+    if args.interpolations > 0 and ga is None:
+        raise ConfigError("checkpoint has no attention parameters; "
+                          "cannot generate interpolations")
 
     feats = model.extract_features(T.constant(dataset.features)).values
     d = feats.shape[1]
@@ -293,7 +265,7 @@ def cmd_dump_features(args) -> int:
         labels = one_hot(dataset.given_labels[tr], dataset.n_classes)
         groups = sample_groups(dataset.given_labels[tr], args.interpolations,
                                ga.k, rng=rng)
-        interp = interpolate(train_feats, labels, attend(train_feats, groups, ga))
+        interp = interpolate(train_feats, labels, groups, attend(train_feats, groups, ga))
 
     # the lines csv.writer would write: no field holds a comma, quote or
     # newline, and repr of a python float is its shortest round-trip text.
@@ -369,8 +341,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a ConfigError exits 2 and a NumericError 3."""
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

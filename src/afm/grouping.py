@@ -9,8 +9,6 @@ product), and a two-layer net emits K sigmoid weights per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -20,12 +18,6 @@ from .tensor import Tensor
 
 INTERACTIONS = ("concat", "sum", "mul")
 PROJECTION_MODES = ("distinct", "shared", "none")
-
-
-@dataclass
-class AttentionOutput:
-    weights: Tensor      # (m, K), every entry strictly in (0, 1)
-    groups: np.ndarray   # (m, K) member indices into the batch
 
 
 def _distinct_draws(rng: np.random.Generator, size, m: int, k: int) -> np.ndarray:
@@ -44,8 +36,8 @@ def _distinct_draws(rng: np.random.Generator, size, m: int, k: int) -> np.ndarra
 
 
 def sample_groups(labels, m: int, k: int, ratio_policy: str = "random",
-                  intra_ratio: float | None = None,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+                  intra_ratio: float | None = None, *,
+                  rng: np.random.Generator) -> np.ndarray:
     """Sample m groups of K distinct indices from a minibatch; returns an
     (m, K) int64 array, one group per row. A group is intra-class when
     ``labels[groups]`` is constant along its row.
@@ -60,8 +52,6 @@ def sample_groups(labels, m: int, k: int, ratio_policy: str = "random",
         raise ConfigError(f"need n >= K >= 1, got n={n}, K={k}")
     if m < 1:
         raise ConfigError(f"need m >= 1, got m={m}")
-    if rng is None:
-        rng = np.random.default_rng()
 
     if ratio_policy == "random":
         return _distinct_draws(rng, n, m, k)
@@ -102,8 +92,7 @@ class GAParams:
 
     def __init__(self, feature_dim: int, k: int, interaction: str = "sum",
                  projections: str = "distinct",
-                 rng: np.random.Generator | None = None,
-                 hidden_dim: int | None = None):
+                 rng: np.random.Generator | None = None):
         if interaction not in INTERACTIONS:
             raise ConfigError(f"interaction must be one of {INTERACTIONS}")
         if projections not in PROJECTION_MODES:
@@ -120,9 +109,8 @@ class GAParams:
         else:
             self.proj = []
         d_in = k * feature_dim if interaction == "concat" else feature_dim
-        h = hidden_dim if hidden_dim is not None else feature_dim
-        self.att1 = Affine(d_in, h, rng)
-        self.att2 = Affine(h, k, rng)
+        self.att1 = Affine(d_in, feature_dim, rng)
+        self.att2 = Affine(feature_dim, k, rng)
 
     def parameters(self):
         out = []
@@ -152,9 +140,10 @@ def member_selectors(groups, n: int, k: int) -> list[np.ndarray]:
     return list(groups.T)
 
 
-def attend(features: Tensor, groups, params: GAParams) -> AttentionOutput:
-    """Project each ordered member, combine via the interaction, and emit
-    K sigmoid attention weights per group. Differentiable end-to-end."""
+def attend(features: Tensor, groups, params: GAParams) -> Tensor:
+    """Project each ordered member, combine via the interaction, and return
+    the (m, K) sigmoid attention weights, every entry strictly in (0, 1).
+    Differentiable end-to-end."""
     n, d = features.values.shape
     if d != params.feature_dim:
         raise ShapeError(f"features width {d} != GA feature dim {params.feature_dim}")
@@ -179,8 +168,7 @@ def attend(features: Tensor, groups, params: GAParams) -> AttentionOutput:
             combined = T.mul(combined, xk)
 
     hidden = T.relu(params.att1(combined))
-    weights = T.sigmoid(params.att2(hidden))
-    return AttentionOutput(weights=weights, groups=np.asarray(groups))
+    return T.sigmoid(params.att2(hidden))
 
 
 def pure_noisy_group_ratio(n_noisy: int, n_total: int, k: int) -> float:

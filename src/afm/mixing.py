@@ -1,8 +1,9 @@
 """Weight-normalized interpolation of virtual feature-target pairs.
 
-Each group's raw sigmoid weights are normalized by their sum (plus an
-epsilon underflow guard) and the same normalized weights blend both the
-member features and the member one-hot labels.
+Each group's raw weights are normalized by their sum (plus an epsilon
+underflow guard) and the same normalized weights blend both the member
+features and the member one-hot labels. The afm mode passes the attention
+net's sigmoid weights; the mixup comparison modes pass constant Beta draws.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .grouping import AttentionOutput, member_selectors
+from .grouping import member_selectors
 from .tensor import Tensor
 
 # Underflow guard on the weight-sum denominator. Sigmoid outputs are
@@ -30,26 +31,22 @@ class InterpolationBatch:
     features: Tensor      # (m, d)
     soft_labels: Tensor   # (m, C)
     weights: Tensor       # (m, K) normalized
-    groups: np.ndarray    # (m, K) member indices into the batch
-
-    def __len__(self):
-        return len(self.groups)
 
 
-def interpolate(features: Tensor, labels, attention: AttentionOutput,
+def interpolate(features: Tensor, labels, groups, weights: Tensor,
                 epsilon: float = DEFAULT_EPSILON) -> InterpolationBatch:
-    """Blend group member features and labels with normalized attention
-    weights; differentiable through both the features and the weights."""
+    """Blend the members of each row of the (m, K) ``groups`` array, both
+    features and labels, with that row of the raw (m, K) ``weights``
+    normalized; differentiable through both the features and the weights."""
     if epsilon < 0:
         raise ShapeError("epsilon must be nonnegative")
     labels = np.asarray(labels, dtype=np.float64)
     n = features.values.shape[0]
     if labels.ndim != 2 or labels.shape[0] != n:
         raise ShapeError(f"labels shape {labels.shape} does not match {n} samples")
-    groups = attention.groups
-    member_selectors(groups, n, attention.weights.values.shape[-1])
+    member_selectors(groups, n, weights.values.shape[-1])
     # blend_rows requires weights of the groups' shape
-    norm_w = T.normalize_rows(attention.weights, epsilon)
+    norm_w = T.normalize_rows(weights, epsilon)
     return InterpolationBatch(features=T.blend_rows(features, groups, norm_w),
                               soft_labels=T.blend_rows(T.constant(labels), groups, norm_w),
-                              weights=norm_w, groups=groups)
+                              weights=norm_w)

@@ -14,8 +14,8 @@ from . import tensor as T
 from .checkpoint import config_hash, read_arrays, write_arrays
 from .data import NoisyDataset, one_hot
 from .errors import AfmError, ConfigError, NumericError
-from .grouping import (AttentionOutput, GAParams, INTERACTIONS,
-                       PROJECTION_MODES, attend, sample_groups)
+from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
+                       sample_groups)
 from .mixing import InterpolationBatch, interpolate
 from .model import Model
 from .tensor import Tensor, backward
@@ -64,6 +64,9 @@ class TrainConfig:
             raise ConfigError(f"projections must be one of {PROJECTION_MODES}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
+        if self.mode == "baseline" and self.lam != 0.0:
+            raise ConfigError(f"baseline mode has no interpolation loss and needs "
+                              f"lambda = 0, got {self.lam}")
         if self.ratio_policy not in ("random", "fixed-ratio"):
             raise ConfigError("ratio_policy must be random or fixed-ratio")
         if self.ratio_policy == "fixed-ratio" and not (
@@ -204,28 +207,20 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
     loss_org = T.kl_from_logits(model.classify(features, head=2), batch_labels_onehot)
     if config.lam == 0.0 and interpolations is None:
         return loss_org
-    if interpolations is None or len(interpolations) == 0:
+    if interpolations is None or interpolations.features.values.shape[0] == 0:
         raise ConfigError("interpolations required when lambda > 0")
     loss_afm = T.kl_from_logits(model.classify(interpolations.features, head=1),
                                 interpolations.soft_labels)
     return T.add(T.smul(loss_afm, config.lam), T.smul(loss_org, 1.0 - config.lam))
 
 
-def _beta_pairs(feats: Tensor, labels_onehot, groups, weights) -> InterpolationBatch:
-    """Pairwise interpolation with fixed (w, 1-w) weights, used by the
-    mixup comparison modes."""
-    raw = np.column_stack([weights, 1.0 - weights])
-    att = AttentionOutput(weights=T.constant(raw), groups=groups)
-    return interpolate(feats, labels_onehot, att, epsilon=0.0)
-
-
-def _attention_stats(interp: InterpolationBatch, batch_idx, noise_mask):
-    """Sums and counts of normalized attention on clean and on noisy
-    members, over groups that mix at least one clean and one noisy sample.
-    Uses hidden clean labels for evaluation only."""
-    noisy = noise_mask[batch_idx][interp.groups]
+def _attention_stats(weights, groups, batch_idx, noise_mask):
+    """Sums and counts of the normalized (m, K) attention ``weights`` on
+    clean and on noisy members, over the groups that mix at least one clean
+    and one noisy sample. Uses hidden clean labels for evaluation only."""
+    noisy = noise_mask[batch_idx][groups]
     mixed = noisy.any(axis=1) & ~noisy.all(axis=1)
-    w, noisy = interp.weights.values[mixed], noisy[mixed]
+    w, noisy = weights[mixed], noisy[mixed]
     return (float(w[~noisy].sum()), int((~noisy).sum()),
             float(w[noisy].sum()), int(noisy.sum()))
 
@@ -280,8 +275,6 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
         cs, cn, ns, nn = 0.0, 0, 0.0, 0
         for start in range(0, len(order) - config.k + 1, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            if len(batch_idx) < config.k:
-                break
             nb = len(batch_idx)
             x = T.constant(dataset.features[batch_idx])
             y = one_hot(dataset.given_labels[batch_idx], c)
@@ -292,25 +285,22 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
             if config.mode == "afm":
                 groups = sample_groups(dataset.given_labels[batch_idx], m,
                                        config.k, config.ratio_policy,
-                                       config.intra_ratio, group_rng)
-                att = attend(feats, groups, ga)
-                interp = interpolate(feats, y, att)
-                dcs, dcn, dns, dnn = _attention_stats(interp, batch_idx,
-                                                      dataset.noise_mask)
+                                       config.intra_ratio, rng=group_rng)
+                interp = interpolate(feats, y, groups, attend(feats, groups, ga))
+                dcs, dcn, dns, dnn = _attention_stats(interp.weights.values, groups,
+                                                      batch_idx, dataset.noise_mask)
                 cs, cn, ns, nn = cs + dcs, cn + dcn, ns + dns, nn + dnn
             elif config.mode in ("standard-mixup", "manifold-mixup"):
+                # pairs blended with fixed (w, 1 - w) weights
                 groups = sample_groups(dataset.given_labels[batch_idx], m, 2,
-                                       "random", None, group_rng)
+                                       rng=group_rng)
                 w = group_rng.beta(config.beta_param, config.beta_param, size=m)
+                pair_w = T.constant(np.column_stack([w, 1.0 - w]))
                 if config.mode == "manifold-mixup":
-                    interp = _beta_pairs(feats, y, groups, w)
-                else:
-                    mixed = _beta_pairs(x, y, groups, w)
-                    mixed_feats = model.extract_features(mixed.features)
-                    interp = InterpolationBatch(features=mixed_feats,
-                                                soft_labels=mixed.soft_labels,
-                                                weights=mixed.weights,
-                                                groups=groups)
+                    interp = interpolate(feats, y, groups, pair_w, epsilon=0.0)
+                else:  # standard mixup blends the inputs, then extracts features
+                    interp = interpolate(x, y, groups, pair_w, epsilon=0.0)
+                    interp.features = model.extract_features(interp.features)
 
             loss = compute_loss(model, feats, y, interp, config)
             if not np.isfinite(loss.values):

@@ -18,8 +18,7 @@ import numpy as np
 from . import tensor as T
 from .data import generate, inject_noise, one_hot
 from .errors import SubgradientWarning
-from .grouping import (AttentionOutput, GAParams, attend,
-                       pure_noisy_group_ratio, sample_groups)
+from .grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
 from .mixing import interpolate
 from .model import Model
 from .training import (TrainConfig, compute_loss, save_state, load_state,
@@ -103,7 +102,7 @@ def build_afm_loss_graph(leaves, labels, groups, config):
     for layer, (w, b) in zip(layers, zip(params[::2], params[1::2])):
         layer.weight, layer.bias = w, b
     feats = model.extract_features(x)
-    interp = interpolate(feats, labels, attend(feats, groups, ga))
+    interp = interpolate(feats, labels, groups, attend(feats, groups, ga))
     return compute_loss(model, feats, labels, interp, config)
 
 
@@ -118,7 +117,7 @@ def afm_loss_grad_check(n_points=3, seed=11, inject_fault=None):
     worst = 0.0
     for _ in range(n_points):
         labels_int = rng.permutation([0, 0, 1, 1, 2])
-        groups = sample_groups(labels_int, m, k, "fixed-ratio", 0.5, rng)
+        groups = sample_groups(labels_int, m, k, "fixed-ratio", 0.5, rng=rng)
         labels = one_hot(labels_int, c)
         point = [rng.normal(size=(n, d0))]
         for shape in shapes:
@@ -143,12 +142,12 @@ def check_order_symmetry():
         groups = sample_groups(labels, 4, 2, rng=rng)
         swapped = groups[:, ::-1]
         shared = GAParams(6, 2, "sum", "shared", np.random.default_rng(1000 + trial))
-        w1 = attend(feats, groups, shared).weights.values
-        w2 = attend(feats, swapped, shared).weights.values
+        w1 = attend(feats, groups, shared).values
+        w2 = attend(feats, swapped, shared).values
         invariant += int(np.array_equal(w1, w2))
         distinct = GAParams(6, 2, "sum", "distinct", np.random.default_rng(2000 + trial))
-        v1 = attend(feats, groups, distinct).weights.values
-        v2 = attend(feats, swapped, distinct).weights.values
+        v1 = attend(feats, groups, distinct).values
+        v2 = attend(feats, swapped, distinct).values
         sensitive += int(np.abs(v1 - v2).max() > 1e-9)
     return (invariant == 100 and sensitive >= 99,
             f"shared bit-identical {invariant}/100, distinct differ {sensitive}/100")
@@ -188,7 +187,7 @@ def check_simplex_and_hull():
         labels_int = rng.integers(0, 3, size=n)
         groups = sample_groups(labels_int, m, 2, rng=rng)
         ga = GAParams(7, 2, rng=rng)
-        out = interpolate(feats, one_hot(labels_int, 3), attend(feats, groups, ga))
+        out = interpolate(feats, one_hot(labels_int, 3), groups, attend(feats, groups, ga))
         s = out.soft_labels.values
         worst_sum = max(worst_sum, np.abs(s.sum(axis=1) - 1.0).max())
         worst_neg = min(worst_neg, s.min())
@@ -230,7 +229,7 @@ def run_all(inject_fault=None):
     feats = T.constant(rng.normal(size=(6, 5)))
     labels_int = rng.integers(0, 3, size=6)
     groups = sample_groups(labels_int, 4, 2, rng=rng)
-    w = attend(feats, groups, GAParams(5, 2, rng=rng)).weights.values
+    w = attend(feats, groups, GAParams(5, 2, rng=rng)).values
     results.append(("attention-weight-range", bool(np.all((w > 0) & (w < 1))),
                     f"range [{w.min():.3f}, {w.max():.3f}]"))
     results.append(("order-symmetry", *check_order_symmetry()))
@@ -238,8 +237,8 @@ def run_all(inject_fault=None):
     results.append(("simplex-and-hull", *check_simplex_and_hull()))
     labels = one_hot(labels_int, 3)
     raw = rng.uniform(0.1, 0.9, size=(len(groups), 2))
-    a1 = interpolate(feats, labels, AttentionOutput(T.constant(raw), groups), 0.0)
-    a2 = interpolate(feats, labels, AttentionOutput(T.constant(raw * 3.7), groups), 0.0)
+    a1 = interpolate(feats, labels, groups, T.constant(raw), 0.0)
+    a2 = interpolate(feats, labels, groups, T.constant(raw * 3.7), 0.0)
     scale_ok = np.allclose(a1.features.values, a2.features.values, atol=1e-12)
     results.append(("weight-scale-invariance", bool(scale_ok),
                     "common positive scaling leaves interpolations unchanged"))

@@ -225,7 +225,7 @@ def test_dump_features_bytes_match_csv_writer(config_file, tmp_path):
     tr = ds.train_idx
     groups = sample_groups(ds.given_labels[tr], 7, ga.k, rng=np.random.default_rng(3))
     interp = interpolate(T.constant(feats[tr]), one_hot(ds.given_labels[tr], ds.n_classes),
-                         attend(T.constant(feats[tr]), groups, ga))
+                         groups, attend(T.constant(feats[tr]), groups, ga))
     for f, w in zip(interp.features.values, interp.weights.values):
         rows.append([repr(float(v)) for v in f]
                     + [-1, -1, 0, 1, "|".join(repr(float(v)) for v in w)])
@@ -308,6 +308,36 @@ def test_dump_features_forged_dataset_exit_2(config_file, tmp_path, capsys, name
                "--out", str(tmp_path / "features.csv"), "--interpolations", "5"])
     assert rc == 2
     assert repr(name) in capsys.readouterr().err
+
+
+def test_bad_arguments_exit_2(config_file, tmp_path, capsys):
+    """Values that cannot be parsed or run, wherever they are found, exit 2
+    with an error line from main, never a traceback."""
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    arrays, cfg_hash = read_arrays(run / "dataset.bin")
+    arrays["train_idx"] = arrays["train_idx"][:1]  # fewer samples than K
+    one = tmp_path / "one_train_sample.bin"
+    write_arrays(one, arrays, cfg_hash)
+    sweep = ["sweep", "--config", config_file, "--out", str(tmp_path / "sweep")]
+    dump = ["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
+            "--out", str(tmp_path / "features.csv")]
+    for argv in (
+            sweep + ["--axis", "lambda", "--values", "0.5", "--seeds", "a"],
+            sweep + ["--axis", "group-size", "--values", "x", "--seeds", "0"],
+            sweep + ["--axis", "lambda", "--values", "0.5", "--seeds", "-1"],
+            sweep + ["--axis", "lambda", "--values", "0.5,0.5", "--seeds", "0"],
+            ["noise-ratio", "--n-noisy", "2", "--n-total", "10", "--values", "x"],
+            ["noise-ratio", "--n-noisy", "2", "--n-total", "10", "--values", "2",
+             "--seed", "-1"],
+            dump + ["--dataset", str(one), "--interpolations", "5"],
+            dump + ["--dataset", str(run / "dataset.bin"), "--interpolations", "-5"],
+            dump + ["--dataset", str(run / "dataset.bin"), "--interpolations", "5",
+                    "--seed", "-1"]):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+    assert not (tmp_path / "sweep").exists()
+    assert not (tmp_path / "features.csv").exists()
 
 
 def test_verify_command(capsys):

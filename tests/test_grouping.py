@@ -131,17 +131,17 @@ def test_attend_weight_shape_and_range(interaction, projections):
     params = GAParams(6, 2, interaction, projections, rng)
     feats = T.constant(np.random.default_rng(1).standard_normal((10, 6)))
     groups = sample_groups(labels_balanced(10), 5, 2, rng=np.random.default_rng(2))
-    out = attend(feats, groups, params)
-    assert out.weights.values.shape == (5, 2)
-    assert np.all(out.weights.values > 0.0)
-    assert np.all(out.weights.values < 1.0)
+    w = attend(feats, groups, params)
+    assert w.values.shape == (5, 2)
+    assert np.all(w.values > 0.0)
+    assert np.all(w.values < 1.0)
 
 
 def test_attend_gradients_reach_projections():
     params = GAParams(4, 2, "sum", "distinct", np.random.default_rng(0))
     feats = T.constant(np.random.default_rng(1).standard_normal((6, 4)))
     groups = sample_groups(labels_balanced(6), 3, 2, rng=np.random.default_rng(2))
-    backward(T.sum_reduce(attend(feats, groups, params).weights))
+    backward(T.sum_reduce(attend(feats, groups, params)))
     for name, p in params.parameters():
         if name.endswith("weight"):
             assert p.grad is not None and np.abs(p.grad).sum() > 0, name
@@ -152,8 +152,8 @@ def test_order_invariance_sum_shared():
     params = GAParams(5, 2, "sum", "shared", np.random.default_rng(3))
     feats = T.constant(np.random.default_rng(4).standard_normal((8, 5)))
     groups = sample_groups(labels_balanced(8), 6, 2, rng=np.random.default_rng(5))
-    w1 = attend(feats, groups, params).weights.values
-    w2 = attend(feats, groups[:, ::-1], params).weights.values
+    w1 = attend(feats, groups, params).values
+    w2 = attend(feats, groups[:, ::-1], params).values
     np.testing.assert_array_equal(w1, w2)  # bit-identical
 
 
@@ -161,8 +161,8 @@ def test_order_sensitivity_distinct_projections():
     params = GAParams(5, 2, "sum", "distinct", np.random.default_rng(3))
     feats = T.constant(np.random.default_rng(4).standard_normal((8, 5)))
     groups = sample_groups(labels_balanced(8), 6, 2, rng=np.random.default_rng(5))
-    w1 = attend(feats, groups, params).weights.values
-    w2 = attend(feats, groups[:, ::-1], params).weights.values
+    w1 = attend(feats, groups, params).values
+    w2 = attend(feats, groups[:, ::-1], params).values
     assert np.abs(w1 - w2).max() > 1e-9
 
 

@@ -6,7 +6,7 @@ import pytest
 from afm import tensor as T
 from afm.data import generate, inject_noise, one_hot
 from afm.errors import AfmError, ConfigError, NumericError
-from afm.grouping import AttentionOutput, GAParams, attend, sample_groups
+from afm.grouping import GAParams, attend, sample_groups
 from afm.mixing import InterpolationBatch, interpolate
 from afm.model import Model
 from afm.tensor import Tensor
@@ -121,11 +121,10 @@ def test_mixing_loss_gives_gate_no_gradient_when_prediction_matches():
     y = one_hot(np.array([0, 1, 0, 1]), 2)
     groups = np.array([[0, 1], [2, 3], [1, 2]])
     raw = T.parameter(np.array([[0.9, 0.2], [0.3, 0.6], [0.7, 0.4]]))
-    interp = interpolate(T.constant(np.zeros((4, 2))), y, AttentionOutput(raw, groups))
+    interp = interpolate(T.constant(np.zeros((4, 2))), y, groups, raw)
     # logits log(s) through an identity classifier give p(z) = s
     matched = InterpolationBatch(features=T.constant(np.log(interp.soft_labels.values)),
-                                 soft_labels=interp.soft_labels,
-                                 weights=interp.weights, groups=groups)
+                                 soft_labels=interp.soft_labels, weights=interp.weights)
     loss = compute_loss(model, T.constant(np.zeros((4, 2))), y, matched,
                         tiny_config(lam=1.0, mode="afm"))
     T.backward(loss)
@@ -166,7 +165,7 @@ def test_compute_loss_convex_combination():
     feats = model.extract_features(x)
     groups = sample_groups(labels_int, 4, 2, rng=rng)
     ga = GAParams(8, 2, rng=np.random.default_rng(2))
-    interp = interpolate(feats, y, attend(feats, groups, ga))
+    interp = interpolate(feats, y, groups, attend(feats, groups, ga))
 
     losses = {}
     for lam in (0.0, 0.3, 1.0):
@@ -248,8 +247,6 @@ def test_attention_stats_matches_per_group_loop():
     noise_mask = rng.random(40) < 0.4
     groups = sample_groups(np.zeros(20, dtype=int), 50, 3, rng=rng)
     weights = rng.random((50, 3))
-    interp = InterpolationBatch(features=None, soft_labels=None,
-                                weights=T.constant(weights), groups=groups)
     # reference: per group, skip all-clean and all-noisy groups
     expect = [0.0, 0, 0.0, 0]
     for g, w in zip(groups, weights):
@@ -258,7 +255,7 @@ def test_attention_stats_matches_per_group_loop():
             for is_noisy, wi in zip(noisy, w):
                 expect[2 if is_noisy else 0] += wi
                 expect[3 if is_noisy else 1] += 1
-    got = _attention_stats(interp, batch_idx, noise_mask)
+    got = _attention_stats(weights, groups, batch_idx, noise_mask)
     assert got[1] == expect[1] and got[3] == expect[3]
     np.testing.assert_allclose(got, expect, rtol=1e-12)
 
@@ -307,6 +304,16 @@ def test_config_validation():
         TrainConfig(mode="dropout").validate()
     with pytest.raises(ConfigError):
         TrainConfig(interaction="avg").validate()
+
+
+def test_baseline_with_positive_lambda_rejected_before_training():
+    # baseline makes no interpolations, so a positive lambda could only
+    # fail at the first step; validation names it instead
+    with pytest.raises(ConfigError, match="baseline.*lambda = 0"):
+        TrainConfig(mode="baseline").validate()
+    with pytest.raises(ConfigError, match="baseline"):
+        train(tiny_dataset(), tiny_config(mode="baseline", lam=0.5))
+    TrainConfig(mode="baseline", lam=0.0).validate()
 
 
 def test_metrics_csv(tmp_path):
