@@ -70,6 +70,8 @@ def read_arrays(path) -> tuple[dict[str, np.ndarray], bytes]:
             raise ConfigError(f"{path}: duplicate record {name!r}")
         (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name!r}"))
+        if rank > 64:  # numpy's limit; below it the dims' product stays printable
+            raise ConfigError(f"{path}: record {name!r} has unusable shape: rank {rank}")
         payload = take(8 * math.prod(dims), f"values of {name!r}")
         try:  # numpy limits the rank and each dim even when a dim is 0
             values = np.frombuffer(payload, dtype="<f8").reshape(dims)

@@ -4,7 +4,8 @@ Groups of K distinct minibatch indices are sampled (with replacement
 across groups) as the rows of an (m, K) index array. Each ordered member
 is gathered by index and projected through its own affine map, the
 projections are combined by an interaction (concat, sum, or elementwise
-product), and a two-layer net emits K sigmoid weights per group.
+product), and a two-layer net emits K sigmoid weights per group. The sum of
+projections is one tape node, tensor.group_affine.
 """
 
 from __future__ import annotations
@@ -149,23 +150,23 @@ def attend(features: Tensor, groups, params: GAParams) -> Tensor:
         raise ShapeError(f"features width {d} != GA feature dim {params.feature_dim}")
     cols = member_selectors(groups, n, params.k)
 
-    projected = []
-    for pos, col in enumerate(cols):
-        xk = T.take_rows(features, col)
-        if params.projections != "none":
-            xk = params.proj[pos](xk)
-        projected.append(xk)
-
-    if params.interaction == "concat":
-        combined = T.concat_last(projected)
-    elif params.interaction == "sum":
-        combined = projected[0]
-        for xk in projected[1:]:
-            combined = T.add(combined, xk)
+    if params.interaction == "sum" and params.proj:
+        combined = T.group_affine(features, groups, [p.weight for p in params.proj],
+                                  [p.bias for p in params.proj])
     else:
-        combined = projected[0]
-        for xk in projected[1:]:
-            combined = T.mul(combined, xk)
+        projected = []
+        for pos, col in enumerate(cols):
+            xk = T.take_rows(features, col)
+            if params.proj:
+                xk = params.proj[pos](xk)
+            projected.append(xk)
+        if params.interaction == "concat":
+            combined = T.concat_last(projected)
+        else:
+            combine = T.add if params.interaction == "sum" else T.mul
+            combined = projected[0]
+            for xk in projected[1:]:
+                combined = combine(combined, xk)
 
     hidden = T.relu(params.att1(combined))
     return T.sigmoid(params.att2(hidden))

@@ -186,7 +186,9 @@ def relu(a: Tensor) -> Tensor:
     mask = a.values > 0  # subgradient at 0 is 0
     if _relu_trace is not None:
         _relu_trace.append(mask.copy())
-    out_vals = np.where(mask, a.values, 0.0)
+    # the same bits as np.where(mask, a, 0.0) for every finite input, -0.0
+    # included, but NaN propagates
+    out_vals = np.maximum(a.values, 0.0)
 
     def backward(out):
         if a.requires_grad:
@@ -196,11 +198,9 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_vals = np.empty_like(a.values, dtype=np.float64)
-    pos = a.values >= 0
-    out_vals[pos] = 1.0 / (1.0 + np.exp(-a.values[pos]))
-    ez = np.exp(a.values[~pos])
-    out_vals[~pos] = ez / (1.0 + ez)
+    # 1 / (1 + e^-a) for a >= 0 and e^a / (1 + e^a) below: exp never overflows
+    e = np.exp(-np.abs(a.values))
+    out_vals = np.where(a.values >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(out):
         if a.requires_grad:
@@ -299,6 +299,55 @@ def blend_rows(a: Tensor, groups, w: Tensor) -> Tensor:
     return _make(out_vals, (a, w), backward)
 
 
+def group_affine(a: Tensor, groups, weights, biases) -> Tensor:
+    """Row i is sum_k a[groups[i, k]] @ weights[k] + biases[k]: each group
+    member through the affine map of its position, summed over the group.
+    ``groups`` is an (m, K) integer array, range-checked as in blend_rows;
+    ``weights`` are K (d, h) tensors and ``biases`` K (1, h) tensors, and one
+    tensor may serve several positions. The members of the positions that
+    share a weight are summed first, so the whole sum is one matmul of the
+    (m, J*d) member block with the J distinct weights stacked by row."""
+    groups = np.asarray(groups)
+    weights, biases = list(weights), list(biases)
+    if (a.values.ndim != 2 or groups.ndim != 2 or not np.issubdtype(groups.dtype, np.integer)
+            or not len(weights) == len(biases) == groups.shape[1] > 0):
+        raise ShapeError(f"group_affine: {a.values.shape}[{groups.shape}] with "
+                         f"{len(weights)} weights, {len(biases)} biases")
+    m, d = len(groups), a.values.shape[1]
+    h = weights[0].values.shape[-1:]
+    if (any(w.values.shape != (d, *h) for w in weights)
+            or any(b.values.shape != (1, *h) for b in biases)):
+        raise ShapeError(f"group_affine: weights {[w.values.shape for w in weights]}, "
+                         f"biases {[b.values.shape for b in biases]} for width {d}")
+    distinct = list({id(w): w for w in weights}.values())
+    slot = [distinct.index(w) for w in weights]
+    members = a.values[groups]  # (m, K, d)
+    if len(distinct) == len(weights):
+        block = members.reshape(m, -1)
+    else:
+        block = np.zeros((m, len(distinct), d))
+        for k, j in enumerate(slot):
+            block[:, j] += members[:, k]
+        block = block.reshape(m, -1)
+    stacked = np.concatenate([w.values for w in distinct])  # (J*d, h)
+    out_vals = block @ stacked + sum(b.values for b in biases)
+
+    def backward(out):
+        if a.requires_grad:
+            g_block = (out.grad @ stacked.T).reshape(m, len(distinct), d)
+            a._accumulate(_scatter_rows(groups, g_block[:, slot], len(a.values)))
+        g_stacked = block.T @ out.grad
+        for j, w in enumerate(distinct):
+            if w.requires_grad:
+                w._accumulate(g_stacked[j * d:(j + 1) * d])
+        g_bias = out.grad.sum(axis=0, keepdims=True)
+        for b in biases:
+            if b.requires_grad:
+                b._accumulate(g_bias)
+
+    return _make(out_vals, (a, *distinct, *biases), backward)
+
+
 def normalize_rows(w: Tensor, eps: float) -> Tensor:
     """Each row of a matrix divided by its sum plus ``eps``."""
     if w.values.ndim != 2:
@@ -327,7 +376,7 @@ def kl_from_logits(logits: Tensor, targets) -> Tensor:
     shifted = z - z.max(axis=1, keepdims=True)
     log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     carried = t.values > 0
-    log_t = np.log(t.values, out=np.zeros_like(z), where=carried)
+    log_t = np.log(np.where(carried, t.values, 1.0))
     out_vals = np.asarray((t.values * (log_t - log_p)).sum() / len(z))
 
     def backward(out):
@@ -366,7 +415,9 @@ def backward(root: Tensor):
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            # leaves have nothing to propagate: their children's backward
+            # fills their grad
+            if p._backward is not None and id(p) not in visited:
                 stack.append((p, False))
 
     root._accumulate(np.ones_like(root.values))

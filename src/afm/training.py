@@ -229,7 +229,9 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     """Run the configured training mode; fully reproducible from the seed.
 
     Three independent rng streams (init, data order, grouping) keep the
-    data-order randomness identical across modes. Raises NumericError when
+    data-order randomness identical across modes. With lambda 0 no mode
+    samples groups or interpolates, so every mode trains as the baseline and
+    the attention columns are NaN. Raises NumericError when
     a step's loss, a gradient or an epoch's test logits are not finite.
     """
     config.validate()
@@ -265,6 +267,8 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
 
     test_x = dataset.features[dataset.test_idx]
     test_y = dataset.clean_labels[dataset.test_idx]
+    given_onehot = one_hot(dataset.given_labels, c)
+    mixing = config.lam > 0.0
     log = MetricsLog()
 
     for epoch in range(config.epochs):
@@ -277,12 +281,12 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
             batch_idx = order[start:start + config.batch_size]
             nb = len(batch_idx)
             x = T.constant(dataset.features[batch_idx])
-            y = one_hot(dataset.given_labels[batch_idx], c)
+            y = given_onehot[batch_idx]
             m = config.m if config.m is not None else nb
 
             feats = model.extract_features(x)
             interp = None
-            if config.mode == "afm":
+            if mixing and config.mode == "afm":
                 groups = sample_groups(dataset.given_labels[batch_idx], m,
                                        config.k, config.ratio_policy,
                                        config.intra_ratio, rng=group_rng)
@@ -290,7 +294,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
                 dcs, dcn, dns, dnn = _attention_stats(interp.weights.values, groups,
                                                       batch_idx, dataset.noise_mask)
                 cs, cn, ns, nn = cs + dcs, cn + dcn, ns + dns, nn + dnn
-            elif config.mode in ("standard-mixup", "manifold-mixup"):
+            elif mixing and config.mode in ("standard-mixup", "manifold-mixup"):
                 # pairs blended with fixed (w, 1 - w) weights
                 groups = sample_groups(dataset.given_labels[batch_idx], m, 2,
                                        rng=group_rng)
@@ -359,21 +363,34 @@ def load_state(path) -> tuple[Model, GAParams | None]:
                               f"expected integers in [{low}, {high})")
         return [int(v) for v in values]
 
-    try:
-        model = Model(integers("__meta__/widths", 1), integers("__meta__/n_classes", 1)[0],
-                      integers("__meta__/shared", 0, 2)[0])
-        ga = None
-        if "__meta__/k" in arrays:
-            interaction = integers("__meta__/interaction", 0, len(INTERACTIONS))[0]
-            projections = integers("__meta__/projections", 0, len(PROJECTION_MODES))[0]
-            ga = GAParams(model.backbone.feature_dim, integers("__meta__/k", 2)[0],
-                          INTERACTIONS[interaction], PROJECTION_MODES[projections])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing checkpoint metadata {exc}") from exc
-    for name, p in model.parameters() + (ga.parameters() if ga else []):
+    def stored(name, shape):
         if name not in arrays:
             raise ConfigError(f"{path}: missing parameter {name!r}")
-        if arrays[name].shape != p.values.shape:
+        if arrays[name].shape != shape:
             raise ConfigError(f"{path}: shape mismatch for {name!r}")
-        p.values = arrays[name].copy()
+        return arrays[name]
+
+    try:
+        widths = integers("__meta__/widths", 1)
+        n_classes = integers("__meta__/n_classes", 1)[0]
+        shared = integers("__meta__/shared", 0, 2)[0]
+        k = integers("__meta__/k", 2)[0] if "__meta__/k" in arrays else None
+        if k is not None:
+            interaction = INTERACTIONS[integers("__meta__/interaction", 0,
+                                                len(INTERACTIONS))[0]]
+            projections = PROJECTION_MODES[integers("__meta__/projections", 0,
+                                                    len(PROJECTION_MODES))[0]]
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing checkpoint metadata {exc}") from exc
+    # every size the metadata gives must match a stored parameter before any
+    # is allocated: a forged width or K could ask for more memory than exists
+    for i in range(len(widths) - 1):
+        stored(f"backbone.{i}.weight", (widths[i], widths[i + 1]))
+    stored("classifier.head1.weight", (widths[-1], n_classes))
+    if k is not None:
+        stored("ga.att2.weight", (widths[-1], k))
+    model = Model(widths, n_classes, shared)
+    ga = None if k is None else GAParams(widths[-1], k, interaction, projections)
+    for name, p in model.parameters() + (ga.parameters() if ga else []):
+        p.values = stored(name, p.values.shape).copy()
     return model, ga

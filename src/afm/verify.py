@@ -52,6 +52,11 @@ PRIMITIVE_CASES = {
     # rows repeat across groups here too; the gradient reaches rows and weights
     "blend-rows": (lambda ls: T.sum_reduce(T.mul(T.blend_rows(
         ls[0], np.array([[2, 0], [2, 3], [0, 2]]), ls[1]), _ramp(3, 4))), [(4, 4), (3, 2)]),
+    # row 2 is taken twice and row 1 never; one weight and one bias tensor
+    # serve positions 0 and 2, so their members are summed before the matmul
+    "group-affine": (lambda ls: T.sum_reduce(T.mul(T.group_affine(
+        ls[0], np.array([[2, 0, 2], [3, 2, 0]]), [ls[1], ls[2], ls[1]], [ls[3], ls[4], ls[3]]),
+        _ramp(2, 2))), [(4, 3), (3, 2), (3, 2), (1, 2), (1, 2)]),
     "normalize-rows": (lambda ls: T.sum_reduce(T.mul(T.normalize_rows(ls[0], 0.5),
                                                      _ramp(3, 4))), [(3, 4)]),
     # strictly positive targets: a probe below t = 0 leaves KL undefined

@@ -10,6 +10,7 @@ from afm.checkpoint import config_hash, read_arrays, write_arrays
 from afm.data import (NoisyDataset, generate, inject_noise, load_dataset,
                       one_hot, save_dataset)
 from afm.errors import ConfigError
+from afm.training import TrainConfig, load_state, save_state, train
 
 
 def small_blobs(seed=0):
@@ -229,5 +230,33 @@ def test_read_arrays_loads_or_raises_config_error(tmp_path_factory, data):
     p.write_bytes(data.draw(file_variants(checkpoint_bytes(base))))
     try:
         read_arrays(p)
+    except ConfigError:
+        pass
+
+
+def loader_file_bytes(base, loader):
+    """A valid file for the loader: a noisy dataset, or the checkpoint of an
+    afm run on it."""
+    ds = inject_noise(small_blobs(), "symmetric", 0.4, 0)
+    p = base / f"good-{loader.__name__}.bin"
+    if loader is load_dataset:
+        save_dataset(p, ds)
+    else:
+        state, _ = train(ds, TrainConfig(hidden=(4,), epochs=1, batch_size=32))
+        save_state(p, state)
+    return p.read_bytes()
+
+
+@pytest.mark.parametrize("loader", [load_dataset, load_state])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loaders_load_or_raise_config_error(tmp_path_factory, loader, data):
+    """A forged size in a checkpoint's metadata must fail before it
+    allocates a model larger than the file."""
+    base = tmp_path_factory.getbasetemp()
+    p = base / "variant.bin"
+    p.write_bytes(data.draw(file_variants(loader_file_bytes(base, loader))))
+    try:
+        loader(p)
     except ConfigError:
         pass

@@ -213,3 +213,100 @@ def test_grad_check_catches_wrong_gradient():
     point = [rnd(2, 2, seed=3)]
     assert grad_check(fn, point, epsilon=1e-5) < 1e-6  # sanity: the true graph passes
     assert grad_check(wrong, point, epsilon=1e-5) > 1e-5
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_group_affine_equals_per_position_sum(shared):
+    """group_affine against take_rows, matmul and add per position, the
+    graph it replaces, for values and for every gradient."""
+    groups = np.array([[2, 0, 2], [3, 2, 1], [0, 0, 3]])
+    names = ("a", "w0", "w1", "w2", "b0", "b1", "b2")
+    shapes = [(4, 5)] + [(5, 3)] * 3 + [(1, 3)] * 3
+
+    def leaves():
+        out = {n: Tensor(rnd(*s, seed=i), requires_grad=True)
+               for i, (n, s) in enumerate(zip(names, shapes))}
+        if shared:
+            out["w1"] = out["w2"] = out["w0"]
+            out["b1"] = out["b2"] = out["b0"]
+        return out
+
+    def graph(fused):
+        ls = leaves()
+        ws, bs = [ls["w0"], ls["w1"], ls["w2"]], [ls["b0"], ls["b1"], ls["b2"]]
+        if fused:
+            out = T.group_affine(ls["a"], groups, ws, bs)
+        else:
+            out = None
+            for k in range(3):
+                xk = T.add(T.matmul(T.take_rows(ls["a"], groups[:, k]), ws[k]), bs[k])
+                out = xk if out is None else T.add(out, xk)
+        backward(T.sum_reduce(T.mul(out, T.constant(rnd(3, 3, seed=9)))))
+        return out.values, [ls[n].grad for n in names]
+
+    (fused, fused_grads), (loop, loop_grads) = graph(True), graph(False)
+    np.testing.assert_allclose(fused, loop, rtol=0, atol=1e-12)
+    for g, h in zip(fused_grads, loop_grads):
+        np.testing.assert_allclose(g, h, rtol=0, atol=1e-12)
+
+
+def test_group_affine_shape_errors():
+    a = T.constant(rnd(4, 3))
+    w, b = T.constant(rnd(3, 2)), T.constant(rnd(1, 2))
+    groups = np.array([[0, 1], [2, 3]])
+    assert T.group_affine(a, groups, [w, w], [b, b]).values.shape == (2, 2)
+    for args in ((groups.astype(np.float64), [w, w], [b, b]), (groups, [w], [b]),
+                 (groups, [w, T.constant(rnd(2, 2))], [b, b]),
+                 (groups, [w, w], [b, T.constant(rnd(2, 2))]),
+                 (groups[:, :0], [], [])):
+        with pytest.raises(ShapeError):
+            T.group_affine(a, *args)
+
+
+# the kernels before their numpy fast paths, kept as byte-for-byte references
+def old_relu(a):
+    return np.where(a > 0, a, 0.0)
+
+
+def old_sigmoid(a):
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ez = np.exp(a[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def old_log_t(t):
+    return np.log(t, out=np.zeros_like(t), where=t > 0)
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e3, -1e3, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(FINITE, min_size=1, max_size=12), cols=st.integers(1, 4))
+def test_fast_kernels_match_old_expressions_bit_for_bit(values, cols):
+    a = np.array(values * cols).reshape(cols, -1)
+    assert T.relu(T.constant(a)).values.tobytes() == old_relu(a).tobytes()
+    assert T.sigmoid(T.constant(a)).values.tobytes() == old_sigmoid(a).tobytes()
+    # log_t reaches the gradient of the targets, g * (log_t + [t > 0] - log p)
+    z = np.zeros_like(a)
+    t = Tensor(a, requires_grad=True)
+    # targets near ±1e308 make the loss value inf - inf; its gradient stays finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        backward(T.kl_from_logits(T.constant(z), t))
+    log_p = np.full_like(a, -np.log(a.shape[1]))
+    expect = (1.0 / len(a)) * (old_log_t(a) + (a > 0) - log_p)
+    assert t.grad.tobytes() == expect.tobytes()
+
+
+def test_fast_kernels_warn_on_nothing_and_propagate_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.sigmoid(T.constant(np.array([[-1000.0, 1000.0]]))).values
+    assert out.tolist() == [[0.0, 1.0]]
+    assert np.isnan(T.relu(T.constant(np.array([[np.nan, 1.0]]))).values[0, 0])

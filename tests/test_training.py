@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from afm import tensor as T
+from afm import tensor as T, training
 from afm.data import generate, inject_noise, one_hot
 from afm.errors import AfmError, ConfigError, NumericError
 from afm.grouping import GAParams, attend, sample_groups
@@ -239,6 +239,40 @@ def test_afm_step_runs_backbone_once(monkeypatch):
     state, _ = train(tiny_dataset(), tiny_config(mode="afm", epochs=1, batch_size=5))
     assert state.step == 24
     assert len(calls) == 25
+
+
+@pytest.mark.parametrize("mode", ["afm", "standard-mixup", "manifold-mixup"])
+def test_lambda_zero_runs_no_mixing(monkeypatch, mode):
+    # the mixing term would have weight 0: the run is the baseline, bit for bit
+    def unused(*args, **kwargs):
+        raise AssertionError("lambda 0 sampled groups, attended or interpolated")
+
+    for name in ("sample_groups", "attend", "interpolate"):
+        monkeypatch.setattr(training, name, unused)
+    state, log = train(tiny_dataset(), tiny_config(mode=mode, lam=0.0, k=4))
+    base_state, base_log = train(tiny_dataset(), tiny_config(mode="baseline", lam=0.0))
+    assert repr(log.rows) == repr(base_log.rows)
+    assert np.isnan(log.final("mean_attn_clean")) and np.isnan(log.final("mean_attn_noisy"))
+    for (_, p), (_, q) in zip(state.model.parameters(), base_state.model.parameters()):
+        assert p.values.tobytes() == q.values.tobytes()
+
+
+@pytest.mark.parametrize("mode,lam,most", [("afm", 0.75, 25.34), ("baseline", 0.0, 9.34)])
+def test_tape_nodes_per_step(monkeypatch, mode, lam, most):
+    """Tape nodes made per step over 2 epochs of the default benchmark data,
+    end-of-epoch evaluation included: a change that adds nodes fails here."""
+    ds = inject_noise(generate("blobs", 3, 1000, 250, 32, 4.0, seed=0), "symmetric", 0.4, seed=0)
+    made = [0]
+    make = T._make
+
+    def counted(*args):
+        made[0] += 1
+        return make(*args)
+
+    monkeypatch.setattr(T, "_make", counted)
+    state, _ = train(ds, TrainConfig(mode=mode, lam=lam, k=2, epochs=2, seed=0))
+    assert state.step == 48
+    assert made[0] / state.step <= most
 
 
 def test_attention_stats_matches_per_group_loop():
