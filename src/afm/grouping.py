@@ -168,8 +168,7 @@ def attend(features: Tensor, groups, params: GAParams) -> Tensor:
             for xk in projected[1:]:
                 combined = combine(combined, xk)
 
-    hidden = T.relu(params.att1(combined))
-    return T.sigmoid(params.att2(hidden))
+    return T.sigmoid(params.att2(params.att1(combined, relu=True)))
 
 
 def pure_noisy_group_ratio(n_noisy: int, n_total: int, k: int) -> float:

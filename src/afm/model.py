@@ -10,7 +10,8 @@ from .tensor import Tensor
 
 
 class Affine:
-    """Dense layer y = x @ W + b with glorot-uniform init, zero bias."""
+    """Dense layer y = x @ W + b, optionally followed by relu, as one tape
+    node; glorot-uniform init, zero bias."""
 
     def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator | None = None):
         if rng is None:
@@ -25,8 +26,8 @@ class Affine:
     def fan_in(self):
         return self.weight.values.shape[0]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return T.affine(x, self.weight, self.bias, relu)
 
     def parameters(self, prefix: str):
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
@@ -57,7 +58,7 @@ class Backbone:
             )
         h = batch
         for layer in self.layers:
-            h = T.relu(layer(h))
+            h = layer(h, relu=True)
         return h
 
     def parameters(self):

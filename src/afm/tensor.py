@@ -8,8 +8,9 @@ Primitives return what numpy computes and do not scan for NaN or inf:
 finiteness is checked where values enter (files, configs) and where
 training uses them (each step's loss, every gradient).
 
-relu's subgradient at 0 is defined as 0; grad_check skips coordinates
-whose finite-difference probes cross a relu kink.
+relu's subgradient at 0 is defined as 0, in relu and in affine's fused
+relu alike; grad_check skips coordinates whose finite-difference probes
+cross a relu kink.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, SubgradientWarning
 
-# When non-empty, relu appends its activation mask here. grad_check uses
-# this to detect finite-difference probes that cross a kink.
+# When not None, relu and affine(relu=True) append their activation masks
+# here. grad_check uses this to detect finite-difference probes that cross
+# a kink.
 _relu_trace: list[np.ndarray] | None = None
 
 
@@ -112,6 +114,37 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g)
 
     return _make(out_vals, (a, b), backward)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b with a (1, n) bias row ``b``, then relu when ``relu``: one
+    tape node with the values and gradients of add(matmul(x, w), b) and of
+    relu(add(matmul(x, w), b)), bit for bit. As in add, a one-row ``x``
+    gives ``b`` its gradient row as is, not summed (which would turn -0.0
+    into 0.0)."""
+    xv, wv, bv = x.values, w.values, b.values
+    if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]
+            or bv.shape != (1, wv.shape[1])):
+        raise ShapeError(f"affine: {xv.shape} @ {wv.shape} + {bv.shape}")
+    out_vals = xv @ wv
+    out_vals += bv
+    mask = None
+    if relu:
+        mask = out_vals > 0  # subgradient at 0 is 0
+        if _relu_trace is not None:
+            _relu_trace.append(mask.copy())
+        np.maximum(out_vals, 0.0, out=out_vals)  # NaN propagates, as in relu
+
+    def backward(out):
+        g = out.grad if mask is None else out.grad * mask
+        if b.requires_grad:
+            b._accumulate(g if len(g) == 1 else g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            x._accumulate(g @ w.values.T)
+        if w.requires_grad:
+            w._accumulate(x.values.T @ g)
+
+    return _make(out_vals, (x, w, b), backward)
 
 
 def smul(a: Tensor, c: float) -> Tensor:
@@ -363,12 +396,14 @@ def normalize_rows(w: Tensor, eps: float) -> Tensor:
     return _make(out_vals, (w,), backward)
 
 
-def kl_from_logits(logits: Tensor, targets) -> Tensor:
-    """Mean over rows of KL(t || p) = sum_c t_c (log t_c - log p_c) with
-    p = softmax(z), natural log and 0 * log 0 = 0; for one-hot targets, the
-    cross-entropy. log p is z minus its log-sum-exp, so a probability that
-    underflows to 0 is never logged. The targets are an array or a tensor;
-    their gradient at t_c = 0 is -log p_c, that of the cross-entropy term."""
+def kl_from_logits(logits: Tensor, targets, scale: float = 1.0) -> Tensor:
+    """``scale`` times the mean over rows of KL(t || p) = sum_c t_c (log t_c
+    - log p_c) with p = softmax(z), natural log and 0 * log 0 = 0; for
+    one-hot targets, the cross-entropy. log p is z minus its log-sum-exp, so
+    a probability that underflows to 0 is never logged. The targets are an
+    array or a tensor; their gradient at t_c = 0 is -log p_c, that of the
+    cross-entropy term. The value and gradients equal those of
+    smul(kl_from_logits(z, t), scale) bit for bit, in one tape node."""
     t = targets if isinstance(targets, Tensor) else constant(targets)
     z = logits.values
     if z.ndim != 2 or z.shape[0] == 0 or t.values.shape != z.shape:
@@ -377,10 +412,11 @@ def kl_from_logits(logits: Tensor, targets) -> Tensor:
     log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     carried = t.values > 0
     log_t = np.log(np.where(carried, t.values, 1.0))
-    out_vals = np.asarray((t.values * (log_t - log_p)).sum() / len(z))
+    scale = float(scale)
+    out_vals = np.asarray((t.values * (log_t - log_p)).sum() / len(z) * scale)
 
     def backward(out):
-        g = out.grad / len(z)
+        g = out.grad * scale / len(z)
         if logits.requires_grad:
             mass = t.values.sum(axis=1, keepdims=True)
             logits._accumulate(g * (np.exp(log_p) * mass - t.values))

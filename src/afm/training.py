@@ -72,8 +72,10 @@ class TrainConfig:
         if self.ratio_policy == "fixed-ratio" and not (
                 self.intra_ratio is not None and 0.0 <= self.intra_ratio <= 1.0):
             raise ConfigError("fixed-ratio needs intra_ratio in [0, 1]")
-        if self.epochs < 0 or self.seed < 0:
-            raise ConfigError("epochs and seed must be nonnegative")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.lr_decay_every < 1:
@@ -193,25 +195,26 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
     ``features`` are the backbone features of the batch, the same tensor
     the attention net and the interpolations were built from, so the
     backbone runs once per step. Both terms are kl_from_logits of a head's
-    logits. L_org is the cross-entropy (KL against one-hot targets) of the
-    normal classifier on the batch's given labels. L_afm is KL(s || p(z)) of
-    the interpolation classifier on the virtual pairs (z, s), not their
-    cross-entropy H(s) + KL(s || p): H(s) depends only on the mixing
-    weights and is smallest at one-hot weights, so minimising it would
-    teach the attention net to pick a single member regardless of its
-    label. For the mixup modes s is a constant, so the gradients equal
-    those of cross-entropy and the loss is lower by the constant mean
-    H(s)."""
+    logits, each weighted inside that node. L_org is the cross-entropy (KL
+    against one-hot targets) of the normal classifier on the batch's given
+    labels. L_afm is KL(s || p(z)) of the interpolation classifier on the
+    virtual pairs (z, s), not their cross-entropy H(s) + KL(s || p): H(s)
+    depends only on the mixing weights and is smallest at one-hot weights,
+    so minimising it would teach the attention net to pick a single member
+    regardless of its label. For the mixup modes s is a constant, so the
+    gradients equal those of cross-entropy and the loss is lower by the
+    constant mean H(s)."""
     if features.values.shape[0] == 0:
         raise ConfigError("empty batch")
-    loss_org = T.kl_from_logits(model.classify(features, head=2), batch_labels_onehot)
+    loss_org = T.kl_from_logits(model.classify(features, head=2), batch_labels_onehot,
+                                1.0 - config.lam)
     if config.lam == 0.0 and interpolations is None:
         return loss_org
     if interpolations is None or interpolations.features.values.shape[0] == 0:
         raise ConfigError("interpolations required when lambda > 0")
     loss_afm = T.kl_from_logits(model.classify(interpolations.features, head=1),
-                                interpolations.soft_labels)
-    return T.add(T.smul(loss_afm, config.lam), T.smul(loss_org, 1.0 - config.lam))
+                                interpolations.soft_labels, config.lam)
+    return T.add(loss_afm, loss_org)
 
 
 def _attention_stats(weights, groups, batch_idx, noise_mask):

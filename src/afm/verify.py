@@ -61,9 +61,15 @@ PRIMITIVE_CASES = {
                                                      _ramp(3, 4))), [(3, 4)]),
     # strictly positive targets: a probe below t = 0 leaves KL undefined
     "kl-from-logits": (lambda ls: T.kl_from_logits(*ls), [(3, 4), (3, 4)]),
+    "kl-from-logits-scaled": (lambda ls: T.kl_from_logits(*ls, 0.75), [(3, 4), (3, 4)]),
+    "affine": (lambda ls: T.sum_reduce(T.mul(T.affine(*ls), _ramp(3, 2))),
+               [(3, 4), (4, 2), (1, 2)]),
+    "affine-relu": (lambda ls: T.sum_reduce(T.mul(T.affine(*ls, relu=True), _ramp(3, 2))),
+                    [(3, 4), (4, 2), (1, 2)]),
 }
 # drawn from [0.5, 1.5), off the poles and inside the domains
-_POSITIVE_DOMAIN = ("log", "reciprocal", "normalize-rows", "kl-from-logits")
+_POSITIVE_DOMAIN = ("log", "reciprocal", "normalize-rows", "kl-from-logits",
+                    "kl-from-logits-scaled")
 PRIMITIVE_POINTS = 5  # random points per primitive
 
 

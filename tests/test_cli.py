@@ -112,7 +112,8 @@ BAD_CONFIG_LINES = [
     "lr=0", "lr=nan", "lr=inf", "momentum=1", "momentum=nan", "momentum=inf",
     "weight_decay=nan", "weight_decay=inf", "lr_decay=-1",
     "ga_lr_scale=nan", "ga_lr_scale=inf", "beta_param=nan", "beta_param=inf",
-    "seed=-1", "data_kind=rings;data_d0=1", "data_kind=two-moons;data_classes=2;data_d0=1",
+    "seed=-1", "epochs=0",
+    "data_kind=rings;data_d0=1", "data_kind=two-moons;data_classes=2;data_d0=1",
     "data_separation=nan", "data_separation=inf", "data_seed=-1", "noise_seed=-1",
     "noise_rate=nan", "noise_rate=-0.5",
 ]
@@ -172,6 +173,16 @@ def test_sweep_unknown_axis(config_file, tmp_path):
     rc = main(["sweep", "--config", config_file, "--axis", "dropout",
                "--values", "1", "--seeds", "0", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+def test_sweep_zero_epochs_exit_2(tmp_path, capsys):
+    # a zero-epoch run logs no row, so it has no final accuracy to report
+    p = tmp_path / "zero.cfg"
+    p.write_text(SMALL + "epochs = 0\n")
+    rc = main(["sweep", "--config", str(p), "--axis", "lambda",
+               "--values", "0.5", "--seeds", "0", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_noise_ratio_table(tmp_path, capsys):

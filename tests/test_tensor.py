@@ -177,6 +177,68 @@ def test_kl_from_logits_one_hot_is_cross_entropy():
     np.testing.assert_allclose(loss, -(y * log_softmax).sum(axis=1).mean(), rtol=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("relu", [False, True])
+def test_affine_equals_add_matmul_bit_for_bit(relu, rows):
+    """affine against the graph it replaces, add(matmul(x, w), b) and its
+    relu, for values and all three gradients. The layer is a shared head
+    called on two inputs, so the gradients of w and b accumulate. With one
+    row add does not treat b as a bias row; the -0.0 in the upstream
+    gradient shows whether b's gradient was summed (which makes it 0.0)."""
+    x_rows = rnd(rows, 4)
+    x_rows[0] = 0.0  # pre-activations equal to b: 0, exactly, in column 1
+    b_row = np.array([[0.3, 0.0, -0.2]])
+    upstream = [rnd(rows, 3, seed=5), rnd(rows, 3, seed=6)]
+    for u in upstream:
+        u[:, 0] = -0.0
+
+    def graph(fused):
+        x = [Tensor(x_rows, requires_grad=True), Tensor(rnd(rows, 4, seed=1), requires_grad=True)]
+        w, b = Tensor(rnd(4, 3, seed=2), requires_grad=True), Tensor(b_row, requires_grad=True)
+        outs = []
+        for xi in x:
+            if fused:
+                outs.append(T.affine(xi, w, b, relu=relu))
+            else:
+                pre = T.add(T.matmul(xi, w), b)
+                outs.append(T.relu(pre) if relu else pre)
+        loss = T.add(*(T.sum_reduce(T.mul(o, T.constant(u))) for o, u in zip(outs, upstream)))
+        backward(loss)
+        return [o.values for o in outs] + [t.grad for t in (*x, w, b)]
+
+    for got, expect in zip(graph(True), graph(False)):
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_affine_shape_errors():
+    x, w, b = T.constant(rnd(3, 4)), T.constant(rnd(4, 2)), T.constant(rnd(1, 2))
+    assert T.affine(x, w, b).values.shape == (3, 2)
+    for args in ((T.constant(rnd(4)), w, b), (T.constant(rnd(3, 5)), w, b),
+                 (x, T.constant(rnd(4, 2, 1)), b), (x, T.constant(rnd(3, 2)), b),
+                 (x, w, T.constant(rnd(2))), (x, w, T.constant(rnd(3, 2))),
+                 (x, w, T.constant(rnd(1, 3)))):
+        with pytest.raises(ShapeError) as exc:
+            T.affine(*args)
+        assert str(exc.value) == "affine: {} @ {} + {}".format(*(a.values.shape for a in args))
+
+
+@pytest.mark.parametrize("scale", [0.75, 0.25, 1.0 - 0.7, 0.0, 1.0, 1.7])
+def test_kl_from_logits_scale_equals_smul_bit_for_bit(scale):
+    # compute_loss weights its two losses inside kl_from_logits, not with
+    # smul; 5 rows, so that dividing by the row count rounds
+    targets = np.abs(rnd(5, 3, seed=1))
+    targets[1, 2] = 0.0  # 0 * log 0
+
+    def graph(fused):
+        z, t = Tensor(rnd(5, 3) * 3, requires_grad=True), Tensor(targets, requires_grad=True)
+        loss = T.kl_from_logits(z, t, scale) if fused else T.smul(T.kl_from_logits(z, t), scale)
+        backward(loss)
+        return loss.values, z.grad, t.grad
+
+    for got, expect in zip(graph(True), graph(False)):
+        assert got.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("fn,shapes", [
     (lambda ls: T.sum_reduce(T.matmul(ls[0], ls[1])), [(3, 4), (4, 2)]),
     (lambda ls: T.sum_reduce(T.mul(ls[0], ls[1])), [(3, 3), (3, 3)]),
@@ -199,6 +261,20 @@ def test_grad_check_relu_kink_warns_and_skips():
         err = grad_check(lambda ls: T.sum_reduce(T.relu(ls[0])), point, epsilon=1e-5)
     assert any(issubclass(w.category, SubgradientWarning) for w in caught)
     assert err < 1e-6  # the smooth coordinate still checks
+
+
+def test_grad_check_affine_relu_kink_warns_and_skips():
+    # column 0's pre-activation is 3e-6, within epsilon of the kink: probes
+    # of b[0, 0] (leaf 2, coordinate 0) land on both sides of it
+    point = [np.array([[1.0, 2.0]]), np.array([[0.5, 1.0], [-0.25, 1.0]]),
+             np.array([[3e-6, 0.0]])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = grad_check(lambda ls: T.sum_reduce(T.affine(*ls, relu=True)), point,
+                         epsilon=1e-5)
+    kinks = [str(w.message) for w in caught if issubclass(w.category, SubgradientWarning)]
+    assert "relu kink at leaf 2 coordinate 0; skipped" in kinks
+    assert err < 1e-6  # the skipped coordinate does not count; column 1 checks
 
 
 def test_grad_check_catches_wrong_gradient():
@@ -310,3 +386,6 @@ def test_fast_kernels_warn_on_nothing_and_propagate_nan():
         out = T.sigmoid(T.constant(np.array([[-1000.0, 1000.0]]))).values
     assert out.tolist() == [[0.0, 1.0]]
     assert np.isnan(T.relu(T.constant(np.array([[np.nan, 1.0]]))).values[0, 0])
+    eye = T.constant(np.eye(2))
+    nan_row = T.constant(np.array([[np.nan, 1.0]]))
+    assert np.isnan(T.affine(nan_row, eye, T.constant(np.zeros((1, 2))), relu=True).values[0, 0])

@@ -257,7 +257,9 @@ def test_lambda_zero_runs_no_mixing(monkeypatch, mode):
         assert p.values.tobytes() == q.values.tobytes()
 
 
-@pytest.mark.parametrize("mode,lam,most", [("afm", 0.75, 25.34), ("baseline", 0.0, 9.34)])
+@pytest.mark.parametrize("mode,lam,most", [
+    ("afm", 0.75, 14.13), ("baseline", 0.0, 4.13),
+    ("standard-mixup", 0.75, 12.13), ("manifold-mixup", 0.75, 10.13)])
 def test_tape_nodes_per_step(monkeypatch, mode, lam, most):
     """Tape nodes made per step over 2 epochs of the default benchmark data,
     end-of-epoch evaluation included: a change that adds nodes fails here."""
@@ -338,6 +340,8 @@ def test_config_validation():
         TrainConfig(mode="dropout").validate()
     with pytest.raises(ConfigError):
         TrainConfig(interaction="avg").validate()
+    with pytest.raises(ConfigError, match="epochs"):
+        TrainConfig(epochs=0).validate()  # a run without epochs has no result
 
 
 def test_baseline_with_positive_lambda_rejected_before_training():
