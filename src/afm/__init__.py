@@ -8,7 +8,7 @@ experiments, sweeps, and verification.
 
 from .errors import AfmError, ConfigError, NumericError, ShapeError, SubgradientWarning
 from .tensor import Tensor, backward, grad_check
-from .model import Backbone, ClassifierPair, Model
+from .model import Model
 from .grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
 from .mixing import InterpolationBatch, interpolate
 from .data import NoisyDataset, generate, inject_noise, one_hot
@@ -18,7 +18,7 @@ from .training import (MetricsLog, SGD, TrainConfig, TrainState,
 __all__ = [
     "AfmError", "ConfigError", "NumericError", "ShapeError", "SubgradientWarning",
     "Tensor", "backward", "grad_check",
-    "Backbone", "ClassifierPair", "Model",
+    "Model",
     "GAParams", "attend",
     "pure_noisy_group_ratio", "sample_groups",
     "InterpolationBatch", "interpolate",

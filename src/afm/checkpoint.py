@@ -85,3 +85,17 @@ def read_arrays(path) -> tuple[dict[str, np.ndarray], bytes]:
         raise ConfigError(f"{path}: {len(data) - offset} trailing bytes after "
                           f"{count} records")
     return arrays, cfg_hash
+
+
+def read_integers(path, arrays, name, low, high=2 ** 63, size=None) -> np.ndarray:
+    """Record ``name`` of ``arrays``, read from ``path``, as int64 values.
+    Raises ConfigError, naming the file and the record, unless it holds only
+    integers in [low, high), and exactly ``size`` of them when ``size`` is
+    given; a missing record raises KeyError."""
+    values = arrays[name].reshape(-1)
+    if (size is not None and len(values) != size) or not np.all(
+            (values == np.floor(values)) & (values >= low) & (values < high)):
+        count = "" if size is None else f", {size} of them"
+        raise ConfigError(f"{path}: record {name!r} must hold only integers in "
+                          f"[{low}, {high}){count}")
+    return values.astype(np.int64)

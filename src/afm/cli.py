@@ -244,10 +244,10 @@ def cmd_dump_features(args) -> int:
                           f"{args.interpolations} and {args.seed}")
     model, ga = load_state(args.checkpoint)
     dataset = load_dataset(args.dataset)
-    if dataset.input_dim != model.backbone.input_dim:
+    if dataset.input_dim != model.input_dim:
         raise ConfigError(
             f"dataset width {dataset.input_dim} does not match "
-            f"backbone input {model.backbone.input_dim}")
+            f"backbone input {model.input_dim}")
     if args.interpolations > 0 and ga is None:
         raise ConfigError("checkpoint has no attention parameters; "
                           "cannot generate interpolations")
@@ -341,11 +341,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a ConfigError exits 2 and a NumericError 3."""
+    """Run one subcommand; a ConfigError or a file that cannot be opened or
+    made exits 2, and a NumericError 3."""
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

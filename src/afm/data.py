@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import read_arrays, write_arrays
+from .checkpoint import read_arrays, read_integers, write_arrays
 from .errors import ConfigError
 
 DATASET_KINDS = ("blobs", "two-moons", "rings")
@@ -162,27 +162,18 @@ def load_dataset(path) -> NoisyDataset:
     and its split indices are integers in [0, N) with no sample in both
     splits or twice in one."""
     arrays, _ = read_arrays(path)
-
-    def integers(name, low, high, size=None):
-        values = arrays[name].reshape(-1)
-        if (size is not None and len(values) != size) or not np.all(
-                (values == np.floor(values)) & (values >= low) & (values < high)):
-            raise ConfigError(f"{path}: dataset field {name!r} must hold only integers "
-                              f"in [{low}, {high})" + (f", {size} of them" if size else ""))
-        return values.astype(np.int64)
-
     try:
         if arrays["features"].ndim != 2:
             raise ConfigError(f"{path}: dataset field 'features' must be a matrix")
         n = len(arrays["features"])
-        n_classes = int(integers("n_classes", 2, n + 1, 1)[0])
+        n_classes = read_integers(path, arrays, "n_classes", 2, n + 1, 1).item()
         dataset = NoisyDataset(
             features=arrays["features"],
-            given_labels=integers("given_labels", 0, n_classes, n),
-            clean_labels=integers("clean_labels", 0, n_classes, n),
-            noise_mask=integers("noise_mask", 0, 2, n).astype(bool),
-            train_idx=integers("train_idx", 0, n),
-            test_idx=integers("test_idx", 0, n),
+            given_labels=read_integers(path, arrays, "given_labels", 0, n_classes, n),
+            clean_labels=read_integers(path, arrays, "clean_labels", 0, n_classes, n),
+            noise_mask=read_integers(path, arrays, "noise_mask", 0, 2, n).astype(bool),
+            train_idx=read_integers(path, arrays, "train_idx", 0, n),
+            test_idx=read_integers(path, arrays, "test_idx", 0, n),
             n_classes=n_classes,
         )
     except KeyError as exc:

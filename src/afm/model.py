@@ -1,4 +1,5 @@
-"""Feature-extractor MLP and the paired interpolation/normal classifiers."""
+"""The inference network: an MLP feature extractor feeding the paired
+interpolation and normal classifiers."""
 
 from __future__ import annotations
 
@@ -22,10 +23,6 @@ class Affine:
         self.weight = T.parameter(w)
         self.bias = T.parameter(np.zeros((1, fan_out)))
 
-    @property
-    def fan_in(self):
-        return self.weight.values.shape[0]
-
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         return T.affine(x, self.weight, self.bias, relu)
 
@@ -33,15 +30,26 @@ class Affine:
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
 
-class Backbone:
-    """MLP feature extractor; relu after every layer, features post-relu."""
+class Model:
+    """MLP backbone (relu after every layer, features post-relu) feeding the
+    interpolation classifier ``head1`` and the normal classifier ``head2``;
+    the piece kept at inference time.
 
-    def __init__(self, widths, rng: np.random.Generator | None = None):
+    With shared classifiers ``head2`` is ``head1``, so an update through
+    either path affects both.
+    """
+
+    def __init__(self, widths, n_classes, shared_classifiers=True,
+                 rng: np.random.Generator | None = None):
         widths = list(widths)
         if len(widths) < 1:
             raise ShapeError("backbone needs at least an input width")
         self.widths = widths
+        self.n_classes = n_classes
+        self.shared = bool(shared_classifiers)
         self.layers = [Affine(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
+        self.head1 = Affine(self.feature_dim, n_classes, rng)
+        self.head2 = self.head1 if self.shared else Affine(self.feature_dim, n_classes, rng)
 
     @property
     def input_dim(self):
@@ -61,59 +69,15 @@ class Backbone:
             h = layer(h, relu=True)
         return h
 
-    def parameters(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.extend(layer.parameters(f"backbone.{i}"))
-        return out
-
-
-class ClassifierPair:
-    """Interpolation classifier (head1) and normal classifier (head2).
-
-    In shared mode both heads reference the same parameter tensors, so an
-    update through either path affects both.
-    """
-
-    def __init__(self, feature_dim: int, n_classes: int, shared: bool = True,
-                 rng: np.random.Generator | None = None):
-        self.shared = bool(shared)
-        self.n_classes = n_classes
-        self.head1 = Affine(feature_dim, n_classes, rng)
-        self.head2 = self.head1 if self.shared else Affine(feature_dim, n_classes, rng)
-
     def classify(self, features: Tensor, head: int) -> Tensor:
         """The logits of one head; the losses take their softmax."""
         if head not in (1, 2):
             raise ShapeError(f"head must be 1 or 2, got {head}")
-        layer = self.head1 if head == 1 else self.head2
-        if features.values.ndim != 2 or features.values.shape[1] != layer.fan_in:
+        if features.values.ndim != 2 or features.values.shape[1] != self.feature_dim:
             raise ShapeError(
-                f"classifier expects width {layer.fan_in}, got {features.values.shape}"
+                f"classifier expects width {self.feature_dim}, got {features.values.shape}"
             )
-        return layer(features)
-
-    def parameters(self):
-        out = self.head1.parameters("classifier.head1")
-        if not self.shared:
-            out.extend(self.head2.parameters("classifier.head2"))
-        return out
-
-
-class Model:
-    """Backbone plus classifier pair; the piece kept at inference time."""
-
-    def __init__(self, widths, n_classes, shared_classifiers=True,
-                 rng: np.random.Generator | None = None):
-        self.backbone = Backbone(widths, rng)
-        self.classifiers = ClassifierPair(self.backbone.feature_dim, n_classes,
-                                          shared_classifiers, rng)
-
-    def extract_features(self, batch: Tensor) -> Tensor:
-        return self.backbone.extract_features(batch)
-
-    def classify(self, features: Tensor, head: int) -> Tensor:
-        return self.classifiers.classify(features, head)
+        return (self.head1 if head == 1 else self.head2)(features)
 
     def inference_predict(self, batch) -> np.ndarray:
         """argmax of the normal-classifier logits; no group/mixup computation
@@ -126,4 +90,10 @@ class Model:
         return np.argmax(logits, axis=1)
 
     def parameters(self):
-        return self.backbone.parameters() + self.classifiers.parameters()
+        out = []
+        for i, layer in enumerate(self.layers):
+            out.extend(layer.parameters(f"backbone.{i}"))
+        out.extend(self.head1.parameters("classifier.head1"))
+        if not self.shared:
+            out.extend(self.head2.parameters("classifier.head2"))
+        return out

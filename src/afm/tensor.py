@@ -39,10 +39,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def zero_grad(self):
         self.grad = None
 

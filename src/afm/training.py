@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import config_hash, read_arrays, write_arrays
+from .checkpoint import config_hash, read_arrays, read_integers, write_arrays
 from .data import NoisyDataset, one_hot
 from .errors import AfmError, ConfigError, NumericError
 from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
@@ -247,7 +247,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     model = Model([d0, *config.hidden], c, config.shared_classifiers, init_rng)
     ga = None
     if config.mode == "afm":
-        ga = GAParams(model.backbone.feature_dim, config.k, config.interaction,
+        ga = GAParams(model.feature_dim, config.k, config.interaction,
                       config.projections, init_rng)
 
     ga_params = ga.parameters() if ga else []
@@ -342,9 +342,9 @@ def save_state(path, state: TrainState):
     arrays = {name: p.values for name, p in
               state.model.parameters() + (state.ga.parameters() if state.ga else [])}
     meta = {
-        "__meta__/widths": np.asarray(state.model.backbone.widths, dtype=np.float64),
-        "__meta__/n_classes": np.asarray(float(state.model.classifiers.n_classes)),
-        "__meta__/shared": np.asarray(float(state.model.classifiers.shared)),
+        "__meta__/widths": np.asarray(state.model.widths, dtype=np.float64),
+        "__meta__/n_classes": np.asarray(float(state.model.n_classes)),
+        "__meta__/shared": np.asarray(float(state.model.shared)),
     }
     if state.ga is not None:
         meta["__meta__/k"] = np.asarray(float(state.ga.k))
@@ -359,13 +359,6 @@ def save_state(path, state: TrainState):
 def load_state(path) -> tuple[Model, GAParams | None]:
     arrays, _ = read_arrays(path)
 
-    def integers(name, low, high=float("inf")):
-        values = arrays[name].reshape(-1).tolist()
-        if not values or not all(v.is_integer() and low <= v < high for v in values):
-            raise ConfigError(f"{path}: checkpoint metadata {name} = {values}, "
-                              f"expected integers in [{low}, {high})")
-        return [int(v) for v in values]
-
     def stored(name, shape):
         if name not in arrays:
             raise ConfigError(f"{path}: missing parameter {name!r}")
@@ -374,17 +367,20 @@ def load_state(path) -> tuple[Model, GAParams | None]:
         return arrays[name]
 
     try:
-        widths = integers("__meta__/widths", 1)
-        n_classes = integers("__meta__/n_classes", 1)[0]
-        shared = integers("__meta__/shared", 0, 2)[0]
-        k = integers("__meta__/k", 2)[0] if "__meta__/k" in arrays else None
-        if k is not None:
-            interaction = INTERACTIONS[integers("__meta__/interaction", 0,
-                                                len(INTERACTIONS))[0]]
-            projections = PROJECTION_MODES[integers("__meta__/projections", 0,
-                                                    len(PROJECTION_MODES))[0]]
+        widths = read_integers(path, arrays, "__meta__/widths", 1).tolist()
+        n_classes = read_integers(path, arrays, "__meta__/n_classes", 1, size=1).item()
+        shared = read_integers(path, arrays, "__meta__/shared", 0, 2, 1).item()
+        k = None
+        if "__meta__/k" in arrays:
+            k = read_integers(path, arrays, "__meta__/k", 2, size=1).item()
+            interaction = INTERACTIONS[read_integers(
+                path, arrays, "__meta__/interaction", 0, len(INTERACTIONS), 1).item()]
+            projections = PROJECTION_MODES[read_integers(
+                path, arrays, "__meta__/projections", 0, len(PROJECTION_MODES), 1).item()]
     except KeyError as exc:
         raise ConfigError(f"{path}: missing checkpoint metadata {exc}") from exc
+    if not widths:
+        raise ConfigError(f"{path}: record '__meta__/widths' is empty")
     # every size the metadata gives must match a stored parameter before any
     # is allocated: a forged width or K could ask for more memory than exists
     for i in range(len(widths) - 1):

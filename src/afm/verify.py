@@ -108,8 +108,7 @@ def build_afm_loss_graph(leaves, labels, groups, config):
     d0, d = params[0].values.shape
     model = Model([d0, d], labels.shape[1], shared_classifiers=True)
     ga = GAParams(d, config.k, config.interaction, config.projections)
-    layers = [*model.backbone.layers, model.classifiers.head1, *ga.proj,
-              ga.att1, ga.att2]
+    layers = [*model.layers, model.head1, *ga.proj, ga.att1, ga.att2]
     for layer, (w, b) in zip(layers, zip(params[::2], params[1::2])):
         layer.weight, layer.bias = w, b
     feats = model.extract_features(x)

@@ -351,6 +351,27 @@ def test_bad_arguments_exit_2(config_file, tmp_path, capsys):
     assert not (tmp_path / "features.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "dump-features --checkpoint {tmp}/none.bin --dataset {run}/dataset.bin --out {tmp}/f.csv",
+    "dump-features --checkpoint {run}/checkpoint.bin --dataset {tmp}/none.bin --out {tmp}/f.csv",
+    "dump-features --checkpoint {run} --dataset {run}/dataset.bin --out {tmp}/f.csv",
+    "dump-features --checkpoint {run}/checkpoint.bin --dataset {run}/dataset.bin "
+    "--out {tmp}/none/f.csv",
+    "noise-ratio --n-noisy 2 --n-total 10 --values 2 --trials 10 --out {tmp}/none/r.csv",
+    "sweep --config {cfg} --axis lambda --values 0.5 --seeds 0 --out {run}/metrics.csv",
+], ids=["missing-checkpoint", "missing-dataset", "checkpoint-is-directory",
+        "dump-out-in-missing-directory", "noise-ratio-out-in-missing-directory",
+        "sweep-out-is-a-file"])
+def test_file_errors_exit_2(config_file, tmp_path, capsys, argv):
+    """A file that cannot be read or written exits 2 with an error line from
+    main, never a traceback."""
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    capsys.readouterr()
+    assert main(argv.format(tmp=tmp_path, run=run, cfg=config_file).split()) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_command(capsys):
     assert main(["verify"]) == 0
     text = capsys.readouterr().out

@@ -260,3 +260,18 @@ def test_loaders_load_or_raise_config_error(tmp_path_factory, loader, data):
         loader(p)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("name,value", [("__meta__/widths", []),
+                                        ("__meta__/n_classes", [3.0, 3.0]),
+                                        ("__meta__/shared", [1.0, 0.0])])
+def test_load_state_rejects_metadata_of_wrong_length(tmp_path, name, value):
+    p = tmp_path / "checkpoint.bin"
+    state, _ = train(small_blobs(), TrainConfig(hidden=(4,), epochs=1, batch_size=32))
+    save_state(p, state)
+    arrays, cfg_hash = read_arrays(p)
+    arrays[name] = np.asarray(value)
+    write_arrays(p, arrays, cfg_hash)
+    with pytest.raises(ConfigError) as exc:
+        load_state(p)
+    assert f"{p}: record '{name}'" in str(exc.value)

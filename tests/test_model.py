@@ -1,11 +1,11 @@
-"""Backbone / classifier-pair tests."""
+"""Model tests: backbone features, paired heads, inference."""
 
 import numpy as np
 import pytest
 
 from afm import tensor as T
 from afm.errors import ShapeError
-from afm.model import Affine, Backbone, ClassifierPair, Model
+from afm.model import Affine, Model
 from afm.tensor import backward
 
 
@@ -28,52 +28,63 @@ def test_affine_seed_reproducible():
 
 
 def test_backbone_feature_dim():
-    bb = Backbone([32, 64, 16], np.random.default_rng(0))
-    assert bb.input_dim == 32
-    assert bb.feature_dim == 16
-    feats = bb.extract_features(T.constant(np.zeros((3, 32))))
+    model = Model([32, 64, 16], 3, rng=np.random.default_rng(0))
+    assert model.input_dim == 32
+    assert model.feature_dim == 16
+    feats = model.extract_features(T.constant(np.zeros((3, 32))))
     assert feats.values.shape == (3, 16)
 
 
 def test_backbone_relu_nonnegative_features():
-    bb = Backbone([8, 8, 8], np.random.default_rng(0))
-    feats = bb.extract_features(
+    model = Model([8, 8, 8], 3, rng=np.random.default_rng(0))
+    feats = model.extract_features(
         T.constant(np.random.default_rng(1).standard_normal((10, 8))))
     assert feats.values.min() >= 0.0
 
 
 def test_backbone_wrong_input_dim():
-    bb = Backbone([8, 4], np.random.default_rng(0))
+    model = Model([8, 4], 3, rng=np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        bb.extract_features(T.constant(np.zeros((2, 5))))
+        model.extract_features(T.constant(np.zeros((2, 5))))
 
 
 def test_identity_backbone_passthrough():
-    bb = Backbone([6])  # no layers: features are the inputs
+    model = Model([6], 3)  # no layers: features are the inputs
+    assert model.layers == []
     x = np.random.default_rng(2).standard_normal((4, 6))
-    np.testing.assert_array_equal(bb.extract_features(T.constant(x)).values, x)
+    np.testing.assert_array_equal(model.extract_features(T.constant(x)).values, x)
 
 
 def test_shared_classifiers_same_parameters():
-    pair = ClassifierPair(8, 3, shared=True, rng=np.random.default_rng(0))
+    model = Model([8], 3, shared_classifiers=True, rng=np.random.default_rng(0))
+    assert model.head2 is model.head1
     x = T.constant(np.random.default_rng(1).standard_normal((4, 8)))
-    np.testing.assert_array_equal(pair.classify(x, head=1).values,
-                                  pair.classify(x, head=2).values)
-    names = [n for n, _ in pair.parameters()]
+    np.testing.assert_array_equal(model.classify(x, head=1).values,
+                                  model.classify(x, head=2).values)
+    names = [n for n, _ in model.parameters()]
     assert len(names) == len(set(names))  # shared head listed once
+    assert names == ["classifier.head1.weight", "classifier.head1.bias"]
 
 
 def test_independent_classifiers_differ():
-    pair = ClassifierPair(8, 3, shared=False, rng=np.random.default_rng(0))
+    model = Model([8], 3, shared_classifiers=False, rng=np.random.default_rng(0))
     x = T.constant(np.random.default_rng(1).standard_normal((4, 8)))
-    assert not np.array_equal(pair.classify(x, head=1).values,
-                              pair.classify(x, head=2).values)
+    assert not np.array_equal(model.classify(x, head=1).values,
+                              model.classify(x, head=2).values)
+    assert [n for n, _ in model.parameters()][2:] == ["classifier.head2.weight",
+                                                      "classifier.head2.bias"]
 
 
 def test_classify_rejects_bad_head():
-    pair = ClassifierPair(4, 2, rng=np.random.default_rng(0))
+    model = Model([4], 2, rng=np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        pair.classify(T.constant(np.zeros((1, 4))), head=3)
+        model.classify(T.constant(np.zeros((1, 4))), head=3)
+
+
+def test_classify_rejects_wrong_feature_width():
+    model = Model([6, 4], 2, rng=np.random.default_rng(0))
+    with pytest.raises(ShapeError):
+        model.classify(T.constant(np.zeros((1, 6))), head=1)
 
 
 def test_inference_predict_matches_argmax():

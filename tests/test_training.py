@@ -117,7 +117,7 @@ def test_mixing_loss_gives_gate_no_gradient_when_prediction_matches():
     weights. A cross-entropy mixing term would still push the raw weights
     towards one-hot, because H(s) falls as the weights saturate."""
     model = Model([2, 2], 2, rng=np.random.default_rng(0))
-    model.classifiers.head1.weight.values = np.eye(2)
+    model.head1.weight.values = np.eye(2)
     y = one_hot(np.array([0, 1, 0, 1]), 2)
     groups = np.array([[0, 1], [2, 3], [1, 2]])
     raw = T.parameter(np.array([[0.9, 0.2], [0.3, 0.6], [0.7, 0.4]]))
@@ -149,7 +149,7 @@ def test_compute_loss_finite_when_a_probability_underflows():
     # a logit gap of 1e3 gives the given label probability exp(-1e3) = 0
     # in float64; the loss is the gap itself
     model = Model([2], 2, rng=np.random.default_rng(0))
-    model.classifiers.head2.weight.values = np.array([[1e3, 0.0], [0.0, 0.0]])
+    model.head2.weight.values = np.array([[1e3, 0.0], [0.0, 0.0]])
     feats = T.constant(np.array([[1.0, 0.0]]))
     loss = compute_loss(model, feats, one_hot(np.array([1]), 2), None,
                         tiny_config(lam=0.0, mode="baseline"))
