@@ -1,13 +1,13 @@
 """Binary serialization for parameter sets and datasets.
 
-Layout: magic "AFM1", 32-byte sha256 config hash, u32 record count; then
+Layout: magic "AFM1", 32 reserved zero bytes, u32 record count; then
 per record: u32 name length, utf-8 name, u32 rank, u64 dims, raw float64
-little-endian values. Round trips are bit-exact.
+little-endian values. Round trips are bit-exact. The reserved bytes are
+skipped on read, so files that hold a config hash there still load.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 
@@ -16,17 +16,13 @@ import numpy as np
 from .errors import ConfigError
 
 MAGIC = b"AFM1"
+RESERVED = 32  # zero bytes after the magic
 
 
-def config_hash(text: str) -> bytes:
-    return hashlib.sha256(text.encode("utf-8")).digest()
-
-
-def write_arrays(path, arrays: dict[str, np.ndarray], cfg_hash: bytes = b""):
-    cfg_hash = (cfg_hash or b"\x00" * 32)[:32].ljust(32, b"\x00")
+def write_arrays(path, arrays: dict[str, np.ndarray]):
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(cfg_hash)
+        f.write(bytes(RESERVED))
         f.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
             arr = np.ascontiguousarray(arr, dtype="<f8")
@@ -39,7 +35,7 @@ def write_arrays(path, arrays: dict[str, np.ndarray], cfg_hash: bytes = b""):
             f.write(arr.tobytes())
 
 
-def read_arrays(path) -> tuple[dict[str, np.ndarray], bytes]:
+def read_arrays(path) -> dict[str, np.ndarray]:
     """Read a file written by write_arrays. Every read is bounds-checked: a
     truncated, padded or forged file, a duplicate record name, a shape
     numpy cannot make, or a NaN or inf value raises ConfigError."""
@@ -57,7 +53,7 @@ def read_arrays(path) -> tuple[dict[str, np.ndarray], bytes]:
         offset += size
         return data[offset - size:offset]
 
-    cfg_hash = take(32, "config hash")
+    take(RESERVED, "reserved bytes")
     (count,) = struct.unpack("<I", take(4, "record count"))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -84,7 +80,7 @@ def read_arrays(path) -> tuple[dict[str, np.ndarray], bytes]:
     if offset != len(data):
         raise ConfigError(f"{path}: {len(data) - offset} trailing bytes after "
                           f"{count} records")
-    return arrays, cfg_hash
+    return arrays
 
 
 def read_integers(path, arrays, name, low, high=2 ** 63, size=None) -> np.ndarray:

@@ -20,7 +20,8 @@ from . import tensor as T
 from .data import (NoisyDataset, generate, inject_noise, load_dataset,
                    one_hot, save_dataset)
 from .errors import ConfigError, NumericError
-from .grouping import attend, pure_noisy_group_ratio, sample_groups
+from .grouping import (attend, pure_noisy_group_ratio, sample_groups,
+                       sampled_pure_noisy_ratio)
 from .mixing import interpolate
 from .training import (TrainConfig, load_state, save_state, train)
 from .verify import run_all
@@ -58,26 +59,12 @@ def _parse_list(what, raw, kind):
     return [_parse_value(what, v.strip(), kind) for v in raw.split(",") if v.strip()]
 
 
-def _train_key_types():
-    out = {}
-    for f in fields(TrainConfig):
-        default = getattr(TrainConfig, f.name, None)
-        if f.name == "hidden":
-            out["hidden"] = tuple
-        elif f.name in ("m", "intra_ratio"):
-            out[f.name] = float if f.name == "intra_ratio" else int
-        elif isinstance(default, bool):
-            out[f.name] = bool
-        elif isinstance(default, int):
-            out[f.name] = int
-        elif isinstance(default, float):
-            out[f.name] = float
-        else:
-            out[f.name] = str
-    return out
-
-
-TRAIN_KEY_TYPES = _train_key_types()
+# TrainConfig annotation text -> the kind its config value is parsed as;
+# a field with an annotation missing here fails at import
+ANNOTATION_KINDS = {"bool": bool, "int": int, "float": float, "str": str,
+                    "int | None": int, "float | None": float,
+                    "tuple[int, ...]": tuple}
+TRAIN_KEY_TYPES = {f.name: ANNOTATION_KINDS[f.type] for f in fields(TrainConfig)}
 # 'lambda' is accepted as the user-facing spelling of the trade-off weight
 KEY_ALIASES = {"lambda": "lam"}
 
@@ -119,6 +106,16 @@ def build_dataset(spec: dict) -> NoisyDataset:
     return ds
 
 
+def _check_out(path):
+    """Raise ConfigError unless ``path`` can be written as a file: its
+    directory exists and it is not a directory itself."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path}: directory {parent} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -147,14 +144,12 @@ AXES = {"lambda": "lam", "group-size": "k", "interaction": "interaction",
 
 
 def _apply_axis(config: TrainConfig, axis: str, raw: str) -> TrainConfig:
-    """A copy of ``config`` with the axis's field set to ``raw`` parsed;
-    an intra-inter ratio also selects the fixed-ratio policy."""
+    """A copy of ``config`` with the axis's field set to ``raw`` parsed."""
     if axis not in AXES:
         raise ConfigError(f"axis must be one of {tuple(AXES)}")
     name = AXES[axis]
     value = _parse_value(f"--values for axis {axis}", raw, TRAIN_KEY_TYPES[name])
-    policy = {"ratio_policy": "fixed-ratio"} if name == "intra_ratio" else {}
-    return replace(config, **{name: value}, **policy)
+    return replace(config, **{name: value})
 
 
 def _sweep_worker(job):
@@ -214,17 +209,15 @@ def cmd_noise_ratio(args) -> int:
     if args.trials < 1 or args.seed < 0:
         raise ConfigError(f"need --trials >= 1 and --seed >= 0, got {args.trials} "
                           f"and {args.seed}")
+    if args.out:
+        _check_out(args.out)
 
     rng = np.random.default_rng(args.seed)
-    labels = np.zeros(args.n_total, dtype=np.int64)
-    noisy = np.zeros(args.n_total, dtype=bool)
-    noisy[:args.n_noisy] = True
     rows = []
     print(f"{'K':>3} {'closed_form':>14} {'empirical':>14} {'abs_diff':>12} {'3sigma':>12} pass")
     for k in ks:
         closed = pure_noisy_group_ratio(args.n_noisy, args.n_total, k)
-        groups = sample_groups(labels, args.trials, k, rng=rng)
-        freq = float(noisy[groups].all(axis=1).mean())
+        freq = sampled_pure_noisy_ratio(args.n_noisy, args.n_total, k, args.trials, rng)
         sigma3 = 3.0 * np.sqrt(max(closed * (1 - closed), 1e-300) / args.trials)
         ok = abs(freq - closed) <= sigma3 + 1e-12
         print(f"{k:>3} {closed:>14.8f} {freq:>14.8f} {abs(freq-closed):>12.8f} "
@@ -242,6 +235,7 @@ def cmd_dump_features(args) -> int:
     if args.interpolations < 0 or args.seed < 0:
         raise ConfigError(f"need --interpolations >= 0 and --seed >= 0, got "
                           f"{args.interpolations} and {args.seed}")
+    _check_out(args.out)
     model, ga = load_state(args.checkpoint)
     dataset = load_dataset(args.dataset)
     if dataset.input_dim != model.input_dim:

@@ -161,7 +161,7 @@ def load_dataset(path) -> NoisyDataset:
     labels in [0, n_classes) with 2 <= n_classes <= N and a 0/1 noise mask,
     and its split indices are integers in [0, N) with no sample in both
     splits or twice in one."""
-    arrays, _ = read_arrays(path)
+    arrays = read_arrays(path)
     try:
         if arrays["features"].ndim != 2:
             raise ConfigError(f"{path}: dataset field 'features' must be a matrix")

@@ -36,16 +36,15 @@ def _distinct_draws(rng: np.random.Generator, size, m: int, k: int) -> np.ndarra
     return out
 
 
-def sample_groups(labels, m: int, k: int, ratio_policy: str = "random",
-                  intra_ratio: float | None = None, *,
+def sample_groups(labels, m: int, k: int, intra_ratio: float | None = None, *,
                   rng: np.random.Generator) -> np.ndarray:
     """Sample m groups of K distinct indices from a minibatch; returns an
     (m, K) int64 array, one group per row. A group is intra-class when
     ``labels[groups]`` is constant along its row.
 
-    ratio_policy "random" draws members uniformly without replacement
-    within a group; "fixed-ratio" forces round(intra_ratio * m) groups to
-    be intra-class (the first rows) and the rest inter-class.
+    With ``intra_ratio`` None, members are drawn uniformly without
+    replacement within a group. Otherwise grouping is fixed-ratio: the first
+    round(intra_ratio * m) groups are intra-class and the rest inter-class.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -54,13 +53,10 @@ def sample_groups(labels, m: int, k: int, ratio_policy: str = "random",
     if m < 1:
         raise ConfigError(f"need m >= 1, got m={m}")
 
-    if ratio_policy == "random":
+    if intra_ratio is None:
         return _distinct_draws(rng, n, m, k)
-
-    if ratio_policy != "fixed-ratio":
-        raise ConfigError(f"unknown ratio policy {ratio_policy!r}")
-    if intra_ratio is None or not 0.0 <= intra_ratio <= 1.0:
-        raise ConfigError("fixed-ratio needs intra_ratio in [0, 1]")
+    if not 0.0 <= intra_ratio <= 1.0:
+        raise ConfigError(f"intra_ratio must be in [0, 1], got {intra_ratio}")
 
     classes, counts = np.unique(labels, return_counts=True)
     rich = np.flatnonzero(counts >= k)
@@ -184,3 +180,13 @@ def pure_noisy_group_ratio(n_noisy: int, n_total: int, k: int) -> float:
     for t in range(k):
         ratio *= (n_noisy - t) / (n_total - t)
     return ratio
+
+
+def sampled_pure_noisy_ratio(n_noisy: int, n_total: int, k: int, trials: int,
+                             rng: np.random.Generator) -> float:
+    """Monte-Carlo estimate of pure_noisy_group_ratio: the share of
+    ``trials`` groups, sampled by sample_groups from n_total samples of which
+    the first n_noisy are mislabeled, whose members are all mislabeled."""
+    noisy = np.arange(n_total) < n_noisy
+    groups = sample_groups(np.zeros(n_total, dtype=np.int64), trials, k, rng=rng)
+    return float(noisy[groups].all(axis=1).mean())

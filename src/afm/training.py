@@ -6,12 +6,12 @@ checkpointing.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import config_hash, read_arrays, read_integers, write_arrays
+from .checkpoint import read_arrays, read_integers, write_arrays
 from .data import NoisyDataset, one_hot
 from .errors import AfmError, ConfigError, NumericError
 from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
@@ -44,8 +44,7 @@ class TrainConfig:
     seed: int = 0
     mode: str = "afm"
     beta_param: float = 1.0         # Beta(b, b) draw for the mixup baselines
-    ratio_policy: str = "random"
-    intra_ratio: float | None = None
+    intra_ratio: float | None = None  # None -> random groups; else fixed-ratio
     data_fraction: float = 1.0
     ga_lr_scale: float = 10.0       # lr multiplier for the attention net
 
@@ -67,11 +66,8 @@ class TrainConfig:
         if self.mode == "baseline" and self.lam != 0.0:
             raise ConfigError(f"baseline mode has no interpolation loss and needs "
                               f"lambda = 0, got {self.lam}")
-        if self.ratio_policy not in ("random", "fixed-ratio"):
-            raise ConfigError("ratio_policy must be random or fixed-ratio")
-        if self.ratio_policy == "fixed-ratio" and not (
-                self.intra_ratio is not None and 0.0 <= self.intra_ratio <= 1.0):
-            raise ConfigError("fixed-ratio needs intra_ratio in [0, 1]")
+        if self.intra_ratio is not None and not 0.0 <= self.intra_ratio <= 1.0:
+            raise ConfigError(f"intra_ratio must be in [0, 1], got {self.intra_ratio}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
@@ -93,9 +89,6 @@ class TrainConfig:
         if self.m is not None and self.m < 1:
             raise ConfigError("m must be >= 1")
         return self
-
-    def canonical_text(self) -> str:
-        return "\n".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
 
 
 @dataclass
@@ -184,7 +177,6 @@ class TrainState:
     model: Model
     ga: GAParams | None
     optimizer: SGD
-    config: TrainConfig
 
 
 def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
@@ -259,8 +251,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     opt = SGD(params, config.lr, config.momentum, config.weight_decay,
               lr_scales={name: config.ga_lr_scale for name, _ in ga_params},
               decay_overrides={name: 0.0 for name, _ in ga_params})
-    state = TrainState(epoch=0, step=0, model=model, ga=ga, optimizer=opt,
-                       config=config)
+    state = TrainState(epoch=0, step=0, model=model, ga=ga, optimizer=opt)
 
     train_idx = dataset.train_idx.copy()
     if config.data_fraction < 1.0:
@@ -291,8 +282,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
             interp = None
             if mixing and config.mode == "afm":
                 groups = sample_groups(dataset.given_labels[batch_idx], m,
-                                       config.k, config.ratio_policy,
-                                       config.intra_ratio, rng=group_rng)
+                                       config.k, config.intra_ratio, rng=group_rng)
                 interp = interpolate(feats, y, groups, attend(feats, groups, ga))
                 dcs, dcn, dns, dnn = _attention_stats(interp.weights.values, groups,
                                                       batch_idx, dataset.noise_mask)
@@ -352,12 +342,11 @@ def save_state(path, state: TrainState):
             float(INTERACTIONS.index(state.ga.interaction)))
         meta["__meta__/projections"] = np.asarray(
             float(PROJECTION_MODES.index(state.ga.projections)))
-    write_arrays(path, {**meta, **arrays},
-                 config_hash(state.config.canonical_text()))
+    write_arrays(path, {**meta, **arrays})
 
 
 def load_state(path) -> tuple[Model, GAParams | None]:
-    arrays, _ = read_arrays(path)
+    arrays = read_arrays(path)
 
     def stored(name, shape):
         if name not in arrays:

@@ -18,7 +18,8 @@ import numpy as np
 from . import tensor as T
 from .data import generate, inject_noise, one_hot
 from .errors import SubgradientWarning
-from .grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
+from .grouping import (GAParams, attend, pure_noisy_group_ratio, sample_groups,
+                       sampled_pure_noisy_ratio)
 from .mixing import interpolate
 from .model import Model
 from .training import (TrainConfig, compute_loss, save_state, load_state,
@@ -127,7 +128,7 @@ def afm_loss_grad_check(n_points=3, seed=11, inject_fault=None):
     worst = 0.0
     for _ in range(n_points):
         labels_int = rng.permutation([0, 0, 1, 1, 2])
-        groups = sample_groups(labels_int, m, k, "fixed-ratio", 0.5, rng=rng)
+        groups = sample_groups(labels_int, m, k, 0.5, rng=rng)
         labels = one_hot(labels_int, c)
         point = [rng.normal(size=(n, d0))]
         for shape in shapes:
@@ -170,11 +171,7 @@ def check_pure_noisy_ratio():
     exact = Fraction(200, 1000) * Fraction(199, 999)
     exact_ok = abs(closed - float(exact)) < 1e-12
     trials = 100_000
-    noisy = np.zeros(1000, dtype=bool)
-    noisy[:200] = True
-    groups = sample_groups(np.zeros(1000, dtype=int), trials, 2,
-                           rng=np.random.default_rng(3))
-    freq = noisy[groups].all(axis=1).mean()
+    freq = sampled_pure_noisy_ratio(200, 1000, 2, trials, np.random.default_rng(3))
     sigma = np.sqrt(closed * (1 - closed) / trials)
     mc_ok = abs(freq - closed) < 3 * sigma
     ineq_ok = closed < pure_noisy_group_ratio(200, 1000, 1)

@@ -15,7 +15,7 @@ from afm.data import load_dataset, one_hot
 from afm.errors import ConfigError
 from afm.grouping import attend, sample_groups
 from afm.mixing import interpolate
-from afm.training import load_state
+from afm.training import TrainConfig, load_state
 
 SMALL = """
 # tiny run for tests
@@ -94,6 +94,30 @@ def test_parse_config_gives_config_or_config_error(tmp_path_factory, lines):
         pass
 
 
+# a value for every TrainConfig field, none of them its default
+NON_DEFAULT = dict(
+    lam=0.0, k=3, m=16, interaction="concat", projections="shared",
+    shared_classifiers=False, hidden=(8, 4), batch_size=64, epochs=3, lr=0.05,
+    lr_decay=0.5, lr_decay_every=7, momentum=0.5, weight_decay=0.001, seed=5,
+    mode="baseline", beta_param=0.4, intra_ratio=0.25, data_fraction=0.5,
+    ga_lr_scale=3.0)
+
+
+def test_every_train_key_parses_back(tmp_path):
+    """Each TrainConfig field written as a `key = value` line reads back as
+    the value written, so the key types derived from the annotations fit."""
+    default = TrainConfig()
+    assert set(NON_DEFAULT) == set(TRAIN_KEY_TYPES)
+    assert all(getattr(default, k) != v for k, v in NON_DEFAULT.items())
+    p = tmp_path / "all.cfg"
+    p.write_text("".join(
+        f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+        for k, v in NON_DEFAULT.items()))
+    cfg, _ = parse_config(str(p))
+    for k, v in NON_DEFAULT.items():
+        assert getattr(cfg, k) == v and type(getattr(cfg, k)) is type(v), k
+
+
 def test_train_command(config_file, tmp_path):
     out = tmp_path / "run"
     assert main(["train", "--config", config_file, "--out", str(out)]) == 0
@@ -107,8 +131,7 @@ def test_train_command(config_file, tmp_path):
 
 BAD_CONFIG_LINES = [
     "nope=1", "hidden=0", "hidden=8,-1", "lr_decay_every=0",
-    "ratio_policy=bogus", "ratio_policy=fixed-ratio",
-    "ratio_policy=fixed-ratio;intra_ratio=1.5",
+    "intra_ratio=1.5", "intra_ratio=-0.5", "intra_ratio=nan",
     "lr=0", "lr=nan", "lr=inf", "momentum=1", "momentum=nan", "momentum=inf",
     "weight_decay=nan", "weight_decay=inf", "lr_decay=-1",
     "ga_lr_scale=nan", "ga_lr_scale=inf", "beta_param=nan", "beta_param=inf",
@@ -268,9 +291,9 @@ def test_dump_features_forged_metadata_exit_2(config_file, tmp_path, capsys, nam
     run = tmp_path / "run"
     main(["train", "--config", config_file, "--out", str(run)])
     ck = run / "checkpoint.bin"
-    arrays, cfg_hash = read_arrays(ck)
+    arrays = read_arrays(ck)
     arrays[name] = np.asarray(value)
-    write_arrays(ck, arrays, cfg_hash)
+    write_arrays(ck, arrays)
     rc = main(["dump-features", "--checkpoint", str(ck),
                "--dataset", str(run / "dataset.bin"),
                "--out", str(tmp_path / "features.csv"), "--interpolations", "5"])
@@ -284,9 +307,9 @@ def test_dump_features_nonfinite_values_exit_2(config_file, tmp_path, capsys, fi
                                                name, value):
     run = tmp_path / "run"
     main(["train", "--config", config_file, "--out", str(run)])
-    arrays, cfg_hash = read_arrays(run / file)
+    arrays = read_arrays(run / file)
     arrays[name][1, 2] = value
-    write_arrays(run / file, arrays, cfg_hash)
+    write_arrays(run / file, arrays)
     rc = main(["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
                "--dataset", str(run / "dataset.bin"),
                "--out", str(tmp_path / "features.csv")])
@@ -310,10 +333,10 @@ def test_dump_features_forged_dataset_exit_2(config_file, tmp_path, capsys, name
                                              value):
     run = tmp_path / "run"
     main(["train", "--config", config_file, "--out", str(run)])
-    arrays, cfg_hash = read_arrays(run / "dataset.bin")
+    arrays = read_arrays(run / "dataset.bin")
     field = arrays[name]
     field[field != 0 if at is None else at] = value
-    write_arrays(run / "dataset.bin", arrays, cfg_hash)
+    write_arrays(run / "dataset.bin", arrays)
     rc = main(["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
                "--dataset", str(run / "dataset.bin"),
                "--out", str(tmp_path / "features.csv"), "--interpolations", "5"])
@@ -326,10 +349,10 @@ def test_bad_arguments_exit_2(config_file, tmp_path, capsys):
     with an error line from main, never a traceback."""
     run = tmp_path / "run"
     main(["train", "--config", config_file, "--out", str(run)])
-    arrays, cfg_hash = read_arrays(run / "dataset.bin")
+    arrays = read_arrays(run / "dataset.bin")
     arrays["train_idx"] = arrays["train_idx"][:1]  # fewer samples than K
     one = tmp_path / "one_train_sample.bin"
-    write_arrays(one, arrays, cfg_hash)
+    write_arrays(one, arrays)
     sweep = ["sweep", "--config", config_file, "--out", str(tmp_path / "sweep")]
     dump = ["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
             "--out", str(tmp_path / "features.csv")]
@@ -370,6 +393,30 @@ def test_file_errors_exit_2(config_file, tmp_path, capsys, argv):
     capsys.readouterr()
     assert main(argv.format(tmp=tmp_path, run=run, cfg=config_file).split()) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("out", ["{tmp}/none/out.csv", "{tmp}"],
+                         ids=["missing-directory", "is-a-directory"])
+@pytest.mark.parametrize("command", ["noise-ratio", "dump-features"])
+def test_unusable_out_fails_before_work(config_file, tmp_path, capsys, monkeypatch,
+                                        command, out):
+    """An --out that cannot be written exits 2 before the command prints a
+    table row or loads a checkpoint."""
+    if command == "noise-ratio":
+        argv = ["noise-ratio", "--n-noisy", "200", "--n-total", "1000", "--values", "1,2"]
+    else:
+        run = tmp_path / "run"
+        main(["train", "--config", config_file, "--out", str(run)])
+        capsys.readouterr()
+        argv = ["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
+                "--dataset", str(run / "dataset.bin"), "--interpolations", "5"]
+    loads = []
+    monkeypatch.setattr("afm.cli.load_state", lambda path: loads.append(path) or load_state(path))
+    assert main(argv + ["--out", out.format(tmp=tmp_path)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stderr.startswith("error: ")
+    assert stdout == ""
+    assert loads == []
 
 
 def test_verify_command(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from afm.checkpoint import config_hash, read_arrays, write_arrays
+from afm.checkpoint import read_arrays, write_arrays
 from afm.data import (NoisyDataset, generate, inject_noise, load_dataset,
                       one_hot, save_dataset)
 from afm.errors import ConfigError
@@ -130,14 +130,22 @@ def test_checkpoint_roundtrip_exact(tmp_path):
         "w": np.random.default_rng(0).standard_normal((3, 4)),
         "b": np.array([1.5]),
     }
-    h = config_hash("some config text")
     p = tmp_path / "ck.bin"
-    write_arrays(p, arrays, h)
-    back, back_hash = read_arrays(p)
-    assert back_hash == h
+    write_arrays(p, arrays)
+    assert p.read_bytes()[4:36] == bytes(32)  # the reserved bytes are zeros
+    back = read_arrays(p)
     for k in arrays:
         np.testing.assert_array_equal(back[k], arrays[k])
         assert back[k].dtype == np.float64
+
+
+def test_read_arrays_skips_reserved_bytes(tmp_path):
+    # files that hold a config hash in the reserved bytes still load
+    p = tmp_path / "ck.bin"
+    write_arrays(p, {"w": np.arange(6.0).reshape(2, 3)})
+    data = p.read_bytes()
+    p.write_bytes(data[:4] + bytes(range(1, 33)) + data[36:])
+    np.testing.assert_array_equal(read_arrays(p)["w"], np.arange(6.0).reshape(2, 3))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -149,14 +157,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def checkpoint_bytes(tmp_path):
     p = tmp_path / "good.bin"
-    write_arrays(p, {"w": np.arange(6.0).reshape(2, 3), "b": np.array([1.5])},
-                 config_hash("cfg"))
+    write_arrays(p, {"w": np.arange(6.0).reshape(2, 3), "b": np.array([1.5])})
     return p.read_bytes()
 
 
 @pytest.mark.parametrize("cut", [10, 45, -8, -1])
 def test_checkpoint_truncated_raises_config_error(tmp_path, cut):
-    # 10: inside the config hash; 45: before the first record's rank; -8
+    # 10: inside the reserved bytes; 45: before the first record's rank; -8
     # and -1: inside the last record's values
     data = checkpoint_bytes(tmp_path)
     p = tmp_path / "cut.bin"
@@ -269,9 +276,9 @@ def test_load_state_rejects_metadata_of_wrong_length(tmp_path, name, value):
     p = tmp_path / "checkpoint.bin"
     state, _ = train(small_blobs(), TrainConfig(hidden=(4,), epochs=1, batch_size=32))
     save_state(p, state)
-    arrays, cfg_hash = read_arrays(p)
+    arrays = read_arrays(p)
     arrays[name] = np.asarray(value)
-    write_arrays(p, arrays, cfg_hash)
+    write_arrays(p, arrays)
     with pytest.raises(ConfigError) as exc:
         load_state(p)
     assert f"{p}: record '{name}'" in str(exc.value)

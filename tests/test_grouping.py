@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from afm import tensor as T
 from afm.errors import ConfigError, ShapeError
 from afm.grouping import (GAParams, attend, member_selectors,
-                          pure_noisy_group_ratio, sample_groups)
+                          pure_noisy_group_ratio, sample_groups,
+                          sampled_pure_noisy_ratio)
 from afm.tensor import backward
 
 
@@ -52,8 +53,7 @@ def test_sample_groups_deterministic():
 
 def test_sample_groups_fixed_ratio():
     labels = np.array([0] * 10 + [1] * 10)
-    groups = sample_groups(labels, 10, 2, "fixed-ratio", 0.3,
-                           rng=np.random.default_rng(2))
+    groups = sample_groups(labels, 10, 2, 0.3, rng=np.random.default_rng(2))
     assert is_intra(labels, groups).tolist() == [True] * 3 + [False] * 7
 
 
@@ -74,23 +74,20 @@ def test_sample_groups_ordered_pair_frequencies():
 
 @settings(max_examples=60, deadline=None)
 @given(n_classes=st.integers(2, 4), n=st.integers(4, 30), k=st.integers(2, 4),
-       m=st.integers(1, 40), intra_ratio=st.floats(0.0, 1.0),
-       policy=st.sampled_from(["random", "fixed-ratio"]),
+       m=st.integers(1, 40), intra_ratio=st.none() | st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
-def test_sample_groups_properties(n_classes, n, k, m, intra_ratio, policy, seed):
+def test_sample_groups_properties(n_classes, n, k, m, intra_ratio, seed):
     # every class gets at least k members, so both kinds of group exist
     labels = np.random.default_rng(seed).permutation(np.arange(n) % n_classes)
     if np.bincount(labels).min() < k:
         labels = np.repeat(np.arange(n_classes), k)
-    kw = dict(ratio_policy=policy,
-              intra_ratio=intra_ratio if policy == "fixed-ratio" else None)
-    groups = sample_groups(labels, m, k, rng=np.random.default_rng(seed), **kw)
+    groups = sample_groups(labels, m, k, intra_ratio, rng=np.random.default_rng(seed))
     assert groups.shape == (m, k) and groups.dtype == np.int64
     assert groups.min() >= 0 and groups.max() < len(labels)
     assert all(len(set(g)) == k for g in groups)
-    again = sample_groups(labels, m, k, rng=np.random.default_rng(seed), **kw)
+    again = sample_groups(labels, m, k, intra_ratio, rng=np.random.default_rng(seed))
     np.testing.assert_array_equal(groups, again)
-    if policy == "fixed-ratio":
+    if intra_ratio is not None:
         m_intra = int(round(intra_ratio * m))
         intra = is_intra(labels, groups)
         assert intra[:m_intra].all() and not intra[m_intra:].any()
@@ -99,12 +96,10 @@ def test_sample_groups_properties(n_classes, n, k, m, intra_ratio, policy, seed)
 def test_sample_groups_rejects_bad_args():
     with pytest.raises(ConfigError):
         sample_groups(np.array([0]), 1, 2, rng=np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        sample_groups(labels_balanced(10), 3, 2, "fixed-ratio", None,
-                      rng=np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        sample_groups(labels_balanced(10), 3, 2, "bogus",
-                      rng=np.random.default_rng(0))
+    for intra_ratio in (1.5, -0.5, float("nan")):
+        with pytest.raises(ConfigError, match="intra_ratio"):
+            sample_groups(labels_balanced(10), 3, 2, intra_ratio,
+                          rng=np.random.default_rng(0))
 
 
 def test_member_selectors_gather():
@@ -212,11 +207,10 @@ def test_pure_noisy_ratio_edge_cases():
 def test_pure_noisy_ratio_monte_carlo():
     # empirical all-noisy frequency within 3 binomial sigma of closed form
     n_total, n_noisy, k, trials = 50, 20, 2, 100_000
-    noisy = np.zeros(n_total, dtype=bool)
-    noisy[:n_noisy] = True
-    rng = np.random.default_rng(12)
-    groups = sample_groups(np.zeros(n_total, dtype=int), trials, k, rng=rng)
-    hits = noisy[groups].all(axis=1).sum()
+    freq = sampled_pure_noisy_ratio(n_noisy, n_total, k, trials, np.random.default_rng(12))
     p = pure_noisy_group_ratio(n_noisy, n_total, k)
     sigma = np.sqrt(p * (1 - p) / trials)
-    assert abs(hits / trials - p) < 3 * sigma
+    assert abs(freq - p) < 3 * sigma
+    # the first n_noisy samples are the mislabeled ones
+    assert sampled_pure_noisy_ratio(10, 10, 3, 50, np.random.default_rng(0)) == 1.0
+    assert sampled_pure_noisy_ratio(1, 10, 2, 50, np.random.default_rng(0)) == 0.0

@@ -241,6 +241,25 @@ def test_afm_step_runs_backbone_once(monkeypatch):
     assert len(calls) == 25
 
 
+def test_intra_ratio_alone_selects_fixed_ratio_groups(monkeypatch):
+    # setting intra_ratio is enough: the first round(0.9 * m) groups of each
+    # batch are intra-class and the rest inter-class
+    batches = []
+
+    def recorded(labels, m, k, *args, **kwargs):
+        groups = sample_groups(labels, m, k, *args, **kwargs)
+        batches.append((np.asarray(labels), m, groups))
+        return groups
+
+    monkeypatch.setattr(training, "sample_groups", recorded)
+    state, _ = train(tiny_dataset(), tiny_config(mode="afm", epochs=1, intra_ratio=0.9))
+    assert len(batches) == state.step > 0
+    for labels, m, groups in batches:
+        member_labels = labels[groups]
+        intra = (member_labels == member_labels[:, :1]).all(axis=1)
+        assert intra.tolist() == [True] * round(0.9 * m) + [False] * (m - round(0.9 * m))
+
+
 @pytest.mark.parametrize("mode", ["afm", "standard-mixup", "manifold-mixup"])
 def test_lambda_zero_runs_no_mixing(monkeypatch, mode):
     # the mixing term would have weight 0: the run is the baseline, bit for bit
@@ -342,6 +361,9 @@ def test_config_validation():
         TrainConfig(interaction="avg").validate()
     with pytest.raises(ConfigError, match="epochs"):
         TrainConfig(epochs=0).validate()  # a run without epochs has no result
+    for intra_ratio in (1.5, -0.5, float("nan")):
+        with pytest.raises(ConfigError, match="intra_ratio"):
+            TrainConfig(intra_ratio=intra_ratio).validate()
 
 
 def test_baseline_with_positive_lambda_rejected_before_training():
