@@ -8,7 +8,7 @@ import numpy as np
 
 from afm import tensor as T
 from afm.grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
-from afm.mixing import interpolate
+from afm.mixing import gather_members, interpolate
 from afm.data import one_hot
 
 rng = np.random.default_rng(1)
@@ -24,27 +24,29 @@ for g, g_labels in zip(groups, labels_int[groups]):
     kind = "intra" if len(set(g_labels)) == 1 else "inter"
     print(f"group {g}  labels {g_labels}  kind={kind}")
 
+# each group's members, gathered once: (m, K*d) features, (m, K*C) labels
+members = gather_members(feats, labels, groups)
 ga = GAParams(feature_dim=6, k=2, interaction="sum", projections="distinct",
               rng=np.random.default_rng(2))
-raw = attend(feats, groups, ga)
+raw = attend(members.features, ga)
 print("\nraw sigmoid attention weights:")
 print(np.round(raw.values, 3))
 
-out = interpolate(feats, labels, groups, raw)
+out = interpolate(members, raw)
 print("\nnormalized weights (rows sum to 1):")
 print(np.round(out.weights.values, 3))
 print("\nsoft labels of the interpolations:")
 print(np.round(out.soft_labels.values, 3))
 
 # order sensitivity: distinct positional projections break the symmetry
-swapped = groups[:, ::-1]
-w_swap = attend(feats, swapped, ga).values
+swapped = gather_members(feats, labels, groups[:, ::-1]).features
+w_swap = attend(swapped, ga).values
 print("\nmax weight change under member-order swap (distinct projections):",
       f"{np.abs(raw.values - w_swap).max():.3g}")
 
 shared = GAParams(6, 2, "sum", "shared", np.random.default_rng(2))
-w_a = attend(feats, groups, shared).values
-w_b = attend(feats, swapped, shared).values
+w_a = attend(members.features, shared).values
+w_b = attend(swapped, shared).values
 print("same, with a shared projection (order-invariant):",
       np.abs(w_a - w_b).max())
 

@@ -10,7 +10,7 @@ from .errors import AfmError, ConfigError, NumericError, ShapeError, Subgradient
 from .tensor import Tensor, backward, grad_check
 from .model import Model
 from .grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
-from .mixing import InterpolationBatch, interpolate
+from .mixing import GroupMembers, InterpolationBatch, gather_members, interpolate
 from .data import NoisyDataset, generate, inject_noise, one_hot
 from .training import (MetricsLog, SGD, TrainConfig, TrainState,
                        compute_loss, train)
@@ -21,7 +21,7 @@ __all__ = [
     "Model",
     "GAParams", "attend",
     "pure_noisy_group_ratio", "sample_groups",
-    "InterpolationBatch", "interpolate",
+    "GroupMembers", "InterpolationBatch", "gather_members", "interpolate",
     "NoisyDataset", "generate", "inject_noise", "one_hot",
     "MetricsLog", "SGD", "TrainConfig", "TrainState",
     "compute_loss", "train",

@@ -22,7 +22,7 @@ from .data import (NoisyDataset, generate, inject_noise, load_dataset,
 from .errors import ConfigError, NumericError
 from .grouping import (attend, pure_noisy_group_ratio, sample_groups,
                        sampled_pure_noisy_ratio)
-from .mixing import interpolate
+from .mixing import gather_members, interpolate
 from .training import (TrainConfig, load_state, save_state, train)
 from .verify import run_all
 
@@ -259,7 +259,8 @@ def cmd_dump_features(args) -> int:
         labels = one_hot(dataset.given_labels[tr], dataset.n_classes)
         groups = sample_groups(dataset.given_labels[tr], args.interpolations,
                                ga.k, rng=rng)
-        interp = interpolate(train_feats, labels, groups, attend(train_feats, groups, ga))
+        members = gather_members(train_feats, labels, groups)
+        interp = interpolate(members, attend(members.features, ga))
 
     # the lines csv.writer would write: no field holds a comma, quote or
     # newline, and repr of a python float is its shortest round-trip text.

@@ -1,11 +1,12 @@
 """Group construction and the self-attention weight network.
 
 Groups of K distinct minibatch indices are sampled (with replacement
-across groups) as the rows of an (m, K) index array. Each ordered member
-is gathered by index and projected through its own affine map, the
-projections are combined by an interaction (concat, sum, or elementwise
-product), and a two-layer net emits K sigmoid weights per group. The sum of
-projections is one tape node, tensor.group_affine.
+across groups) as the rows of an (m, K) index array. The attention net
+reads the groups' (m, K*d) member block, which mixing.gather_members
+builds once per batch: each ordered member is projected through its own
+affine map, the projections are combined by an interaction (concat, sum,
+or elementwise product), and a two-layer net emits K sigmoid weights per
+group. The sum of projections is one tape node, tensor.group_affine.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ def _distinct_draws(rng: np.random.Generator, size, m: int, k: int) -> np.ndarra
     out = np.empty((m, k), dtype=np.int64)
     for t in range(k):
         r = rng.integers(0, size - t, size=m)
-        for taken in np.sort(out[:, :t], axis=1).T:
-            r += r >= taken
+        # no sort for t < 2: zero or one column is already in order
+        taken = out[:, :t] if t < 2 else np.sort(out[:, :t], axis=1)
+        for column in taken.T:
+            r += r >= column
         out[:, t] = r
     return out
 
@@ -121,15 +124,17 @@ class GAParams:
         return out
 
 
-def member_selectors(groups, n: int, k: int) -> list[np.ndarray]:
+def member_selectors(groups, n: int) -> list[np.ndarray]:
     """The K member-index columns of an (m, K) group array over n samples.
 
     This is where group arrays are validated: the array must be integer
-    with shape (m, K) and every index must lie in [0, n), because numpy
-    fancy indexing would silently wrap a negative index."""
+    with shape (m, K), K >= 1, and every index must lie in [0, n), because
+    numpy fancy indexing would silently wrap a negative index. Whoever
+    reads the members checks K against its own: attend against its
+    parameters, blend_rows against its weights."""
     groups = np.asarray(groups)
-    if groups.ndim != 2 or groups.shape[1] != k or not np.issubdtype(groups.dtype, np.integer):
-        raise ShapeError(f"groups must be an integer (m, {k}) array, got "
+    if groups.ndim != 2 or groups.shape[1] < 1 or not np.issubdtype(groups.dtype, np.integer):
+        raise ShapeError(f"groups must be an integer (m, K) array with K >= 1, got "
                          f"{groups.dtype} {groups.shape}")
     if groups.size and (groups.min() < 0 or groups.max() >= n):
         bad = groups[(groups < 0) | (groups >= n)][0]
@@ -137,22 +142,25 @@ def member_selectors(groups, n: int, k: int) -> list[np.ndarray]:
     return list(groups.T)
 
 
-def attend(features: Tensor, groups, params: GAParams) -> Tensor:
-    """Project each ordered member, combine via the interaction, and return
+def attend(members: Tensor, params: GAParams) -> Tensor:
+    """Project each ordered member of the (m, K*d) member block that
+    mixing.gather_members builds, combine via the interaction, and return
     the (m, K) sigmoid attention weights, every entry strictly in (0, 1).
     Differentiable end-to-end."""
-    n, d = features.values.shape
-    if d != params.feature_dim:
-        raise ShapeError(f"features width {d} != GA feature dim {params.feature_dim}")
-    cols = member_selectors(groups, n, params.k)
+    d, k = params.feature_dim, params.k
+    if members.values.ndim != 2 or members.values.shape[1] != k * d:
+        raise ShapeError(f"member block {members.values.shape} does not hold K={k} "
+                         f"members of GA feature dim {d}")
 
     if params.interaction == "sum" and params.proj:
-        combined = T.group_affine(features, groups, [p.weight for p in params.proj],
+        combined = T.group_affine(members, [p.weight for p in params.proj],
                                   [p.bias for p in params.proj])
+    elif params.interaction == "concat" and not params.proj:
+        combined = members  # the block is the members concatenated
     else:
         projected = []
-        for pos, col in enumerate(cols):
-            xk = T.take_rows(features, col)
+        for pos in range(k):
+            xk = T.slice_last(members, pos * d, (pos + 1) * d)
             if params.proj:
                 xk = params.proj[pos](xk)
             projected.append(xk)

@@ -11,6 +11,15 @@ training uses them (each step's loss, every gradient).
 relu's subgradient at 0 is defined as 0, in relu and in affine's fused
 relu alike; grad_check skips coordinates whose finite-difference probes
 cross a relu kink.
+
+Each tensor owns its grad array: no two tensors' grads share memory, so
+``+=`` on one leaf's grad after ``backward`` changes no other grad. A
+backward that has just computed an array for one parent hands it over
+as is, as it may hand views of disjoint parts of one fresh array. A
+backward that hands one array to more than one tensor, or a view of its
+output's grad, passes ``shared=True``, and the first tensor to take it
+stores a copy: add, affine's one-row bias, group_affine's bias gradient
+and concat_last's slices.
 """
 
 from __future__ import annotations
@@ -42,12 +51,13 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, shared=False):
+        """Add ``g`` to this tensor's grad. Unless ``shared``, the first
+        gradient is stored as is, so the caller must not use it again."""
         if g.shape != self.values.shape:
             raise ShapeError(f"gradient {g.shape} for value {self.values.shape}")
         if self.grad is None:
-            # a copy: add's backward hands the same array to both parents
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.array(g) if shared else g
         else:
             self.grad += g
 
@@ -104,10 +114,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            a._accumulate(out.grad)
+            a._accumulate(out.grad, shared=True)
         if b.requires_grad:
             g = out.grad.sum(axis=0, keepdims=True) if bias_row else out.grad
-            b._accumulate(g)
+            b._accumulate(g, shared=not bias_row)
 
     return _make(out_vals, (a, b), backward)
 
@@ -134,7 +144,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def backward(out):
         g = out.grad if mask is None else out.grad * mask
         if b.requires_grad:
-            b._accumulate(g if len(g) == 1 else g.sum(axis=0, keepdims=True))
+            one_row = len(g) == 1
+            b._accumulate(g if one_row else g.sum(axis=0, keepdims=True), shared=one_row)
         if x.requires_grad:
             x._accumulate(g @ w.values.T)
         if w.requires_grad:
@@ -182,7 +193,7 @@ def concat_last(tensors) -> Tensor:
         offset = 0
         for t, w in zip(tensors, widths):
             if t.requires_grad:
-                t._accumulate(out.grad[..., offset:offset + w])
+                t._accumulate(out.grad[..., offset:offset + w], shared=True)
             offset += w
 
     return _make(out_vals, tensors, backward)
@@ -288,61 +299,86 @@ def _scatter_rows(idx, rows, n):
     return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Rows ``a[idx]`` of a matrix; ``idx`` is a 1-D integer array. Indices
-    may repeat, and the gradients of repeated rows add up. Entries must
-    lie in [0, rows): numpy would wrap a negative one, so group indices
-    are checked once, by grouping.member_selectors."""
-    idx = np.asarray(idx)
-    if a.values.ndim != 2 or idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError(f"take_rows: {a.values.shape}[{idx.dtype} {idx.shape}]")
-    out_vals = a.values[idx]
+def gather_rows(a: Tensor, groups) -> Tensor:
+    """The (m, K*d) member block of a (n, d) matrix: row i holds the rows
+    a[groups[i, 0]], ..., a[groups[i, K-1]] side by side, so member k of
+    group i sits in columns [k*d, (k+1)*d). ``groups`` is an (m, K)
+    integer array. Indices may repeat, and the gradients of repeated rows
+    add up in one scatter. Entries must lie in [0, n): numpy would wrap a
+    negative one, so group arrays are checked once, by
+    grouping.member_selectors."""
+    groups = np.asarray(groups)
+    if a.values.ndim != 2 or groups.ndim != 2 or not np.issubdtype(groups.dtype, np.integer):
+        raise ShapeError(f"gather_rows: {a.values.shape}[{groups.dtype} {groups.shape}]")
+    m, (n, d) = len(groups), a.values.shape
+    out_vals = a.values[groups].reshape(m, -1)
 
     def backward(out):
         if a.requires_grad:
-            a._accumulate(_scatter_rows(idx, out.grad, len(a.values)))
+            a._accumulate(_scatter_rows(groups, out.grad.reshape(m, -1, d), n))
 
     return _make(out_vals, (a,), backward)
 
 
-def blend_rows(a: Tensor, groups, w: Tensor) -> Tensor:
-    """Row i is sum_k w[i, k] * a[groups[i, k]]: each group's members,
-    gathered from a matrix by index and blended with that group's weights.
-    ``groups`` is an (m, K) integer array and ``w`` an (m, K) tensor. As in
-    take_rows, indices may repeat and are range-checked by
-    grouping.member_selectors. The backward reaches both ``a`` and ``w``."""
-    groups = np.asarray(groups)
-    if (a.values.ndim != 2 or groups.ndim != 2 or w.values.shape != groups.shape
-            or not np.issubdtype(groups.dtype, np.integer)):
-        raise ShapeError(f"blend_rows: {a.values.shape}[{groups.shape}] * {w.values.shape}")
-    members = a.values[groups]  # (m, K, n)
-    out_vals = np.einsum("mk,mkn->mn", w.values, members)
+def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns [start, stop) of a matrix."""
+    if a.values.ndim != 2 or not 0 <= start < stop <= a.values.shape[1]:
+        raise ShapeError(f"slice_last: {a.values.shape}[:, {start}:{stop}]")
+    out_vals = a.values[:, start:stop]
 
     def backward(out):
         if a.requires_grad:
-            a._accumulate(_scatter_rows(groups, w.values[:, :, None] * out.grad[:, None, :],
-                                        len(a.values)))
+            g = np.zeros_like(a.values)
+            g[:, start:stop] = out.grad
+            a._accumulate(g)
+
+    return _make(out_vals, (a,), backward)
+
+
+def _member_width(members: Tensor, k: int, op: str) -> int:
+    """The width d of each of the K members in an (m, K*d) member block."""
+    if members.values.ndim != 2 or k < 1 or members.values.shape[1] % k:
+        raise ShapeError(f"{op}: member block {members.values.shape} for K={k}")
+    return members.values.shape[1] // k
+
+
+def blend_rows(members: Tensor, w: Tensor) -> Tensor:
+    """Row i is sum_k w[i, k] * (member k of row i): each group's members,
+    blended with that group's weights. ``members`` is an (m, K*n) member
+    block, as gather_rows builds, and ``w`` an (m, K) tensor. The backward
+    reaches both ``members`` and ``w``."""
+    if w.values.ndim != 2:
+        raise ShapeError(f"blend_rows: weights {w.values.shape} are not a matrix")
+    m, k = w.values.shape
+    n = _member_width(members, k, "blend_rows")
+    if len(members.values) != m:
+        raise ShapeError(f"blend_rows: member block {members.values.shape} * {w.values.shape}")
+    block = members.values.reshape(m, k, n)
+    out_vals = np.einsum("mk,mkn->mn", w.values, block)
+
+    def backward(out):
+        if members.requires_grad:
+            members._accumulate((w.values[:, :, None] * out.grad[:, None, :]).reshape(m, -1))
         if w.requires_grad:
-            w._accumulate(np.einsum("mn,mkn->mk", out.grad, members))
+            w._accumulate(np.einsum("mn,mkn->mk", out.grad, block))
 
-    return _make(out_vals, (a, w), backward)
+    return _make(out_vals, (members, w), backward)
 
 
-def group_affine(a: Tensor, groups, weights, biases) -> Tensor:
-    """Row i is sum_k a[groups[i, k]] @ weights[k] + biases[k]: each group
-    member through the affine map of its position, summed over the group.
-    ``groups`` is an (m, K) integer array, range-checked as in blend_rows;
-    ``weights`` are K (d, h) tensors and ``biases`` K (1, h) tensors, and one
-    tensor may serve several positions. The members of the positions that
-    share a weight are summed first, so the whole sum is one matmul of the
-    (m, J*d) member block with the J distinct weights stacked by row."""
-    groups = np.asarray(groups)
+def group_affine(members: Tensor, weights, biases) -> Tensor:
+    """Row i is sum_k (member k of row i) @ weights[k] + biases[k]: each
+    group member through the affine map of its position, summed over the
+    group. ``members`` is an (m, K*d) member block, as gather_rows builds;
+    ``weights`` are K (d, h) tensors and ``biases`` K (1, h) tensors, and
+    one tensor may serve several positions. The members of the positions
+    that share a weight are summed first, so the whole sum is one matmul
+    of the (m, J*d) block of sums with the J distinct weights stacked by
+    row."""
     weights, biases = list(weights), list(biases)
-    if (a.values.ndim != 2 or groups.ndim != 2 or not np.issubdtype(groups.dtype, np.integer)
-            or not len(weights) == len(biases) == groups.shape[1] > 0):
-        raise ShapeError(f"group_affine: {a.values.shape}[{groups.shape}] with "
-                         f"{len(weights)} weights, {len(biases)} biases")
-    m, d = len(groups), a.values.shape[1]
+    if len(weights) != len(biases):
+        raise ShapeError(f"group_affine: {len(weights)} weights, {len(biases)} biases")
+    k = len(weights)
+    d = _member_width(members, k, "group_affine")
     h = weights[0].values.shape[-1:]
     if (any(w.values.shape != (d, *h) for w in weights)
             or any(b.values.shape != (1, *h) for b in biases)):
@@ -350,31 +386,34 @@ def group_affine(a: Tensor, groups, weights, biases) -> Tensor:
                          f"biases {[b.values.shape for b in biases]} for width {d}")
     distinct = list({id(w): w for w in weights}.values())
     slot = [distinct.index(w) for w in weights]
-    members = a.values[groups]  # (m, K, d)
-    if len(distinct) == len(weights):
-        block = members.reshape(m, -1)
+    m = len(members.values)
+    if len(distinct) == k:
+        block = members.values
     else:
+        split = members.values.reshape(m, k, d)
         block = np.zeros((m, len(distinct), d))
-        for k, j in enumerate(slot):
-            block[:, j] += members[:, k]
+        for pos, j in enumerate(slot):
+            block[:, j] += split[:, pos]
         block = block.reshape(m, -1)
     stacked = np.concatenate([w.values for w in distinct])  # (J*d, h)
     out_vals = block @ stacked + sum(b.values for b in biases)
 
     def backward(out):
-        if a.requires_grad:
-            g_block = (out.grad @ stacked.T).reshape(m, len(distinct), d)
-            a._accumulate(_scatter_rows(groups, g_block[:, slot], len(a.values)))
+        if members.requires_grad:
+            g_block = out.grad @ stacked.T
+            if len(distinct) != k:
+                g_block = g_block.reshape(m, len(distinct), d)[:, slot].reshape(m, -1)
+            members._accumulate(g_block)
         g_stacked = block.T @ out.grad
         for j, w in enumerate(distinct):
             if w.requires_grad:
-                w._accumulate(g_stacked[j * d:(j + 1) * d])
+                w._accumulate(g_stacked[j * d:(j + 1) * d])  # disjoint rows: no copy
         g_bias = out.grad.sum(axis=0, keepdims=True)
         for b in biases:
             if b.requires_grad:
-                b._accumulate(g_bias)
+                b._accumulate(g_bias, shared=True)
 
-    return _make(out_vals, (a, *distinct, *biases), backward)
+    return _make(out_vals, (members, *distinct, *biases), backward)
 
 
 def normalize_rows(w: Tensor, eps: float) -> Tensor:

@@ -16,7 +16,7 @@ from .data import NoisyDataset, one_hot
 from .errors import AfmError, ConfigError, NumericError
 from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
                        sample_groups)
-from .mixing import InterpolationBatch, interpolate
+from .mixing import InterpolationBatch, gather_members, interpolate
 from .model import Model
 from .tensor import Tensor, backward
 
@@ -209,15 +209,16 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
     return T.add(loss_afm, loss_org)
 
 
-def _attention_stats(weights, groups, batch_idx, noise_mask):
-    """Sums and counts of the normalized (m, K) attention ``weights`` on
-    clean and on noisy members, over the groups that mix at least one clean
-    and one noisy sample. Uses hidden clean labels for evaluation only."""
-    noisy = noise_mask[batch_idx][groups]
+def _attention_stats(weights, noisy):
+    """The mean normalized attention weight on clean and on noisy members,
+    over the groups that mix at least one clean and one noisy sample; NaN
+    where there is none. ``weights`` are (G, K) and ``noisy`` flags the
+    mislabeled members of the same G groups, from hidden clean labels that
+    serve evaluation only."""
     mixed = noisy.any(axis=1) & ~noisy.all(axis=1)
     w, noisy = weights[mixed], noisy[mixed]
-    return (float(w[~noisy].sum()), int((~noisy).sum()),
-            float(w[noisy].sum()), int(noisy.sum()))
+    return (float(w[~noisy].mean()) if (~noisy).any() else float("nan"),
+            float(w[noisy].mean()) if noisy.any() else float("nan"))
 
 
 def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, MetricsLog]:
@@ -270,7 +271,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
         opt.lr = lr_e
         order = train_idx[data_rng.permutation(len(train_idx))]
         losses = []
-        cs, cn, ns, nn = 0.0, 0, 0.0, 0
+        step_weights, step_noisy = [], []  # of each afm step, for _attention_stats
         for start in range(0, len(order) - config.k + 1, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
             nb = len(batch_idx)
@@ -283,20 +284,21 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
             if mixing and config.mode == "afm":
                 groups = sample_groups(dataset.given_labels[batch_idx], m,
                                        config.k, config.intra_ratio, rng=group_rng)
-                interp = interpolate(feats, y, groups, attend(feats, groups, ga))
-                dcs, dcn, dns, dnn = _attention_stats(interp.weights.values, groups,
-                                                      batch_idx, dataset.noise_mask)
-                cs, cn, ns, nn = cs + dcs, cn + dcn, ns + dns, nn + dnn
+                members = gather_members(feats, y, groups)
+                interp = interpolate(members, attend(members.features, ga))
+                step_weights.append(interp.weights.values)
+                step_noisy.append(dataset.noise_mask[batch_idx[groups]])
             elif mixing and config.mode in ("standard-mixup", "manifold-mixup"):
                 # pairs blended with fixed (w, 1 - w) weights
                 groups = sample_groups(dataset.given_labels[batch_idx], m, 2,
                                        rng=group_rng)
                 w = group_rng.beta(config.beta_param, config.beta_param, size=m)
                 pair_w = T.constant(np.column_stack([w, 1.0 - w]))
-                if config.mode == "manifold-mixup":
-                    interp = interpolate(feats, y, groups, pair_w, epsilon=0.0)
-                else:  # standard mixup blends the inputs, then extracts features
-                    interp = interpolate(x, y, groups, pair_w, epsilon=0.0)
+                # manifold mixup blends the features; standard mixup blends
+                # the inputs, then extracts features
+                source = feats if config.mode == "manifold-mixup" else x
+                interp = interpolate(gather_members(source, y, groups), pair_w, epsilon=0.0)
+                if config.mode == "standard-mixup":
                     interp.features = model.extract_features(interp.features)
 
             loss = compute_loss(model, feats, y, interp, config)
@@ -312,12 +314,16 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
             preds = model.inference_predict(test_x)
         except NumericError as exc:
             raise NumericError(f"test evaluation at epoch {epoch}: {exc}") from exc
+        attn_clean = attn_noisy = float("nan")
+        if step_weights:
+            attn_clean, attn_noisy = _attention_stats(np.concatenate(step_weights),
+                                                      np.concatenate(step_noisy))
         log.append(
             epoch=epoch,
             train_loss=float(np.mean(losses)) if losses else float("nan"),
             test_acc=float(np.mean(preds == test_y)),
-            mean_attn_clean=cs / cn if cn else float("nan"),
-            mean_attn_noisy=ns / nn if nn else float("nan"),
+            mean_attn_clean=attn_clean,
+            mean_attn_noisy=attn_noisy,
             lr=lr_e,
         )
         state.epoch = epoch + 1

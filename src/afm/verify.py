@@ -20,7 +20,7 @@ from .data import generate, inject_noise, one_hot
 from .errors import SubgradientWarning
 from .grouping import (GAParams, attend, pure_noisy_group_ratio, sample_groups,
                        sampled_pure_noisy_ratio)
-from .mixing import interpolate
+from .mixing import gather_members, interpolate
 from .model import Model
 from .training import (TrainConfig, compute_loss, save_state, load_state,
                        train)
@@ -48,16 +48,18 @@ PRIMITIVE_CASES = {
     "reciprocal": (lambda ls: T.sum_reduce(T.reciprocal(ls[0])), [(3, 4)]),
     # row 2 is taken three times and row 1 never: a sample can sit in
     # several groups, and a batch row need not be in any
-    "take-rows": (lambda ls: T.sum_reduce(
-        T.mul(T.take_rows(ls[0], np.array([2, 0, 2, 3, 2])), _ramp(5, 4))), [(4, 4)]),
-    # rows repeat across groups here too; the gradient reaches rows and weights
-    "blend-rows": (lambda ls: T.sum_reduce(T.mul(T.blend_rows(
-        ls[0], np.array([[2, 0], [2, 3], [0, 2]]), ls[1]), _ramp(3, 4))), [(4, 4), (3, 2)]),
-    # row 2 is taken twice and row 1 never; one weight and one bias tensor
-    # serve positions 0 and 2, so their members are summed before the matmul
+    "gather-rows": (lambda ls: T.sum_reduce(T.mul(T.gather_rows(
+        ls[0], np.array([[2, 0], [2, 3], [0, 2]])), _ramp(3, 6))), [(4, 3)]),
+    "slice-last": (lambda ls: T.sum_reduce(T.mul(T.slice_last(ls[0], 1, 3), _ramp(3, 2))),
+                   [(3, 4)]),
+    # a (3, 2*4) member block: the gradient reaches the members and the weights
+    "blend-rows": (lambda ls: T.sum_reduce(T.mul(T.blend_rows(ls[0], ls[1]), _ramp(3, 4))),
+                   [(3, 8), (3, 2)]),
+    # a (2, 3*3) member block; one weight and one bias tensor serve
+    # positions 0 and 2, so their members are summed before the matmul
     "group-affine": (lambda ls: T.sum_reduce(T.mul(T.group_affine(
-        ls[0], np.array([[2, 0, 2], [3, 2, 0]]), [ls[1], ls[2], ls[1]], [ls[3], ls[4], ls[3]]),
-        _ramp(2, 2))), [(4, 3), (3, 2), (3, 2), (1, 2), (1, 2)]),
+        ls[0], [ls[1], ls[2], ls[1]], [ls[3], ls[4], ls[3]]), _ramp(2, 2))),
+        [(2, 9), (3, 2), (3, 2), (1, 2), (1, 2)]),
     "normalize-rows": (lambda ls: T.sum_reduce(T.mul(T.normalize_rows(ls[0], 0.5),
                                                      _ramp(3, 4))), [(3, 4)]),
     # strictly positive targets: a probe below t = 0 leaves KL undefined
@@ -104,7 +106,8 @@ def check_gradients(inject_fault=None):
 def build_afm_loss_graph(leaves, labels, groups, config):
     """The afm training loss as a function of (inputs, backbone, classifier,
     projection and attention parameters): the same extract_features,
-    attend, interpolate and compute_loss calls that train() makes."""
+    gather_members, attend, interpolate and compute_loss calls that
+    train() makes."""
     x, *params = leaves
     d0, d = params[0].values.shape
     model = Model([d0, d], labels.shape[1], shared_classifiers=True)
@@ -113,7 +116,8 @@ def build_afm_loss_graph(leaves, labels, groups, config):
     for layer, (w, b) in zip(layers, zip(params[::2], params[1::2])):
         layer.weight, layer.bias = w, b
     feats = model.extract_features(x)
-    interp = interpolate(feats, labels, groups, attend(feats, groups, ga))
+    members = gather_members(feats, labels, groups)
+    interp = interpolate(members, attend(members.features, ga))
     return compute_loss(model, feats, labels, interp, config)
 
 
@@ -151,14 +155,15 @@ def check_order_symmetry():
         feats = T.constant(rng.normal(size=(8, 6)))
         labels = rng.integers(0, 3, size=8)
         groups = sample_groups(labels, 4, 2, rng=rng)
-        swapped = groups[:, ::-1]
+        members = gather_members(feats, one_hot(labels, 3), groups).features
+        swapped = gather_members(feats, one_hot(labels, 3), groups[:, ::-1]).features
         shared = GAParams(6, 2, "sum", "shared", np.random.default_rng(1000 + trial))
-        w1 = attend(feats, groups, shared).values
-        w2 = attend(feats, swapped, shared).values
+        w1 = attend(members, shared).values
+        w2 = attend(swapped, shared).values
         invariant += int(np.array_equal(w1, w2))
         distinct = GAParams(6, 2, "sum", "distinct", np.random.default_rng(2000 + trial))
-        v1 = attend(feats, groups, distinct).values
-        v2 = attend(feats, swapped, distinct).values
+        v1 = attend(members, distinct).values
+        v2 = attend(swapped, distinct).values
         sensitive += int(np.abs(v1 - v2).max() > 1e-9)
     return (invariant == 100 and sensitive >= 99,
             f"shared bit-identical {invariant}/100, distinct differ {sensitive}/100")
@@ -194,7 +199,8 @@ def check_simplex_and_hull():
         labels_int = rng.integers(0, 3, size=n)
         groups = sample_groups(labels_int, m, 2, rng=rng)
         ga = GAParams(7, 2, rng=rng)
-        out = interpolate(feats, one_hot(labels_int, 3), groups, attend(feats, groups, ga))
+        members = gather_members(feats, one_hot(labels_int, 3), groups)
+        out = interpolate(members, attend(members.features, ga))
         s = out.soft_labels.values
         worst_sum = max(worst_sum, np.abs(s.sum(axis=1) - 1.0).max())
         worst_neg = min(worst_neg, s.min())
@@ -236,16 +242,16 @@ def run_all(inject_fault=None):
     feats = T.constant(rng.normal(size=(6, 5)))
     labels_int = rng.integers(0, 3, size=6)
     groups = sample_groups(labels_int, 4, 2, rng=rng)
-    w = attend(feats, groups, GAParams(5, 2, rng=rng)).values
+    members = gather_members(feats, one_hot(labels_int, 3), groups)
+    w = attend(members.features, GAParams(5, 2, rng=rng)).values
     results.append(("attention-weight-range", bool(np.all((w > 0) & (w < 1))),
                     f"range [{w.min():.3f}, {w.max():.3f}]"))
     results.append(("order-symmetry", *check_order_symmetry()))
     results.append(("pure-noisy-ratio", *check_pure_noisy_ratio()))
     results.append(("simplex-and-hull", *check_simplex_and_hull()))
-    labels = one_hot(labels_int, 3)
     raw = rng.uniform(0.1, 0.9, size=(len(groups), 2))
-    a1 = interpolate(feats, labels, groups, T.constant(raw), 0.0)
-    a2 = interpolate(feats, labels, groups, T.constant(raw * 3.7), 0.0)
+    a1 = interpolate(members, T.constant(raw), 0.0)
+    a2 = interpolate(members, T.constant(raw * 3.7), 0.0)
     scale_ok = np.allclose(a1.features.values, a2.features.values, atol=1e-12)
     results.append(("weight-scale-invariance", bool(scale_ok),
                     "common positive scaling leaves interpolations unchanged"))

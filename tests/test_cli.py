@@ -14,7 +14,7 @@ from afm.cli import DATA_KEYS, KEY_ALIASES, TRAIN_KEY_TYPES, main, parse_config
 from afm.data import load_dataset, one_hot
 from afm.errors import ConfigError
 from afm.grouping import attend, sample_groups
-from afm.mixing import interpolate
+from afm.mixing import gather_members, interpolate
 from afm.training import TrainConfig, load_state
 
 SMALL = """
@@ -258,8 +258,9 @@ def test_dump_features_bytes_match_csv_writer(config_file, tmp_path):
                        int(ds.noise_mask[i]), 0, ""])
     tr = ds.train_idx
     groups = sample_groups(ds.given_labels[tr], 7, ga.k, rng=np.random.default_rng(3))
-    interp = interpolate(T.constant(feats[tr]), one_hot(ds.given_labels[tr], ds.n_classes),
-                         groups, attend(T.constant(feats[tr]), groups, ga))
+    members = gather_members(T.constant(feats[tr]), one_hot(ds.given_labels[tr], ds.n_classes),
+                             groups)
+    interp = interpolate(members, attend(members.features, ga))
     for f, w in zip(interp.features.values, interp.weights.values):
         rows.append([repr(float(v)) for v in f]
                     + [-1, -1, 0, 1, "|".join(repr(float(v)) for v in w)])

@@ -1,5 +1,6 @@
 """Group sampling, the attention net, and the pure-noisy-group ratio."""
 
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 
@@ -57,6 +58,23 @@ def test_sample_groups_fixed_ratio():
     assert is_intra(labels, groups).tolist() == [True] * 3 + [False] * 7
 
 
+@pytest.mark.parametrize("k,intra_ratio,digest", [
+    (2, None, "29bdbffd85c54f34435ee49fa36341558fddbff98e630a791a3122ff7937c3e2"),
+    (2, 0.5, "97900f19e92e5661411082ddeae22e2c31dc388572dbc772d7a64501b21798f6"),
+    (3, None, "d107e92481dcdb80e8698057193300b987e0c18ab874b5667c51332b0da374e6"),
+    (3, 0.5, "d5a659a226a92367c07f1f98ba6183c5895b6e95ad42a770b9454429a6aed191"),
+    (4, None, "d2217ce1c9de62955d37044a862dc03c5d8eddafab31fd45e4695cc0ca3dd2e6"),
+    (4, 0.5, "8d344fba08ed3f2294e061d365ab685db023d280d27247f4d114f999809c3c5e"),
+])
+def test_sample_groups_output_pinned(k, intra_ratio, digest):
+    """sha256 of the groups, recorded before the draws skipped sorting one
+    column: a change to the draws or to the rng stream fails here."""
+    groups = sample_groups(np.arange(60) % 3, 200, k, intra_ratio,
+                           rng=np.random.default_rng([k, 7]))
+    assert groups.dtype == np.int64 and groups.shape == (200, k)
+    assert hashlib.sha256(groups.tobytes()).hexdigest() == digest
+
+
 def test_sample_groups_ordered_pair_frequencies():
     # every ordered pair of distinct members is equally likely: for n=4,
     # K=2 each of the 12 pairs lies within 3 binomial sigma of 1/12
@@ -103,20 +121,20 @@ def test_sample_groups_rejects_bad_args():
 
 
 def test_member_selectors_gather():
-    cols = member_selectors(np.array([[2, 0], [1, 2]]), 3, 2)
+    cols = member_selectors(np.array([[2, 0], [1, 2]]), 3)
     feats = np.arange(12.0).reshape(3, 4)
     np.testing.assert_array_equal(feats[cols[0]], feats[[2, 1]])
     np.testing.assert_array_equal(feats[cols[1]], feats[[0, 2]])
 
 
 def test_member_selectors_bad_index():
-    for groups in ([[0, 5]],       # past the end
-                   [[0, -1]],      # numpy would wrap this to the last row
-                   [[0, 1, 2]],    # K=3 where K=2 is expected
-                   [0, 1],         # not a 2-D array
-                   [[0.0, 1.0]]):  # not integer
+    for groups in (np.array([[0, 5]]),          # past the end
+                   np.array([[0, -1]]),         # numpy would wrap this to the last row
+                   np.zeros((1, 0), np.int64),  # no members
+                   np.array([0, 1]),            # not a 2-D array
+                   np.array([[0.0, 1.0]])):     # not integer
         with pytest.raises(ShapeError):
-            member_selectors(np.array(groups), 3, 2)
+            member_selectors(groups, 3)
 
 
 @pytest.mark.parametrize("interaction", ["concat", "sum", "mul"])
@@ -126,7 +144,7 @@ def test_attend_weight_shape_and_range(interaction, projections):
     params = GAParams(6, 2, interaction, projections, rng)
     feats = T.constant(np.random.default_rng(1).standard_normal((10, 6)))
     groups = sample_groups(labels_balanced(10), 5, 2, rng=np.random.default_rng(2))
-    w = attend(feats, groups, params)
+    w = attend(T.gather_rows(feats, groups), params)
     assert w.values.shape == (5, 2)
     assert np.all(w.values > 0.0)
     assert np.all(w.values < 1.0)
@@ -136,7 +154,7 @@ def test_attend_gradients_reach_projections():
     params = GAParams(4, 2, "sum", "distinct", np.random.default_rng(0))
     feats = T.constant(np.random.default_rng(1).standard_normal((6, 4)))
     groups = sample_groups(labels_balanced(6), 3, 2, rng=np.random.default_rng(2))
-    backward(T.sum_reduce(attend(feats, groups, params)))
+    backward(T.sum_reduce(attend(T.gather_rows(feats, groups), params)))
     for name, p in params.parameters():
         if name.endswith("weight"):
             assert p.grad is not None and np.abs(p.grad).sum() > 0, name
@@ -147,8 +165,8 @@ def test_order_invariance_sum_shared():
     params = GAParams(5, 2, "sum", "shared", np.random.default_rng(3))
     feats = T.constant(np.random.default_rng(4).standard_normal((8, 5)))
     groups = sample_groups(labels_balanced(8), 6, 2, rng=np.random.default_rng(5))
-    w1 = attend(feats, groups, params).values
-    w2 = attend(feats, groups[:, ::-1], params).values
+    w1 = attend(T.gather_rows(feats, groups), params).values
+    w2 = attend(T.gather_rows(feats, groups[:, ::-1]), params).values
     np.testing.assert_array_equal(w1, w2)  # bit-identical
 
 
@@ -156,16 +174,18 @@ def test_order_sensitivity_distinct_projections():
     params = GAParams(5, 2, "sum", "distinct", np.random.default_rng(3))
     feats = T.constant(np.random.default_rng(4).standard_normal((8, 5)))
     groups = sample_groups(labels_balanced(8), 6, 2, rng=np.random.default_rng(5))
-    w1 = attend(feats, groups, params).values
-    w2 = attend(feats, groups[:, ::-1], params).values
+    w1 = attend(T.gather_rows(feats, groups), params).values
+    w2 = attend(T.gather_rows(feats, groups[:, ::-1]), params).values
     assert np.abs(w1 - w2).max() > 1e-9
 
 
 def test_attend_feature_dim_mismatch():
+    # the member block's width must be K times the GA feature dim
     params = GAParams(5, 2, rng=np.random.default_rng(0))
-    with pytest.raises(ShapeError):
-        attend(T.constant(np.zeros((4, 3))),
-               np.array([[0, 1]]), params)
+    assert attend(T.constant(np.zeros((4, 10))), params).values.shape == (4, 2)
+    for shape in ((4, 6), (4, 15), (10,)):  # width 3 members, K=3, not a matrix
+        with pytest.raises(ShapeError):
+            attend(T.constant(np.zeros(shape)), params)
 
 
 def test_gaparams_rejects_unknown_modes():

@@ -114,6 +114,30 @@ def test_add_gradients_are_unaliased():
     np.testing.assert_array_equal(doubled.grad, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("graph,shapes", [
+    (lambda ls: T.add(*ls), [(2, 3), (2, 3)]),
+    (lambda ls: T.affine(*ls), [(1, 4), (4, 3), (1, 3)]),
+    # positions 0 and 2 share one weight and one bias tensor
+    (lambda ls: T.group_affine(ls[0], [ls[1], ls[2], ls[1]], [ls[3], ls[4], ls[3]]),
+     [(2, 9), (3, 2), (3, 2), (1, 2), (1, 2)]),
+    (lambda ls: T.concat_last([ls[0], ls[1], ls[0]]), [(2, 3), (2, 4)]),
+], ids=["add", "one-row-affine", "group-affine", "concat-last"])
+def test_gradients_are_unaliased_after_backward(graph, shapes):
+    """A backward that hands one array to several tensors copies it, so
+    += on one leaf's grad leaves every other grad, the intermediate
+    tensors' included, unchanged."""
+    leaves = [Tensor(rnd(*s, seed=i), requires_grad=True) for i, s in enumerate(shapes)]
+    out = graph(leaves)
+    backward(T.sum_reduce(T.mul(out, T.constant(rnd(*out.values.shape, seed=9)))))
+    tensors = [*leaves, out]
+    for t in tensors:
+        before = [u.grad.copy() for u in tensors]
+        t.grad += 1.0
+        for u, g in zip(tensors, before):
+            if u is not t:
+                np.testing.assert_array_equal(u.grad, g)
+
+
 def test_gradient_of_wrong_shape_raises():
     x = Tensor(rnd(2, 3), requires_grad=True)
     with pytest.raises(ShapeError):
@@ -127,9 +151,9 @@ def test_gradient_of_wrong_shape_raises():
 @given(n=st.integers(1, 6), d=st.integers(1, 4), k=st.integers(0, 3),
        m=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
 def test_scatter_rows_equals_add_at_bit_for_bit(n, d, k, m, seed):
-    """k == 0 gives a 1-D index as in take_rows, k >= 1 an (m, k) one as in
-    blend_rows. Drawing m*k indices from n rows repeats rows and leaves
-    others untaken."""
+    """k == 0 gives a 1-D index, k >= 1 an (m, k) one as in gather_rows.
+    Drawing m*k indices from n rows repeats rows and leaves others
+    untaken."""
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(m,) if k == 0 else (m, k))
     rows = rng.standard_normal(idx.shape + (d,)) * 10.0 ** rng.integers(-8, 9, idx.shape + (d,))
@@ -146,27 +170,48 @@ def test_backward_requires_scalar_root():
         backward(T.relu(x))
 
 
-def test_take_rows_repeated_rows_add_gradients():
-    a = Tensor(rnd(3, 2), requires_grad=True)
-    out = T.take_rows(a, np.array([2, 0, 2]))
-    np.testing.assert_array_equal(out.values, a.values[[2, 0, 2]])
-    backward(T.sum_reduce(out))
-    np.testing.assert_array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+def test_gather_rows_repeated_rows_add_gradients():
+    # row 2 is taken three times and row 1 never
+    a = Tensor(rnd(4, 2), requires_grad=True)
+    groups = np.array([[2, 0], [3, 2], [2, 0]])
+    out = T.gather_rows(a, groups)
+    np.testing.assert_array_equal(out.values, np.hstack([a.values[groups[:, 0]],
+                                                         a.values[groups[:, 1]]]))
+    backward(T.sum_reduce(T.mul(out, T.constant(np.arange(12.0).reshape(3, 4)))))
+    # member k of row i sits in columns [2k, 2k + 2)
+    np.testing.assert_array_equal(a.grad, [[2 + 10, 3 + 11], [0, 0],
+                                           [0 + 6 + 8, 1 + 7 + 9], [4, 5]])
+    for bad in (np.array([0, 1]), np.array([[0.0, 1.0]])):
+        with pytest.raises(ShapeError):
+            T.gather_rows(a, bad)
     with pytest.raises(ShapeError):
-        T.take_rows(a, np.array([[0, 1]]))
+        T.gather_rows(T.constant(rnd(4)), groups)
+
+
+def test_slice_last_columns_and_gradient():
+    a = Tensor(rnd(2, 5), requires_grad=True)
+    out = T.slice_last(a, 1, 3)
+    np.testing.assert_array_equal(out.values, a.values[:, 1:3])
+    backward(T.sum_reduce(out))
+    np.testing.assert_array_equal(a.grad, [[0, 1, 1, 0, 0]] * 2)
+    for start, stop in ((2, 2), (-1, 2), (3, 6)):
+        with pytest.raises(ShapeError):
+            T.slice_last(a, start, stop)
 
 
 def test_blend_rows_matches_member_sum():
     a = T.constant(rnd(4, 3))
     groups = np.array([[2, 0], [2, 3], [1, 1]])
     w = T.constant(rnd(3, 2, seed=1))
-    out = T.blend_rows(a, groups, w)
+    out = T.blend_rows(T.gather_rows(a, groups), w)
     expect = np.einsum("mk,mkn->mn", w.values, a.values[groups])
     np.testing.assert_allclose(out.values, expect, rtol=1e-15)
+    block = T.gather_rows(a, groups)
+    for bad in (rnd(3, 4), rnd(2, 2), rnd(3), rnd(3, 0)):
+        with pytest.raises(ShapeError):
+            T.blend_rows(block, T.constant(bad))
     with pytest.raises(ShapeError):
-        T.blend_rows(a, groups, T.constant(rnd(3, 3)))
-    with pytest.raises(ShapeError):
-        T.blend_rows(a, groups.astype(np.float64), w)
+        T.blend_rows(T.constant(rnd(3, 7)), w)
 
 
 def test_kl_from_logits_one_hot_is_cross_entropy():
@@ -293,8 +338,9 @@ def test_grad_check_catches_wrong_gradient():
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_group_affine_equals_per_position_sum(shared):
-    """group_affine against take_rows, matmul and add per position, the
-    graph it replaces, for values and for every gradient."""
+    """group_affine of the member block against one gather, matmul and
+    add per position, the graph it replaces, for values and for every
+    gradient."""
     groups = np.array([[2, 0, 2], [3, 2, 1], [0, 0, 3]])
     names = ("a", "w0", "w1", "w2", "b0", "b1", "b2")
     shapes = [(4, 5)] + [(5, 3)] * 3 + [(1, 3)] * 3
@@ -311,11 +357,11 @@ def test_group_affine_equals_per_position_sum(shared):
         ls = leaves()
         ws, bs = [ls["w0"], ls["w1"], ls["w2"]], [ls["b0"], ls["b1"], ls["b2"]]
         if fused:
-            out = T.group_affine(ls["a"], groups, ws, bs)
+            out = T.group_affine(T.gather_rows(ls["a"], groups), ws, bs)
         else:
             out = None
             for k in range(3):
-                xk = T.add(T.matmul(T.take_rows(ls["a"], groups[:, k]), ws[k]), bs[k])
+                xk = T.add(T.matmul(T.gather_rows(ls["a"], groups[:, k:k + 1]), ws[k]), bs[k])
                 out = xk if out is None else T.add(out, xk)
         backward(T.sum_reduce(T.mul(out, T.constant(rnd(3, 3, seed=9)))))
         return out.values, [ls[n].grad for n in names]
@@ -327,16 +373,16 @@ def test_group_affine_equals_per_position_sum(shared):
 
 
 def test_group_affine_shape_errors():
-    a = T.constant(rnd(4, 3))
+    members = T.constant(rnd(2, 6))  # two groups of two 3-wide members
     w, b = T.constant(rnd(3, 2)), T.constant(rnd(1, 2))
-    groups = np.array([[0, 1], [2, 3]])
-    assert T.group_affine(a, groups, [w, w], [b, b]).values.shape == (2, 2)
-    for args in ((groups.astype(np.float64), [w, w], [b, b]), (groups, [w], [b]),
-                 (groups, [w, T.constant(rnd(2, 2))], [b, b]),
-                 (groups, [w, w], [b, T.constant(rnd(2, 2))]),
-                 (groups[:, :0], [], [])):
+    assert T.group_affine(members, [w, w], [b, b]).values.shape == (2, 2)
+    for args in ((members, [w], [b]), (members, [w, w], [b]),
+                 (members, [w, T.constant(rnd(2, 2))], [b, b]),
+                 (members, [w, w], [b, T.constant(rnd(2, 2))]),
+                 (members, [], []), (T.constant(rnd(2, 5)), [w, w], [b, b]),
+                 (T.constant(rnd(6)), [w, w], [b, b])):
         with pytest.raises(ShapeError):
-            T.group_affine(a, *args)
+            T.group_affine(*args)
 
 
 # the kernels before their numpy fast paths, kept as byte-for-byte references

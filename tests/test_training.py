@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from afm import tensor as T, training
+from afm import grouping, mixing, tensor as T, training
 from afm.data import generate, inject_noise, one_hot
 from afm.errors import AfmError, ConfigError, NumericError
 from afm.grouping import GAParams, attend, sample_groups
-from afm.mixing import InterpolationBatch, interpolate
+from afm.mixing import InterpolationBatch, gather_members, interpolate
 from afm.model import Model
 from afm.tensor import Tensor
 from afm.training import (MetricsLog, SGD, TrainConfig, _attention_stats,
@@ -121,7 +121,7 @@ def test_mixing_loss_gives_gate_no_gradient_when_prediction_matches():
     y = one_hot(np.array([0, 1, 0, 1]), 2)
     groups = np.array([[0, 1], [2, 3], [1, 2]])
     raw = T.parameter(np.array([[0.9, 0.2], [0.3, 0.6], [0.7, 0.4]]))
-    interp = interpolate(T.constant(np.zeros((4, 2))), y, groups, raw)
+    interp = interpolate(gather_members(T.constant(np.zeros((4, 2))), y, groups), raw)
     # logits log(s) through an identity classifier give p(z) = s
     matched = InterpolationBatch(features=T.constant(np.log(interp.soft_labels.values)),
                                  soft_labels=interp.soft_labels, weights=interp.weights)
@@ -165,7 +165,8 @@ def test_compute_loss_convex_combination():
     feats = model.extract_features(x)
     groups = sample_groups(labels_int, 4, 2, rng=rng)
     ga = GAParams(8, 2, rng=np.random.default_rng(2))
-    interp = interpolate(feats, y, groups, attend(feats, groups, ga))
+    members = gather_members(feats, y, groups)
+    interp = interpolate(members, attend(members.features, ga))
 
     losses = {}
     for lam in (0.0, 0.3, 1.0):
@@ -266,7 +267,7 @@ def test_lambda_zero_runs_no_mixing(monkeypatch, mode):
     def unused(*args, **kwargs):
         raise AssertionError("lambda 0 sampled groups, attended or interpolated")
 
-    for name in ("sample_groups", "attend", "interpolate"):
+    for name in ("sample_groups", "gather_members", "attend", "interpolate"):
         monkeypatch.setattr(training, name, unused)
     state, log = train(tiny_dataset(), tiny_config(mode=mode, lam=0.0, k=4))
     base_state, base_log = train(tiny_dataset(), tiny_config(mode="baseline", lam=0.0))
@@ -277,8 +278,8 @@ def test_lambda_zero_runs_no_mixing(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode,lam,most", [
-    ("afm", 0.75, 14.13), ("baseline", 0.0, 4.13),
-    ("standard-mixup", 0.75, 12.13), ("manifold-mixup", 0.75, 10.13)])
+    ("afm", 0.75, 15.13), ("baseline", 0.0, 4.13),
+    ("standard-mixup", 0.75, 13.13), ("manifold-mixup", 0.75, 11.13)])
 def test_tape_nodes_per_step(monkeypatch, mode, lam, most):
     """Tape nodes made per step over 2 epochs of the default benchmark data,
     end-of-epoch evaluation included: a change that adds nodes fails here."""
@@ -310,9 +311,35 @@ def test_attention_stats_matches_per_group_loop():
             for is_noisy, wi in zip(noisy, w):
                 expect[2 if is_noisy else 0] += wi
                 expect[3 if is_noisy else 1] += 1
-    got = _attention_stats(weights, groups, batch_idx, noise_mask)
-    assert got[1] == expect[1] and got[3] == expect[3]
-    np.testing.assert_allclose(got, expect, rtol=1e-12)
+    assert expect[1] > 0 and expect[3] > 0
+    got = _attention_stats(weights, noise_mask[batch_idx[groups]])
+    assert all(type(v) is float for v in got)
+    np.testing.assert_allclose(got, [expect[0] / expect[1], expect[2] / expect[3]],
+                               rtol=1e-12)
+    # without a group that mixes clean and noisy members, both means are NaN
+    assert np.isnan(_attention_stats(weights, np.zeros((50, 3), bool))).all()
+
+
+def test_afm_step_validates_gathers_and_scatters_once(monkeypatch):
+    """Per afm step, the groups are validated once and the member gradient
+    reaches the backbone features through one scatter, which attend and
+    interpolate share."""
+    calls = {"member_selectors": 0, "_scatter_rows": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(grouping, "member_selectors")
+    counted(mixing, "member_selectors")
+    counted(T, "_scatter_rows")
+    state, _ = train(tiny_dataset(), tiny_config(mode="afm", epochs=2))
+    assert state.step > 0
+    assert calls == {"member_selectors": state.step, "_scatter_rows": state.step}
 
 
 def test_train_learns_something():
