@@ -24,6 +24,7 @@ and concat_last's slices.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -35,11 +36,14 @@ from .errors import NumericError, ShapeError, SubgradientWarning
 # a kink.
 _relu_trace: list[np.ndarray] | None = None
 
+# numbers tape nodes in creation order: a node's parents have lower numbers
+_serial = itertools.count()
+
 
 class Tensor:
     """Dense float64 array participating in the gradient tape."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward", "_n")
 
     def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
@@ -47,9 +51,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g, shared=False):
         """Add ``g`` to this tensor's grad. Unless ``shared``, the first
@@ -71,6 +72,7 @@ def _make(values, parents, backward_fn):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
+        out._n = next(_serial)
     return out
 
 
@@ -468,33 +470,27 @@ def kl_from_logits(logits: Tensor, targets, scale: float = 1.0) -> Tensor:
 def backward(root: Tensor):
     """Populate .grad of every requires_grad tensor reachable from root.
 
-    Gradients accumulate additively across multiple uses of a node (and
-    across repeated backward calls unless zero_grad is used).
+    One pass collects the interior nodes reachable from root and clears
+    their grads, so a stale grad from an earlier call is never replayed.
+    The root is seeded with 1 and each node's backward runs once, in
+    decreasing creation number: a node is made after its parents, so it
+    runs after every node that consumes it. Gradients add up across the
+    uses of a node, and leaves keep adding across repeated calls until
+    their grad is set to None.
     """
     if root.values.ndim != 0:
         raise ShapeError(f"backward root must be scalar, got shape {root.values.shape}")
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    nodes: dict[int, Tensor] = {}
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            # leaves have nothing to propagate: their children's backward
-            # fills their grad
-            if p._backward is not None and id(p) not in visited:
-                stack.append((p, False))
-
+        node = stack.pop()
+        if node._backward is not None and node._n not in nodes:
+            nodes[node._n] = node
+            node.grad = None
+            stack += node._parents
     root._accumulate(np.ones_like(root.values))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node)
+    for _, node in sorted(nodes.items(), reverse=True):
+        node._backward(node)
 
 
 # ---------------------------------------------------------------------------

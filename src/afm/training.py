@@ -151,7 +151,7 @@ class SGD:
 
     def zero_grad(self):
         for _, p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def step(self):
         for (name, p), view in zip(self.params, self._views):

@@ -1,14 +1,20 @@
 """Autodiff engine tests: primitives, backward pass, grad_check."""
 
+import ast
+import pathlib
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from afm import tensor as T
+from afm import tensor as T, verify
+from afm.data import one_hot
 from afm.errors import ShapeError, SubgradientWarning
+from afm.grouping import INTERACTIONS, PROJECTION_MODES, sample_groups
 from afm.tensor import Tensor, backward, grad_check
+from afm.training import TrainConfig
 
 
 def rnd(*shape, seed=0):
@@ -88,12 +94,145 @@ def test_reciprocal_grad():
     np.testing.assert_allclose(x.grad, -1.0 / x.values ** 2)
 
 
-def test_gradient_accumulation_diamond():
-    # x used twice: gradients must add, not overwrite
+def ladder(y, levels):
+    for _ in range(levels):
+        y = T.add(y, y)
+    return y
+
+
+@pytest.mark.parametrize("graph,expect", [
+    (lambda x: T.add(T.mul(x, x), x), 7.0),  # x^2 + x -> d/dx = 2x + 1
+    # y = y + y, 60 times: 2**60 paths lead from the root to x, so a walk
+    # that visits a node once per path would never finish
+    (lambda x: ladder(x, 60), 2.0 ** 60),
+], ids=["square-plus-x", "ladder-60"])
+def test_gradient_accumulation_diamond(graph, expect):
+    # x used more than once: gradients must add, not overwrite
     x = Tensor(np.array([[3.0]]), requires_grad=True)
-    out = T.add(T.mul(x, x), x)  # x^2 + x -> d/dx = 2x + 1
-    backward(T.sum_reduce(out))
-    np.testing.assert_allclose(x.grad, [[7.0]])
+    backward(T.sum_reduce(graph(x)))
+    assert x.grad.tolist() == [[expect]]
+
+
+def afm_loss(k=2, interaction="sum", projections="distinct", seed=11):
+    """Random leaves and the afm training loss over them, built by
+    verify.build_afm_loss_graph. The leaves are the inputs, then a weight
+    and a bias for the backbone layer, the classifier, each projection
+    position and the two attention layers. With shared projections every
+    position's pair is assigned to the one shared layer, so only the last
+    pair is used."""
+    rng = np.random.default_rng(seed)
+    n, d0, d, c = 9, 3, 4, 3
+    config = TrainConfig(k=k, interaction=interaction, projections=projections)
+    labels = rng.permutation(np.repeat(np.arange(c), n // c))
+    groups = sample_groups(labels, 6, k, 0.5, rng=rng)
+    n_proj = 0 if projections == "none" else k
+    d_att = k * d if interaction == "concat" else d
+    leaves = [T.parameter(rng.normal(size=(n, d0)))]
+    for shape in [(d0, d), (d, c)] + [(d, d)] * n_proj + [(d_att, d), (d, k)]:
+        leaves += [T.parameter(rng.normal(size=shape) * 0.5),
+                   T.parameter(rng.normal(size=(1, shape[1])) * 0.1)]
+    return leaves, verify.build_afm_loss_graph(leaves, one_hot(labels, c), groups, config)
+
+
+def smul_chain():
+    x = T.parameter(np.array([1.0, 2.0]))
+    return [x], T.sum_reduce(T.smul(x, 2.0))
+
+
+def matmul_chain():
+    w = T.parameter(np.array([[1.0]]))
+    return [w], T.sum_reduce(T.matmul(T.matmul(w, w), w))
+
+
+@pytest.mark.parametrize("graph,rtol", [(smul_chain, 0.0), (matmul_chain, 0.0),
+                                        (afm_loss, 1e-12)],
+                         ids=["smul-chain", "matmul-chain", "afm-loss"])
+def test_repeated_backward_adds_one_gradient(graph, rtol):
+    """A second backward on the same graph adds each leaf's gradient once
+    more: interior nodes start from zero on every call. The chains are
+    exact; in the afm loss a leaf with several contributions adds them in
+    a different grouping the second time."""
+    leaves, loss = graph()
+    backward(loss)
+    once = [leaf.grad.copy() for leaf in leaves]
+    backward(loss)
+    for leaf, g in zip(leaves, once):
+        if rtol:
+            np.testing.assert_allclose(leaf.grad, 2 * g, rtol=rtol, atol=0)
+        else:
+            assert leaf.grad.tolist() == (2 * g).tolist()
+
+
+@pytest.mark.parametrize("projections", PROJECTION_MODES)
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+def test_backward_runs_each_node_once_after_its_consumers(monkeypatch, interaction,
+                                                          projections):
+    """In every K=3 afm loss graph, backward runs each interior node's
+    backward exactly once, after the backward of every node that consumes
+    it."""
+    leaves, loss = afm_loss(3, interaction, projections)
+    interior, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in interior:
+            interior[id(node)] = node
+            stack.extend(node._parents)
+    ran = []
+
+    def recorded(fn):
+        def run(out):
+            ran.append(id(out))
+            fn(out)
+        return run
+
+    for node in interior.values():
+        node._backward = recorded(node._backward)
+    contributions = {}
+    accumulate = Tensor._accumulate
+
+    def counted(self, g, shared=False):
+        contributions[id(self)] = contributions.get(id(self), 0) + 1
+        accumulate(self, g, shared)
+
+    monkeypatch.setattr(Tensor, "_accumulate", counted)
+    backward(loss)
+    assert sorted(ran) == sorted(interior)
+    order = {i: r for r, i in enumerate(ran)}
+    for node in interior.values():
+        for p in node._parents:
+            if id(p) in interior:
+                assert order[id(node)] < order[id(p)]
+    if projections == "shared" and interaction != "sum":
+        # each position's slice goes through the one shared projection,
+        # whose weight is the last projection pair's
+        assert contributions[id(leaves[-6])] == 3
+
+
+def node_builders():
+    """The functions of afm.tensor that build tape nodes through _make."""
+    tree = ast.parse(pathlib.Path(T.__file__).read_text())
+    return {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+            and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_make"
+                    for c in ast.walk(f))}
+
+
+def test_every_node_builder_has_a_primitive_case(monkeypatch):
+    """Each function that makes tape nodes is reached by at least one
+    verify.PRIMITIVE_CASES entry, so the gradient check covers it."""
+    reached = set()
+    make = T._make
+
+    def recorded(*args):
+        reached.add(sys._getframe(1).f_code.co_name)
+        return make(*args)
+
+    monkeypatch.setattr(T, "_make", recorded)
+    rng = np.random.default_rng(0)
+    for fn, shapes in verify.PRIMITIVE_CASES.values():
+        fn([T.parameter(0.5 + rng.uniform(size=s)) for s in shapes])
+    builders = node_builders()
+    assert {"matmul", "affine", "group_affine", "kl_from_logits"} <= builders
+    assert builders - reached == set()
 
 
 def test_add_gradients_are_unaliased():
