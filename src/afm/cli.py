@@ -11,7 +11,6 @@ import contextlib
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -24,7 +23,6 @@ from .grouping import (attend, pure_noisy_group_ratio, sample_groups,
                        sampled_pure_noisy_ratio)
 from .mixing import gather_members, interpolate
 from .training import (TrainConfig, load_state, save_state, train)
-from .verify import run_all
 
 DATA_KEYS = {
     "data_kind": ("blobs", str),
@@ -161,6 +159,7 @@ def _sweep_worker(job):
 
 
 def cmd_sweep(args) -> int:
+    from concurrent.futures import ProcessPoolExecutor  # imported by this command only
     config, data_spec = parse_config(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     seeds = _parse_list("--seeds", args.seeds, int)
@@ -279,6 +278,7 @@ def cmd_dump_features(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all  # imported by this command only
     results = run_all(inject_fault=args.inject_fault)
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:

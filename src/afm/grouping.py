@@ -124,8 +124,8 @@ class GAParams:
         return out
 
 
-def member_selectors(groups, n: int) -> list[np.ndarray]:
-    """The K member-index columns of an (m, K) group array over n samples.
+def member_selectors(groups, n: int) -> np.ndarray:
+    """The (m, K) group array over n samples as an ndarray, validated.
 
     This is where group arrays are validated: the array must be integer
     with shape (m, K), K >= 1, and every index must lie in [0, n), because
@@ -139,7 +139,7 @@ def member_selectors(groups, n: int) -> list[np.ndarray]:
     if groups.size and (groups.min() < 0 or groups.max() >= n):
         bad = groups[(groups < 0) | (groups >= n)][0]
         raise ShapeError(f"group index {bad} out of range [0, {n})")
-    return list(groups.T)
+    return groups
 
 
 def attend(members: Tensor, params: GAParams) -> Tensor:

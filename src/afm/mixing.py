@@ -56,8 +56,7 @@ def gather_members(features: Tensor, labels, groups) -> GroupMembers:
     n = features.values.shape[0]
     if labels.ndim != 2 or labels.shape[0] != n:
         raise ShapeError(f"labels shape {labels.shape} does not match {n} samples")
-    groups = np.asarray(groups)
-    member_selectors(groups, n)
+    groups = member_selectors(groups, n)
     return GroupMembers(groups=groups, features=T.gather_rows(features, groups),
                         labels=labels[groups].reshape(len(groups), -1))
 

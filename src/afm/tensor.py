@@ -308,7 +308,7 @@ def gather_rows(a: Tensor, groups) -> Tensor:
     integer array. Indices may repeat, and the gradients of repeated rows
     add up in one scatter. Entries must lie in [0, n): numpy would wrap a
     negative one, so group arrays are checked once, by
-    grouping.member_selectors."""
+    grouping.member_selectors, which returns the array it validated."""
     groups = np.asarray(groups)
     if a.values.ndim != 2 or groups.ndim != 2 or not np.issubdtype(groups.dtype, np.integer):
         raise ShapeError(f"gather_rows: {a.values.shape}[{groups.dtype} {groups.shape}]")

@@ -209,6 +209,40 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
     return T.add(loss_afm, loss_org)
 
 
+def draw_step(labels, config: TrainConfig, rng: np.random.Generator):
+    """One step's random draws on a batch with these labels: (groups, Beta
+    weights). afm draws (m, K) groups; the mixup modes draw (m, 2) pairs,
+    then a Beta(b, b) weight per pair; with lambda 0 both are None."""
+    if config.lam == 0.0:
+        return None, None
+    m = config.m if config.m is not None else len(labels)
+    if config.mode == "afm":
+        return sample_groups(labels, m, config.k, config.intra_ratio, rng=rng), None
+    groups = sample_groups(labels, m, 2, rng=rng)
+    return groups, rng.beta(config.beta_param, config.beta_param, size=m)
+
+
+def step_loss(model: Model, ga: GAParams | None, x: Tensor, y, draws,
+              config: TrainConfig) -> tuple[Tensor, InterpolationBatch | None]:
+    """(loss, interpolations) of batch ``x`` with one-hot labels ``y`` and
+    the step's ``draws``, drawing nothing itself. afm blends each group by
+    its attention weights; manifold and standard mixup blend each pair's
+    features or inputs by (w, 1 - w), standard mixup then runs the backbone."""
+    groups, w = draws
+    feats = model.extract_features(x)
+    interp = None
+    if groups is not None and config.mode == "afm":
+        members = gather_members(feats, y, groups)
+        interp = interpolate(members, attend(members.features, ga))
+    elif groups is not None:
+        pair_w = T.constant(np.column_stack([w, 1.0 - w]))
+        source = feats if config.mode == "manifold-mixup" else x
+        interp = interpolate(gather_members(source, y, groups), pair_w, epsilon=0.0)
+        if config.mode == "standard-mixup":
+            interp.features = model.extract_features(interp.features)
+    return compute_loss(model, feats, y, interp, config), interp
+
+
 def _attention_stats(weights, noisy):
     """The mean normalized attention weight on clean and on noisy members,
     over the groups that mix at least one clean and one noisy sample; NaN
@@ -225,9 +259,11 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     """Run the configured training mode; fully reproducible from the seed.
 
     Three independent rng streams (init, data order, grouping) keep the
-    data-order randomness identical across modes. With lambda 0 no mode
-    samples groups or interpolates, so every mode trains as the baseline and
-    the attention columns are NaN. Raises NumericError when
+    data-order randomness identical across modes. A step is draw_step on
+    the grouping stream, step_loss (which afm verify differentiates),
+    backward and SGD. With lambda 0 no mode samples groups or interpolates,
+    so every mode trains as the baseline and the attention columns are
+    NaN. Raises NumericError when
     a step's loss, a gradient or an epoch's test logits are not finite.
     """
     config.validate()
@@ -263,7 +299,6 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     test_x = dataset.features[dataset.test_idx]
     test_y = dataset.clean_labels[dataset.test_idx]
     given_onehot = one_hot(dataset.given_labels, c)
-    mixing = config.lam > 0.0
     log = MetricsLog()
 
     for epoch in range(config.epochs):
@@ -274,34 +309,12 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
         step_weights, step_noisy = [], []  # of each afm step, for _attention_stats
         for start in range(0, len(order) - config.k + 1, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            nb = len(batch_idx)
-            x = T.constant(dataset.features[batch_idx])
-            y = given_onehot[batch_idx]
-            m = config.m if config.m is not None else nb
-
-            feats = model.extract_features(x)
-            interp = None
-            if mixing and config.mode == "afm":
-                groups = sample_groups(dataset.given_labels[batch_idx], m,
-                                       config.k, config.intra_ratio, rng=group_rng)
-                members = gather_members(feats, y, groups)
-                interp = interpolate(members, attend(members.features, ga))
+            draws = draw_step(dataset.given_labels[batch_idx], config, group_rng)
+            loss, interp = step_loss(model, ga, T.constant(dataset.features[batch_idx]),
+                                     given_onehot[batch_idx], draws, config)
+            if ga is not None and interp is not None:
                 step_weights.append(interp.weights.values)
-                step_noisy.append(dataset.noise_mask[batch_idx[groups]])
-            elif mixing and config.mode in ("standard-mixup", "manifold-mixup"):
-                # pairs blended with fixed (w, 1 - w) weights
-                groups = sample_groups(dataset.given_labels[batch_idx], m, 2,
-                                       rng=group_rng)
-                w = group_rng.beta(config.beta_param, config.beta_param, size=m)
-                pair_w = T.constant(np.column_stack([w, 1.0 - w]))
-                # manifold mixup blends the features; standard mixup blends
-                # the inputs, then extracts features
-                source = feats if config.mode == "manifold-mixup" else x
-                interp = interpolate(gather_members(source, y, groups), pair_w, epsilon=0.0)
-                if config.mode == "standard-mixup":
-                    interp.features = model.extract_features(interp.features)
-
-            loss = compute_loss(model, feats, y, interp, config)
+                step_noisy.append(dataset.noise_mask[batch_idx[draws[0]]])
             if not np.isfinite(loss.values):
                 raise NumericError(f"non-finite loss at epoch {epoch}, step {state.step}")
             opt.zero_grad()

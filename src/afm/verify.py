@@ -18,12 +18,12 @@ import numpy as np
 from . import tensor as T
 from .data import generate, inject_noise, one_hot
 from .errors import SubgradientWarning
-from .grouping import (GAParams, attend, pure_noisy_group_ratio, sample_groups,
-                       sampled_pure_noisy_ratio)
+from .grouping import (INTERACTIONS, PROJECTION_MODES, GAParams, attend,
+                       pure_noisy_group_ratio, sample_groups, sampled_pure_noisy_ratio)
 from .mixing import gather_members, interpolate
 from .model import Model
-from .training import (TrainConfig, compute_loss, save_state, load_state,
-                       train)
+from .training import (MODES, TrainConfig, draw_step, load_state, save_state,
+                       step_loss, train)
 
 
 def _ramp(rows, cols):
@@ -103,46 +103,60 @@ def check_gradients(inject_fault=None):
     return worst
 
 
-def build_afm_loss_graph(leaves, labels, groups, config):
-    """The afm training loss as a function of (inputs, backbone, classifier,
-    projection and attention parameters): the same extract_features,
-    gather_members, attend, interpolate and compute_loss calls that
-    train() makes."""
-    x, *params = leaves
-    d0, d = params[0].values.shape
-    model = Model([d0, d], labels.shape[1], shared_classifiers=True)
-    ga = GAParams(d, config.k, config.interaction, config.projections)
-    layers = [*model.layers, model.head1, *ga.proj, ga.att1, ga.att2]
-    for layer, (w, b) in zip(layers, zip(params[::2], params[1::2])):
-        layer.weight, layer.bias = w, b
-    feats = model.extract_features(x)
-    members = gather_members(feats, labels, groups)
-    interp = interpolate(members, attend(members.features, ga))
-    return compute_loss(model, feats, labels, interp, config)
+# every configuration training can run, on a 2-layer backbone with 12 groups
+# per batch: afm at each K, interaction and projection mode with half its groups
+# intra-class, then the other three modes; each with shared and unshared heads
+_SMALL = dict(hidden=(4, 5), m=12)
+LOSS_CONFIGS = [TrainConfig(k=k, interaction=i, projections=p, shared_classifiers=s,
+                            intra_ratio=0.5, **_SMALL)
+                for k in (2, 3, 4) for i in INTERACTIONS for p in PROJECTION_MODES
+                for s in (True, False)]
+LOSS_CONFIGS += [TrainConfig(mode=mode, lam=0.0 if mode == "baseline" else 0.75,
+                             shared_classifiers=s, **_SMALL)
+                 for mode in MODES[1:] for s in (True, False)]
 
 
-def afm_loss_grad_check(n_points=3, seed=11, inject_fault=None):
-    """Finite-difference check of the full afm loss. Half the groups are
-    intra-class, so their soft labels are one-hot and the KL mixing term
-    meets 0 * log 0."""
-    rng = np.random.default_rng(seed)
-    n, d0, d, c, m, k = 5, 3, 4, 3, 4, 2
-    config = TrainConfig(k=k)
-    shapes = [(d0, d), (d, c)] + [(d, d)] * k + [(d, d), (d, k)]
+def step_loss_case(config, rng):
+    """(parameter names, random point, loss): training.step_loss of
+    ``config`` on 12 random samples, 4 per class so that K=4 intra groups
+    exist, as a function of one leaf per distinct parameter tensor, bound by
+    identity: a shared projection or head is one leaf pair."""
+    n, d0, c = 12, 3, 3
+    labels = rng.permutation(np.repeat(np.arange(c), n // c))
+    model = Model([d0, *config.hidden], c, config.shared_classifiers)
+    ga = (GAParams(model.feature_dim, config.k, config.interaction, config.projections)
+          if config.mode == "afm" else None)
+    x, y = T.constant(rng.normal(size=(n, d0))), one_hot(labels, c)
+    draws = draw_step(labels, config, rng)
+    named = model.parameters() + (ga.parameters() if ga else [])
+    slot = {id(p): i for i, (_, p) in enumerate(named)}
+    layers = [*model.layers, model.head1, model.head2]
+    layers += [*ga.proj, ga.att1, ga.att2] if ga else []
+    binding = [(layer, slot[id(layer.weight)], slot[id(layer.bias)]) for layer in layers]
+
+    def loss(leaves):
+        for layer, w, b in binding:
+            layer.weight, layer.bias = leaves[w], leaves[b]
+        return step_loss(model, ga, x, y, draws, config)[0]
+    # small weights and positive biases keep most relus active at the point
+    point = [rng.uniform(0.25, 0.75, size=p.values.shape) if name.endswith(".bias")
+             else rng.normal(size=p.values.shape) * 0.5 / np.sqrt(len(p.values))
+             for name, p in named]
+    return [name for name, _ in named], point, loss
+
+
+def check_step_loss(configs=LOSS_CONFIGS, n_points=1, inject_fault=None):
+    """Worst finite-difference error of the step loss over ``configs`` at
+    ``n_points`` points each. Half the afm groups are intra-class, so
+    their soft labels are one-hot and the KL mixing term meets 0 * log 0."""
+    rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(n_points):
-        labels_int = rng.permutation([0, 0, 1, 1, 2])
-        groups = sample_groups(labels_int, m, k, 0.5, rng=rng)
-        labels = one_hot(labels_int, c)
-        point = [rng.normal(size=(n, d0))]
-        for shape in shapes:
-            point += [rng.normal(size=shape) * 0.5,
-                      rng.normal(size=(1, shape[1])) * 0.1]
-        fn = _with_fault(lambda ls: build_afm_loss_graph(ls, labels, groups, config),
-                         inject_fault)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SubgradientWarning)
-            worst = max(worst, T.grad_check(fn, point, 1e-5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SubgradientWarning)
+        for config in configs:
+            for _ in range(n_points):
+                _, point, loss = step_loss_case(config, rng)
+                worst = max(worst, T.grad_check(_with_fault(loss, inject_fault), point))
     return worst
 
 
@@ -236,7 +250,7 @@ def run_all(inject_fault=None):
     """Run every property; returns a list of (name, passed, detail)."""
     results = [(name, err < 1e-5, f"max rel err {err:.2e}") for name, err in (
         ("grad-check-primitives", check_gradients(inject_fault=inject_fault)),
-        ("grad-check-afm-loss", afm_loss_grad_check(inject_fault=inject_fault)))]
+        ("grad-check-afm-loss", check_step_loss(inject_fault=inject_fault)))]
 
     rng = np.random.default_rng(42)
     feats = T.constant(rng.normal(size=(6, 5)))

@@ -12,10 +12,11 @@ import pytest
 
 from afm.data import generate, inject_noise
 from afm.training import TrainConfig, train
-from afm.verify import (PRIMITIVE_CASES, PRIMITIVE_POINTS, afm_loss_grad_check,
+from afm.verify import (LOSS_CONFIGS, PRIMITIVE_CASES, PRIMITIVE_POINTS,
                         check_determinism, check_gradients,
                         check_inference_equivalence, check_order_symmetry,
-                        check_pure_noisy_ratio, check_simplex_and_hull)
+                        check_pure_noisy_ratio, check_simplex_and_hull,
+                        check_step_loss)
 
 SEEDS = range(5)
 
@@ -69,10 +70,10 @@ def bench():
 def test_criterion_1_gradient_correctness():
     t0 = time.time()
     err_prim = check_gradients()
-    err_graph = afm_loss_grad_check(n_points=40)  # full loss graph
+    err_step = check_step_loss(n_points=2)  # train()'s step loss, every configuration
     elapsed = time.time() - t0
-    worst = max(err_prim, err_graph)
-    points = PRIMITIVE_POINTS * len(PRIMITIVE_CASES) + 40
+    worst = max(err_prim, err_step)
+    points = PRIMITIVE_POINTS * len(PRIMITIVE_CASES) + 2 * len(LOSS_CONFIGS)
     verdict(1, worst < 1e-5 and elapsed < 60.0,
             f"max rel err {worst:.2e} over {points} points in {elapsed:.1f}s")
 

@@ -121,10 +121,11 @@ def test_sample_groups_rejects_bad_args():
 
 
 def test_member_selectors_gather():
-    cols = member_selectors(np.array([[2, 0], [1, 2]]), 3)
+    groups = member_selectors([[2, 0], [1, 2]], 3)
+    assert isinstance(groups, np.ndarray) and groups.tolist() == [[2, 0], [1, 2]]
     feats = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(feats[cols[0]], feats[[2, 1]])
-    np.testing.assert_array_equal(feats[cols[1]], feats[[0, 2]])
+    np.testing.assert_array_equal(feats[groups[:, 0]], feats[[2, 1]])
+    np.testing.assert_array_equal(feats[groups[:, 1]], feats[[0, 2]])
 
 
 def test_member_selectors_bad_index():

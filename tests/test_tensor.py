@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afm import tensor as T, verify
-from afm.data import one_hot
 from afm.errors import ShapeError, SubgradientWarning
-from afm.grouping import INTERACTIONS, PROJECTION_MODES, sample_groups
+from afm.grouping import INTERACTIONS, PROJECTION_MODES
 from afm.tensor import Tensor, backward, grad_check
 from afm.training import TrainConfig
 
@@ -114,24 +113,15 @@ def test_gradient_accumulation_diamond(graph, expect):
 
 
 def afm_loss(k=2, interaction="sum", projections="distinct", seed=11):
-    """Random leaves and the afm training loss over them, built by
-    verify.build_afm_loss_graph. The leaves are the inputs, then a weight
-    and a bias for the backbone layer, the classifier, each projection
-    position and the two attention layers. With shared projections every
-    position's pair is assigned to the one shared layer, so only the last
-    pair is used."""
-    rng = np.random.default_rng(seed)
-    n, d0, d, c = 9, 3, 4, 3
-    config = TrainConfig(k=k, interaction=interaction, projections=projections)
-    labels = rng.permutation(np.repeat(np.arange(c), n // c))
-    groups = sample_groups(labels, 6, k, 0.5, rng=rng)
-    n_proj = 0 if projections == "none" else k
-    d_att = k * d if interaction == "concat" else d
-    leaves = [T.parameter(rng.normal(size=(n, d0)))]
-    for shape in [(d0, d), (d, c)] + [(d, d)] * n_proj + [(d_att, d), (d, k)]:
-        leaves += [T.parameter(rng.normal(size=shape) * 0.5),
-                   T.parameter(rng.normal(size=(1, shape[1])) * 0.1)]
-    return leaves, verify.build_afm_loss_graph(leaves, one_hot(labels, c), groups, config)
+    """Random leaves and the afm training step's loss over them, built by
+    verify.step_loss_case on a 2-layer backbone with half the groups
+    intra-class. There is one leaf per distinct parameter tensor, so a
+    shared projection is one leaf pair that every position reads."""
+    config = TrainConfig(k=k, interaction=interaction, projections=projections,
+                         intra_ratio=0.5, hidden=(4, 5), m=12)
+    _, point, loss = verify.step_loss_case(config, np.random.default_rng(seed))
+    leaves = [T.parameter(v) for v in point]
+    return leaves, loss(leaves)
 
 
 def smul_chain():
@@ -204,7 +194,7 @@ def test_backward_runs_each_node_once_after_its_consumers(monkeypatch, interacti
                 assert order[id(node)] < order[id(p)]
     if projections == "shared" and interaction != "sum":
         # each position's slice goes through the one shared projection,
-        # whose weight is the last projection pair's
+        # whose weight leaf comes just before the attention net's two pairs
         assert contributions[id(leaves[-6])] == 3
 
 

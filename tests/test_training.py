@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from afm import grouping, mixing, tensor as T, training
+from afm import grouping, mixing, tensor as T, training, verify
 from afm.data import generate, inject_noise, one_hot
 from afm.errors import AfmError, ConfigError, NumericError
 from afm.grouping import GAParams, attend, sample_groups
@@ -340,6 +340,39 @@ def test_afm_step_validates_gathers_and_scatters_once(monkeypatch):
     state, _ = train(tiny_dataset(), tiny_config(mode="afm", epochs=2))
     assert state.step > 0
     assert calls == {"member_selectors": state.step, "_scatter_rows": state.step}
+
+
+def config_id(config):
+    heads = "shared" if config.shared_classifiers else "unshared"
+    if config.mode != "afm":
+        return f"{config.mode}-{heads}"
+    return f"afm-k{config.k}-{config.interaction}-{config.projections}-{heads}"
+
+
+def test_step_loss_reaches_every_parameter():
+    """One backward of the step loss gives every parameter leaf a nonzero
+    gradient in every configuration training can run, a shared projection
+    or head being one leaf. Only baseline with unshared heads leaves
+    head1, the interpolation classifier, unread: lambda 0 never uses it."""
+    wrong = []
+    for config in verify.LOSS_CONFIGS:
+        names, point, loss = verify.step_loss_case(config, np.random.default_rng(0))
+        leaves = [T.parameter(v) for v in point]
+        T.backward(loss(leaves))
+        unread = config.mode == "baseline" and not config.shared_classifiers
+        for name, leaf in zip(names, leaves):
+            reached = leaf.grad is not None and bool(leaf.grad.any())
+            if reached == (unread and name.startswith("classifier.head1.")):
+                wrong.append(f"{config_id(config)}: {name}")
+    assert len(verify.LOSS_CONFIGS) == 60
+    assert wrong == []
+
+
+@pytest.mark.parametrize("config", verify.LOSS_CONFIGS, ids=config_id)
+def test_loss_check_catches_grad_sign_fault(config):
+    # each configuration is checked on its own, so one whose check
+    # differentiates nothing cannot hide behind the others
+    assert verify.check_step_loss([config], inject_fault="grad-sign") > 1e-5
 
 
 def test_train_learns_something():
