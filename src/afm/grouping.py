@@ -133,7 +133,7 @@ def member_selectors(groups, n: int) -> np.ndarray:
     reads the members checks K against its own: attend against its
     parameters, blend_rows against its weights."""
     groups = np.asarray(groups)
-    if groups.ndim != 2 or groups.shape[1] < 1 or not np.issubdtype(groups.dtype, np.integer):
+    if groups.ndim != 2 or groups.shape[1] < 1 or groups.dtype.kind not in "iu":
         raise ShapeError(f"groups must be an integer (m, K) array with K >= 1, got "
                          f"{groups.dtype} {groups.shape}")
     if groups.size and (groups.min() < 0 or groups.max() >= n):

@@ -4,9 +4,10 @@ Values are 64-bit floats stored in numpy arrays (row-major). Graph
 construction is single-threaded; tensors are immutable after creation
 except for their grad buffers. Broadcasting is deliberately restricted to
 (matrix, bias-row) addition so every shape rule stays auditable.
-Primitives return what numpy computes and do not scan for NaN or inf:
-finiteness is checked where values enter (files, configs) and where
-training uses them (each step's loss, every gradient).
+Primitives hand ``_make`` the float64 ndarray numpy computes, stored as
+is, and do not scan for NaN or inf: finiteness is checked where values
+enter (files, configs) and where training uses them (each step's loss,
+every gradient).
 
 relu's subgradient at 0 is defined as 0, in relu and in affine's fused
 relu alike; grad_check skips coordinates whose finite-difference probes
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,6 +40,8 @@ _relu_trace: list[np.ndarray] | None = None
 
 # numbers tape nodes in creation order: a node's parents have lower numbers
 _serial = itertools.count()
+_requires_grad, _backward_fn = attrgetter("requires_grad"), attrgetter("_backward")
+_values, _shape = attrgetter("values"), attrgetter("values.shape")
 
 
 class Tensor:
@@ -49,8 +53,7 @@ class Tensor:
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._backward = None  # _parents and _n are set on tape nodes only
 
     def _accumulate(self, g, shared=False):
         """Add ``g`` to this tensor's grad. Unless ``shared``, the first
@@ -67,12 +70,16 @@ class Tensor:
 
 
 def _make(values, parents, backward_fn):
-    out = Tensor(values)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
-        out._n = next(_serial)
+    interior = tuple(filter(_backward_fn, parents))  # all that backward walks
+    if not interior and not any(map(_requires_grad, parents)):
+        return Tensor(values)
+    out = Tensor.__new__(Tensor)
+    out.values = values
+    out.grad = None
+    out.requires_grad = True
+    out._parents = interior
+    out._backward = backward_fn
+    out._n = next(_serial)
     return out
 
 
@@ -112,13 +119,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
     if not bias_row and a.values.shape != b.values.shape:
         raise ShapeError(f"add: {a.values.shape} + {b.values.shape}")
-    out_vals = a.values + b.values
+    out_vals = np.asarray(a.values + b.values)  # numpy gives a 0-d sum as a scalar
 
     def backward(out):
         if a.requires_grad:
             a._accumulate(out.grad, shared=True)
         if b.requires_grad:
-            g = out.grad.sum(axis=0, keepdims=True) if bias_row else out.grad
+            g = np.add.reduce(out.grad, axis=0, keepdims=True) if bias_row else out.grad
             b._accumulate(g, shared=not bias_row)
 
     return _make(out_vals, (a, b), backward)
@@ -147,7 +154,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         g = out.grad if mask is None else out.grad * mask
         if b.requires_grad:
             one_row = len(g) == 1
-            b._accumulate(g if one_row else g.sum(axis=0, keepdims=True), shared=one_row)
+            b._accumulate(g if one_row else np.add.reduce(g, 0, keepdims=True), shared=one_row)
         if x.requires_grad:
             x._accumulate(g @ w.values.T)
         if w.requires_grad:
@@ -159,7 +166,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 def smul(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar."""
     c = float(c)
-    out_vals = a.values * c
+    out_vals = np.asarray(a.values * c)
 
     def backward(out):
         if a.requires_grad:
@@ -171,7 +178,7 @@ def smul(a: Tensor, c: float) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
         raise ShapeError(f"mul: {a.values.shape} * {b.values.shape}")
-    out_vals = a.values * b.values
+    out_vals = np.asarray(a.values * b.values)
 
     def backward(out):
         if a.requires_grad:
@@ -242,7 +249,8 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     # 1 / (1 + e^-a) for a >= 0 and e^a / (1 + e^a) below: exp never overflows
     e = np.exp(-np.abs(a.values))
-    out_vals = np.where(a.values >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    out_vals = np.where(a.values >= 0, 1.0 / d, e / d)
 
     def backward(out):
         if a.requires_grad:
@@ -310,7 +318,7 @@ def gather_rows(a: Tensor, groups) -> Tensor:
     negative one, so group arrays are checked once, by
     grouping.member_selectors, which returns the array it validated."""
     groups = np.asarray(groups)
-    if a.values.ndim != 2 or groups.ndim != 2 or not np.issubdtype(groups.dtype, np.integer):
+    if a.values.ndim != 2 or groups.ndim != 2 or groups.dtype.kind not in "iu":
         raise ShapeError(f"gather_rows: {a.values.shape}[{groups.dtype} {groups.shape}]")
     m, (n, d) = len(groups), a.values.shape
     out_vals = a.values[groups].reshape(m, -1)
@@ -382,35 +390,33 @@ def group_affine(members: Tensor, weights, biases) -> Tensor:
     k = len(weights)
     d = _member_width(members, k, "group_affine")
     h = weights[0].values.shape[-1:]
-    if (any(w.values.shape != (d, *h) for w in weights)
-            or any(b.values.shape != (1, *h) for b in biases)):
-        raise ShapeError(f"group_affine: weights {[w.values.shape for w in weights]}, "
-                         f"biases {[b.values.shape for b in biases]} for width {d}")
-    distinct = list({id(w): w for w in weights}.values())
-    slot = [distinct.index(w) for w in weights]
+    if set(map(_shape, weights)) != {(d, *h)} or set(map(_shape, biases)) != {(1, *h)}:
+        raise ShapeError(f"group_affine: weights {list(map(_shape, weights))}, "
+                         f"biases {list(map(_shape, biases))} for width {d}")
+    distinct = list(dict.fromkeys(weights))  # each tensor once, by identity
     m = len(members.values)
-    if len(distinct) == k:
-        block = members.values
-    else:
-        split = members.values.reshape(m, k, d)
+    block, slot = members.values, None
+    if len(distinct) != k:
+        slot = [distinct.index(w) for w in weights]
+        split = block.reshape(m, k, d)
         block = np.zeros((m, len(distinct), d))
         for pos, j in enumerate(slot):
             block[:, j] += split[:, pos]
         block = block.reshape(m, -1)
-    stacked = np.concatenate([w.values for w in distinct])  # (J*d, h)
-    out_vals = block @ stacked + sum(b.values for b in biases)
+    stacked = np.concatenate(list(map(_values, distinct)))  # (J*d, h)
+    out_vals = block @ stacked + sum(map(_values, biases))
 
     def backward(out):
         if members.requires_grad:
             g_block = out.grad @ stacked.T
-            if len(distinct) != k:
+            if slot is not None:
                 g_block = g_block.reshape(m, len(distinct), d)[:, slot].reshape(m, -1)
             members._accumulate(g_block)
         g_stacked = block.T @ out.grad
         for j, w in enumerate(distinct):
             if w.requires_grad:
                 w._accumulate(g_stacked[j * d:(j + 1) * d])  # disjoint rows: no copy
-        g_bias = out.grad.sum(axis=0, keepdims=True)
+        g_bias = np.add.reduce(out.grad, axis=0, keepdims=True)
         for b in biases:
             if b.requires_grad:
                 b._accumulate(g_bias, shared=True)
@@ -422,12 +428,12 @@ def normalize_rows(w: Tensor, eps: float) -> Tensor:
     """Each row of a matrix divided by its sum plus ``eps``."""
     if w.values.ndim != 2:
         raise ShapeError(f"normalize_rows: needs a matrix, got {w.values.shape}")
-    denom = w.values.sum(axis=1, keepdims=True) + eps
+    denom = np.add.reduce(w.values, axis=1, keepdims=True) + eps
     out_vals = w.values / denom
 
     def backward(out):
         if w.requires_grad:
-            dot = (out.grad * out_vals).sum(axis=1, keepdims=True)
+            dot = np.add.reduce(out.grad * out_vals, axis=1, keepdims=True)
             w._accumulate((out.grad - dot) / denom)
 
     return _make(out_vals, (w,), backward)
@@ -445,18 +451,20 @@ def kl_from_logits(logits: Tensor, targets, scale: float = 1.0) -> Tensor:
     z = logits.values
     if z.ndim != 2 or z.shape[0] == 0 or t.values.shape != z.shape:
         raise ShapeError(f"kl_from_logits: logits {z.shape}, targets {t.values.shape}")
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    carried = t.values > 0
-    log_t = np.log(np.where(carried, t.values, 1.0))
+    tv = t.values
+    # row maxima as a reduce over the rows of z.T: exact, and faster for few columns
+    shifted = z - np.maximum.reduce(z.T.copy(), axis=0)[:, None]
+    log_p = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    carried = tv > 0
+    log_t = np.log(np.where(carried, tv, 1.0))
     scale = float(scale)
-    out_vals = np.asarray((t.values * (log_t - log_p)).sum() / len(z) * scale)
+    out_vals = np.asarray(np.add.reduce(tv * (log_t - log_p), axis=None) / len(z) * scale)
 
     def backward(out):
         g = out.grad * scale / len(z)
         if logits.requires_grad:
-            mass = t.values.sum(axis=1, keepdims=True)
-            logits._accumulate(g * (np.exp(log_p) * mass - t.values))
+            mass = np.add.reduce(tv, axis=1, keepdims=True)
+            logits._accumulate(g * (np.exp(log_p) * mass - tv))
         if t.requires_grad:
             t._accumulate(g * (log_t + carried - log_p))
 
@@ -480,16 +488,15 @@ def backward(root: Tensor):
     """
     if root.values.ndim != 0:
         raise ShapeError(f"backward root must be scalar, got shape {root.values.shape}")
-    nodes: dict[int, Tensor] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node._backward is not None and node._n not in nodes:
-            nodes[node._n] = node
+    todo = [root] if root._backward is not None else []
+    seen = set()
+    for node in todo:  # visits what the loop appends, too
+        if node not in seen:
+            seen.add(node)
             node.grad = None
-            stack += node._parents
-    root._accumulate(np.ones_like(root.values))
-    for _, node in sorted(nodes.items(), reverse=True):
+            todo += node._parents
+    root._accumulate(np.array(1.0))
+    for node in sorted(seen, key=attrgetter("_n"), reverse=True):
         node._backward(node)
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, is_, is_not, methodcaller
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .model import Model
 from .tensor import Tensor, backward
 
 MODES = ("afm", "baseline", "standard-mixup", "manifold-mixup")
+_values, _grad, _ravel = attrgetter("values"), attrgetter("grad"), methodcaller("ravel")
 METRIC_COLUMNS = ("epoch", "train_loss", "test_acc",
                   "mean_attn_clean", "mean_attn_noisy", "lr")
 
@@ -138,36 +141,40 @@ class SGD:
         for name, p in params:
             distinct.setdefault(id(p), (name, p))
         self.params = list(distinct.values())  # [(name, Tensor)], each tensor once
-        names = [name for name, _ in self.params]
-        sizes = [p.values.size for _, p in self.params]
-        self.flat = np.concatenate([p.values.ravel() for _, p in self.params])
-        for (_, p), piece in zip(self.params, np.split(self.flat, np.cumsum(sizes)[:-1])):
+        names, self._tensors = map(list, zip(*self.params))
+        sizes = [p.values.size for p in self._tensors]
+        self.flat = np.concatenate([p.values.ravel() for p in self._tensors])
+        for p, piece in zip(self._tensors, np.split(self.flat, np.cumsum(sizes)[:-1])):
             p.values = piece.reshape(p.values.shape)
-        self._views = [p.values for _, p in self.params]
+        self._views = [p.values for p in self._tensors]
         lr_scales, decay_overrides = lr_scales or {}, decay_overrides or {}
         self._lr_scale = np.repeat([lr_scales.get(n, 1.0) for n in names], sizes)
         self._decay = np.repeat([decay_overrides.get(n, weight_decay) for n in names], sizes)
         self.velocity = np.zeros_like(self.flat)
+        self._grad, self._update = np.empty_like(self.flat), np.empty_like(self.flat)
 
     def zero_grad(self):
-        for _, p in self.params:
+        for p in self._tensors:
             p.grad = None
 
     def step(self):
-        for (name, p), view in zip(self.params, self._views):
-            if p.values is not view:
-                raise AfmError(f"parameter {name!r} was rebound after the "
-                               "optimizer was built; build a new optimizer")
-        g = np.concatenate([(np.zeros_like(view) if p.grad is None else p.grad).ravel()
-                            for (_, p), view in zip(self.params, self._views)])
-        if not np.isfinite(g).all():
+        if not all(map(is_, map(_values, self._tensors), self._views)):
+            name = next(n for (n, p), v in zip(self.params, self._views) if p.values is not v)
+            raise AfmError(f"parameter {name!r} was rebound after the "
+                           "optimizer was built; build a new optimizer")
+        grads = list(map(_grad, self._tensors))
+        if not all(map(is_not, grads, repeat(None))):  # a parameter the loss never read
+            grads = [np.zeros_like(v) if g is None else g for g, v in zip(grads, self._views)]
+        g = np.concatenate(list(map(_ravel, grads)), out=self._grad)
+        if not np.isfinite(g @ g):  # finite unless a gradient is not, or g @ g overflows
             for name, p in self.params:
                 if p.grad is not None and not np.isfinite(p.grad).all():
                     raise NumericError(f"non-finite gradient for parameter {name!r}")
+        # the class formula, operation for operation, in preallocated vectors
         v = self.velocity
         v *= self.momentum
-        v += g + self._decay * self.flat
-        self.flat -= self.lr * self._lr_scale * v
+        v += np.add(g, np.multiply(self._decay, self.flat, out=self._update), out=g)
+        self.flat -= np.multiply(np.multiply(self.lr, self._lr_scale, out=g), v, out=g)
 
 
 @dataclass

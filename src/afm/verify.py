@@ -120,7 +120,8 @@ def step_loss_case(config, rng):
     """(parameter names, random point, loss): training.step_loss of
     ``config`` on 12 random samples, 4 per class so that K=4 intra groups
     exist, as a function of one leaf per distinct parameter tensor, bound by
-    identity: a shared projection or head is one leaf pair."""
+    identity: a shared projection or head is one leaf pair. A point where a
+    parameter the step reads gets no gradient is redrawn, up to 100 times."""
     n, d0, c = 12, 3, 3
     labels = rng.permutation(np.repeat(np.arange(c), n // c))
     model = Model([d0, *config.hidden], c, config.shared_classifiers)
@@ -139,9 +140,14 @@ def step_loss_case(config, rng):
             layer.weight, layer.bias = leaves[w], leaves[b]
         return step_loss(model, ga, x, y, draws, config)[0]
     # small weights and positive biases keep most relus active at the point
-    point = [rng.uniform(0.25, 0.75, size=p.values.shape) if name.endswith(".bias")
-             else rng.normal(size=p.values.shape) * 0.5 / np.sqrt(len(p.values))
-             for name, p in named]
+    for _ in range(100):
+        point = [rng.uniform(0.25, 0.75, size=p.values.shape) if name.endswith(".bias")
+                 else rng.normal(size=p.values.shape) * 0.5 / np.sqrt(len(p.values))
+                 for name, p in named]
+        leaves = [T.parameter(v) for v in point]
+        T.backward(loss(leaves))
+        if all(leaf.grad is None or leaf.grad.any() for leaf in leaves):
+            break
     return [name for name, _ in named], point, loss
 
 

@@ -121,9 +121,16 @@ def test_groups_validated_by_interpolate():
     # group array is checked before its members are read
     feats, labels, groups, _, _, _ = make_batch()
     for bad in (groups - len(labels), groups + len(labels), groups.astype(float),
-                groups[:, :0], groups[0]):
+                groups.astype(bool), groups[:, :0], groups[0]):
         with pytest.raises(ShapeError):
             gather_members(feats, labels, bad)
+    # unsigned indices are integers too, and gather the same members
+    signed = gather_members(feats, labels, groups)
+    unsigned = gather_members(feats, labels, groups.astype(np.uint32))
+    np.testing.assert_array_equal(unsigned.features.values, signed.features.values)
+    np.testing.assert_array_equal(unsigned.labels, signed.labels)
+    np.testing.assert_array_equal(T.gather_rows(feats, groups.astype(np.uint32)).values,
+                                  signed.features.values)
 
 
 def test_group_size_mismatch_rejected():

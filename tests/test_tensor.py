@@ -225,6 +225,28 @@ def test_every_node_builder_has_a_primitive_case(monkeypatch):
     assert builders - reached == set()
 
 
+def test_node_values_are_float64_arrays(monkeypatch):
+    """Every node a primitive makes holds a float64 ndarray, the 0-d ones
+    included, which numpy computes as scalars: each PRIMITIVE_CASES function,
+    then the grad-sign fault's chain add(smul(loss, 2.0), smul(loss, -1.0))
+    and a 0-d mul."""
+    made = []
+    make = T._make
+
+    def recorded(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(T, "_make", recorded)
+    rng = np.random.default_rng(0)
+    for fn, shapes in verify.PRIMITIVE_CASES.values():
+        loss = verify._with_fault(fn, "grad-sign")([T.parameter(0.5 + rng.uniform(size=s))
+                                                     for s in shapes])
+        T.mul(loss, loss)
+    assert len(made) > 4 * len(verify.PRIMITIVE_CASES)
+    assert {(type(t.values), t.values.dtype) for t in made} == {(np.ndarray, np.dtype(float))}
+
+
 def test_add_gradients_are_unaliased():
     # add's backward hands one array to both parents; each must own its grad
     a = Tensor(rnd(2, 3), requires_grad=True)
@@ -310,7 +332,7 @@ def test_gather_rows_repeated_rows_add_gradients():
     # member k of row i sits in columns [2k, 2k + 2)
     np.testing.assert_array_equal(a.grad, [[2 + 10, 3 + 11], [0, 0],
                                            [0 + 6 + 8, 1 + 7 + 9], [4, 5]])
-    for bad in (np.array([0, 1]), np.array([[0.0, 1.0]])):
+    for bad in (np.array([0, 1]), np.array([[0.0, 1.0]]), np.array([[True, False]])):
         with pytest.raises(ShapeError):
             T.gather_rows(a, bad)
     with pytest.raises(ShapeError):

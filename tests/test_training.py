@@ -1,5 +1,8 @@
 """Training loop, optimizer, loss, determinism, and state roundtrips."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,18 +32,28 @@ def tiny_config(**kw):
 # ----------------------------------------------------------------- optimizer
 
 def test_sgd_step_matches_hand_computation():
-    p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
-    p.grad = np.array([[0.5, 0.5]])
-    opt = SGD([("p", p)], lr=0.1, momentum=0.9, weight_decay=0.01)
-    opt.step()
-    v = 0.5 + 0.01 * np.array([1.0, -2.0])
-    np.testing.assert_allclose(p.values, np.array([[1.0, -2.0]]) - 0.1 * v)
-    # second step folds momentum in
-    p.grad = np.zeros((1, 2))
-    prev = p.values.copy()
-    opt.step()
-    v2 = 0.9 * v + 0.01 * prev[0]
-    np.testing.assert_allclose(p.values, prev - 0.1 * v2)
+    """Three steps give the bits of v = m*v + (g + wd*p), p -= (lr*scale)*v,
+    with lr changed between steps as train() does each epoch, one lr scale,
+    one decay override and one parameter whose grad is None, a zero grad."""
+    rng = np.random.default_rng(0)
+    shapes = {"a": (2, 3), "b": (1, 3), "c": (3, 1)}
+    tensors = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+    opt = SGD(list(tensors.items()), lr=0.1, momentum=0.9, weight_decay=0.01,
+              lr_scales={"b": 10.0}, decay_overrides={"b": 0.0})
+    scale, decay = {"a": 1.0, "b": 10.0, "c": 1.0}, {"a": 0.01, "b": 0.0, "c": 0.01}
+    p = {n: t.values.copy() for n, t in tensors.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    for lr in (0.1, 0.05, 0.01):
+        opt.lr = lr
+        opt.zero_grad()
+        g = {n: rng.normal(size=shapes[n]) for n in ("a", "b")}
+        tensors["a"].grad, tensors["b"].grad = g["a"].copy(), g["b"].copy()
+        g["c"] = np.zeros(shapes["c"])  # c.grad stays None
+        opt.step()
+        for n, t in tensors.items():
+            v[n] = 0.9 * v[n] + (g[n] + decay[n] * p[n])
+            p[n] = p[n] - (lr * scale[n]) * v[n]
+            np.testing.assert_array_equal(t.values, p[n])
 
 
 def test_sgd_lr_scale_and_decay_override():
@@ -90,9 +103,10 @@ def test_sgd_rejects_parameter_rebound_after_construction():
 
 def test_sgd_rejects_nonfinite_gradient():
     p = Tensor(np.array([[1.0]]), requires_grad=True)
-    p.grad = np.array([[np.nan]])
-    with pytest.raises(NumericError, match="p"):
-        SGD([("p", p)], lr=0.1).step()
+    q = Tensor(np.array([[1.0]]), requires_grad=True)
+    p.grad, q.grad = np.array([[1.0]]), np.array([[np.nan]])
+    with pytest.raises(NumericError, match="parameter 'q'"):
+        SGD([("p", p), ("q", q)], lr=0.1).step()
 
 
 # ----------------------------------------------------------------------- loss
@@ -297,6 +311,30 @@ def test_tape_nodes_per_step(monkeypatch, mode, lam, most):
     assert made[0] / state.step <= most
 
 
+@pytest.mark.parametrize("mode,lam,most", [("afm", 0.75, 118.5), ("baseline", 0.0, 41.3)])
+def test_python_calls_per_step(mode, lam, most):
+    """Calls of afm's own Python functions per step over a 1-epoch train()
+    on the default benchmark data, end-of-epoch evaluation included: a
+    change that adds Python work to the step fails here. Only frames whose
+    code lives in the afm package count, so the number does not depend on
+    numpy's version."""
+    ds = inject_noise(generate("blobs", 3, 1000, 250, 32, 4.0, seed=0), "symmetric", 0.4, seed=0)
+    package = os.path.dirname(T.__file__) + os.sep
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        state, _ = train(ds, TrainConfig(mode=mode, lam=lam, epochs=1, seed=0))
+    finally:
+        sys.setprofile(None)
+    assert state.step == 24
+    assert calls[0] / state.step <= most
+
+
 def test_attention_stats_matches_per_group_loop():
     rng = np.random.default_rng(3)
     batch_idx = rng.permutation(40)[:20]
@@ -350,20 +388,23 @@ def config_id(config):
 
 
 def test_step_loss_reaches_every_parameter():
-    """One backward of the step loss gives every parameter leaf a nonzero
-    gradient in every configuration training can run, a shared projection
-    or head being one leaf. Only baseline with unshared heads leaves
+    """At 20 check points per configuration training can run, one backward
+    of the step loss gives every parameter leaf a nonzero gradient, a shared
+    projection or head being one leaf: step_loss_case redraws a point where
+    all relus of a layer are off. Only baseline with unshared heads leaves
     head1, the interpolation classifier, unread: lambda 0 never uses it."""
     wrong = []
+    rng = np.random.default_rng(2)  # without the redraw, meets a K=4 point with att1 all off
     for config in verify.LOSS_CONFIGS:
-        names, point, loss = verify.step_loss_case(config, np.random.default_rng(0))
-        leaves = [T.parameter(v) for v in point]
-        T.backward(loss(leaves))
         unread = config.mode == "baseline" and not config.shared_classifiers
-        for name, leaf in zip(names, leaves):
-            reached = leaf.grad is not None and bool(leaf.grad.any())
-            if reached == (unread and name.startswith("classifier.head1.")):
-                wrong.append(f"{config_id(config)}: {name}")
+        for _ in range(20):
+            names, point, loss = verify.step_loss_case(config, rng)
+            leaves = [T.parameter(v) for v in point]
+            T.backward(loss(leaves))
+            for name, leaf in zip(names, leaves):
+                reached = leaf.grad is not None and bool(leaf.grad.any())
+                if reached == (unread and name.startswith("classifier.head1.")):
+                    wrong.append(f"{config_id(config)}: {name}")
     assert len(verify.LOSS_CONFIGS) == 60
     assert wrong == []
 
