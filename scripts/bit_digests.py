@@ -1,0 +1,72 @@
+"""Print bit digests of short training runs, to check that a refactor keeps
+every float bit.
+
+Each configuration trains 4 epochs at seed 0 on the default benchmark data
+(blobs, C=3, d0=32, 1000/250 samples per class, symmetric noise 0.4). For
+each it prints the first 16 hex digits of the sha256 of the final
+parameters (the model's, then the attention net's; each name's UTF-8
+bytes followed by the raw bytes of its values) and of the sha256 of
+repr(log.rows). Last comes the sha256 of the CSV that
+`afm dump-features --interpolations 3000` writes from the afm K=2 run.
+
+Run from the repository root, on two checkouts, and compare the output:
+
+    PYTHONPATH=src python scripts/bit_digests.py
+"""
+
+import hashlib
+import os
+import tempfile
+
+from afm import cli
+from afm.data import save_dataset
+from afm.training import TrainConfig, save_state, train
+
+CONFIGS = {
+    "afm K=2": {},
+    "afm K=3": dict(k=3),
+    "afm K=4": dict(k=4),
+    "sum + none": dict(projections="none"),
+    "concat + none, K=2": dict(interaction="concat", projections="none"),
+    "concat + none, K=3": dict(interaction="concat", projections="none", k=3),
+    "concat + distinct": dict(interaction="concat"),
+    "concat + shared, K=3": dict(interaction="concat", projections="shared", k=3),
+    "mul": dict(interaction="mul"),
+    "unshared heads": dict(shared_classifiers=False),
+    "intra_ratio=0.5": dict(intra_ratio=0.5),
+    "baseline": dict(mode="baseline", lam=0.0),
+    "standard-mixup": dict(mode="standard-mixup"),
+    "manifold-mixup": dict(mode="manifold-mixup"),
+    "sum + shared, K=2": dict(projections="shared"),
+    "sum + shared, K=3": dict(projections="shared", k=3),
+}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def main():
+    dataset = cli.build_dataset({key: default for key, (default, _) in cli.DATA_KEYS.items()})
+    width = max(map(len, CONFIGS))
+    print(f"{'config':<{width}}  {'parameters':<16}  log.rows")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, overrides in CONFIGS.items():
+            state, log = train(dataset, TrainConfig(epochs=4, seed=0, **overrides))
+            named = state.model.parameters() + (state.ga.parameters() if state.ga else [])
+            params = b"".join(n.encode() + p.values.tobytes() for n, p in named)
+            print(f"{name:<{width}}  {digest(params)}  {digest(repr(log.rows).encode())}")
+            if name == "afm K=2":
+                checkpoint = os.path.join(tmp, "checkpoint.bin")
+                save_state(checkpoint, state)
+        data, out = os.path.join(tmp, "dataset.bin"), os.path.join(tmp, "features.csv")
+        save_dataset(data, dataset)
+        if cli.main(["dump-features", "--checkpoint", checkpoint, "--dataset", data,
+                     "--out", out, "--interpolations", "3000"]):
+            raise SystemExit("dump-features failed")
+        with open(out, "rb") as f:
+            print(f"dump-features, 3000 interpolations: {digest(f.read())}")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import os
 import sys
 from dataclasses import fields, replace
@@ -22,7 +21,7 @@ from .errors import ConfigError, NumericError
 from .grouping import (attend, pure_noisy_group_ratio, sample_groups,
                        sampled_pure_noisy_ratio)
 from .mixing import gather_members, interpolate
-from .training import (TrainConfig, load_state, save_state, train)
+from .training import TrainConfig, load_state, save_state, train, write_csv
 
 DATA_KEYS = {
     "data_kind": ("blobs", str),
@@ -114,13 +113,6 @@ def _check_out(path):
         raise ConfigError(f"--out {path} is a directory")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -192,8 +184,8 @@ def cmd_sweep(args) -> int:
             mean = float(np.mean(accs))
             std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
             rows.append([args.axis, v, repr(mean), repr(std), len(accs)])
-    _write_csv(os.path.join(args.out, "summary.csv"),
-               ["axis", "value", "mean_acc", "std_acc", "n_runs"], rows)
+    write_csv(os.path.join(args.out, "summary.csv"),
+              ["axis", "value", "mean_acc", "std_acc", "n_runs"], rows)
     for v, s, msg in failures:
         print(f"run failed: value={v} seed={s}: {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -225,8 +217,8 @@ def cmd_noise_ratio(args) -> int:
                      repr(float(abs(freq - closed))), repr(float(sigma3)),
                      int(ok)])
     if args.out:
-        _write_csv(args.out, ["k", "closed_form", "empirical", "abs_diff",
-                              "three_sigma", "within_bound"], rows)
+        write_csv(args.out, ["k", "closed_form", "empirical", "abs_diff",
+                             "three_sigma", "within_bound"], rows)
     return 0
 
 

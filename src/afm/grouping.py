@@ -6,7 +6,7 @@ reads the groups' (m, K*d) member block, which mixing.gather_members
 builds once per batch: each ordered member is projected through its own
 affine map, the projections are combined by an interaction (concat, sum,
 or elementwise product), and a two-layer net emits K sigmoid weights per
-group. The sum of projections is one tape node, tensor.group_affine.
+group. The sum of distinct projections is one node, tensor.group_affine.
 """
 
 from __future__ import annotations
@@ -152,18 +152,13 @@ def attend(members: Tensor, params: GAParams) -> Tensor:
         raise ShapeError(f"member block {members.values.shape} does not hold K={k} "
                          f"members of GA feature dim {d}")
 
-    if params.interaction == "sum" and params.proj:
+    if params.interaction == "sum" and params.projections == "distinct":
         combined = T.group_affine(members, [p.weight for p in params.proj],
                                   [p.bias for p in params.proj])
-    elif params.interaction == "concat" and not params.proj:
-        combined = members  # the block is the members concatenated
     else:
-        projected = []
-        for pos in range(k):
-            xk = T.slice_last(members, pos * d, (pos + 1) * d)
-            if params.proj:
-                xk = params.proj[pos](xk)
-            projected.append(xk)
+        projected = [T.slice_last(members, pos * d, (pos + 1) * d) for pos in range(k)]
+        if params.proj:
+            projected = [proj(xk) for proj, xk in zip(params.proj, projected)]
         if params.interaction == "concat":
             combined = T.concat_last(projected)
         else:

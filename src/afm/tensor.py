@@ -17,10 +17,9 @@ Each tensor owns its grad array: no two tensors' grads share memory, so
 ``+=`` on one leaf's grad after ``backward`` changes no other grad. A
 backward that has just computed an array for one parent hands it over
 as is, as it may hand views of disjoint parts of one fresh array. A
-backward that hands one array to more than one tensor, or a view of its
-output's grad, passes ``shared=True``, and the first tensor to take it
-stores a copy: add, affine's one-row bias, group_affine's bias gradient
-and concat_last's slices.
+backward that would hand one array to more than one tensor, or a view of
+its output's grad, hands each a copy instead: add, affine's one-row bias,
+group_affine's bias gradient and concat_last's slices.
 """
 
 from __future__ import annotations
@@ -55,13 +54,13 @@ class Tensor:
         self.grad = None
         self._backward = None  # _parents and _n are set on tape nodes only
 
-    def _accumulate(self, g, shared=False):
-        """Add ``g`` to this tensor's grad. Unless ``shared``, the first
-        gradient is stored as is, so the caller must not use it again."""
+    def _accumulate(self, g):
+        """Add ``g`` to this tensor's grad. The first gradient is stored as
+        is, so the caller must not use it again."""
         if g.shape != self.values.shape:
             raise ShapeError(f"gradient {g.shape} for value {self.values.shape}")
         if self.grad is None:
-            self.grad = np.array(g) if shared else g
+            self.grad = g
         else:
             self.grad += g
 
@@ -123,10 +122,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            a._accumulate(out.grad, shared=True)
+            a._accumulate(out.grad.copy())
         if b.requires_grad:
-            g = np.add.reduce(out.grad, axis=0, keepdims=True) if bias_row else out.grad
-            b._accumulate(g, shared=not bias_row)
+            b._accumulate(np.add.reduce(out.grad, axis=0, keepdims=True) if bias_row
+                          else out.grad.copy())
 
     return _make(out_vals, (a, b), backward)
 
@@ -153,8 +152,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def backward(out):
         g = out.grad if mask is None else out.grad * mask
         if b.requires_grad:
-            one_row = len(g) == 1
-            b._accumulate(g if one_row else np.add.reduce(g, 0, keepdims=True), shared=one_row)
+            b._accumulate(g.copy() if len(g) == 1 else np.add.reduce(g, 0, keepdims=True))
         if x.requires_grad:
             x._accumulate(g @ w.values.T)
         if w.requires_grad:
@@ -202,7 +200,7 @@ def concat_last(tensors) -> Tensor:
         offset = 0
         for t, w in zip(tensors, widths):
             if t.requires_grad:
-                t._accumulate(out.grad[..., offset:offset + w], shared=True)
+                t._accumulate(out.grad[..., offset:offset + w].copy())
             offset += w
 
     return _make(out_vals, tensors, backward)
@@ -378,50 +376,35 @@ def blend_rows(members: Tensor, w: Tensor) -> Tensor:
 def group_affine(members: Tensor, weights, biases) -> Tensor:
     """Row i is sum_k (member k of row i) @ weights[k] + biases[k]: each
     group member through the affine map of its position, summed over the
-    group. ``members`` is an (m, K*d) member block, as gather_rows builds;
-    ``weights`` are K (d, h) tensors and ``biases`` K (1, h) tensors, and
-    one tensor may serve several positions. The members of the positions
-    that share a weight are summed first, so the whole sum is one matmul
-    of the (m, J*d) block of sums with the J distinct weights stacked by
-    row."""
+    group, as one matmul of the member block with the K weights stacked by
+    row. ``members`` is an (m, K*d) member block, as gather_rows builds;
+    ``weights`` are K (d, h) tensors and ``biases`` K (1, h) tensors. A
+    tensor that serves several positions gets the sum of their
+    gradients."""
     weights, biases = list(weights), list(biases)
     if len(weights) != len(biases):
         raise ShapeError(f"group_affine: {len(weights)} weights, {len(biases)} biases")
-    k = len(weights)
-    d = _member_width(members, k, "group_affine")
+    d = _member_width(members, len(weights), "group_affine")
     h = weights[0].values.shape[-1:]
     if set(map(_shape, weights)) != {(d, *h)} or set(map(_shape, biases)) != {(1, *h)}:
         raise ShapeError(f"group_affine: weights {list(map(_shape, weights))}, "
                          f"biases {list(map(_shape, biases))} for width {d}")
-    distinct = list(dict.fromkeys(weights))  # each tensor once, by identity
-    m = len(members.values)
-    block, slot = members.values, None
-    if len(distinct) != k:
-        slot = [distinct.index(w) for w in weights]
-        split = block.reshape(m, k, d)
-        block = np.zeros((m, len(distinct), d))
-        for pos, j in enumerate(slot):
-            block[:, j] += split[:, pos]
-        block = block.reshape(m, -1)
-    stacked = np.concatenate(list(map(_values, distinct)))  # (J*d, h)
-    out_vals = block @ stacked + sum(map(_values, biases))
+    stacked = np.concatenate(list(map(_values, weights)))  # (K*d, h)
+    out_vals = members.values @ stacked + sum(map(_values, biases))
 
     def backward(out):
         if members.requires_grad:
-            g_block = out.grad @ stacked.T
-            if slot is not None:
-                g_block = g_block.reshape(m, len(distinct), d)[:, slot].reshape(m, -1)
-            members._accumulate(g_block)
-        g_stacked = block.T @ out.grad
-        for j, w in enumerate(distinct):
+            members._accumulate(out.grad @ stacked.T)
+        g_stacked = members.values.T @ out.grad
+        for j, w in enumerate(weights):
             if w.requires_grad:
                 w._accumulate(g_stacked[j * d:(j + 1) * d])  # disjoint rows: no copy
         g_bias = np.add.reduce(out.grad, axis=0, keepdims=True)
         for b in biases:
             if b.requires_grad:
-                b._accumulate(g_bias, shared=True)
+                b._accumulate(g_bias.copy())
 
-    return _make(out_vals, (members, *distinct, *biases), backward)
+    return _make(out_vals, (members, *weights, *biases), backward)
 
 
 def normalize_rows(w: Tensor, eps: float) -> Tensor:

@@ -102,14 +102,19 @@ class MetricsLog:
         self.rows.append(row)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(METRIC_COLUMNS)
-            for row in self.rows:
-                writer.writerow([_fmt(row[c]) for c in METRIC_COLUMNS])
+        write_csv(path, METRIC_COLUMNS,
+                  [[_fmt(row[c]) for c in METRIC_COLUMNS] for row in self.rows])
 
     def final(self, column):
         return self.rows[-1][column]
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` to ``path`` as CSV with LF line endings."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(v):
@@ -270,8 +275,9 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     the grouping stream, step_loss (which afm verify differentiates),
     backward and SGD. With lambda 0 no mode samples groups or interpolates,
     so every mode trains as the baseline and the attention columns are
-    NaN. Raises NumericError when
-    a step's loss, a gradient or an epoch's test logits are not finite.
+    NaN. Raises NumericError when a step's loss, a gradient or an epoch's
+    test logits are not finite, and ConfigError, naming the epoch and
+    step, when a batch cannot be grouped as configured.
     """
     config.validate()
     init_rng = np.random.default_rng([config.seed, 0])
@@ -316,7 +322,10 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
         step_weights, step_noisy = [], []  # of each afm step, for _attention_stats
         for start in range(0, len(order) - config.k + 1, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            draws = draw_step(dataset.given_labels[batch_idx], config, group_rng)
+            try:
+                draws = draw_step(dataset.given_labels[batch_idx], config, group_rng)
+            except ConfigError as exc:
+                raise ConfigError(f"epoch {epoch}, step {state.step}: {exc}") from exc
             loss, interp = step_loss(model, ga, T.constant(dataset.features[batch_idx]),
                                      given_onehot[batch_idx], draws, config)
             if ga is not None and interp is not None:

@@ -56,7 +56,7 @@ PRIMITIVE_CASES = {
     "blend-rows": (lambda ls: T.sum_reduce(T.mul(T.blend_rows(ls[0], ls[1]), _ramp(3, 4))),
                    [(3, 8), (3, 2)]),
     # a (2, 3*3) member block; one weight and one bias tensor serve
-    # positions 0 and 2, so their members are summed before the matmul
+    # positions 0 and 2, so their gradients add up
     "group-affine": (lambda ls: T.sum_reduce(T.mul(T.group_affine(
         ls[0], [ls[1], ls[2], ls[1]], [ls[3], ls[4], ls[3]]), _ramp(2, 2))),
         [(2, 9), (3, 2), (3, 2), (1, 2), (1, 2)]),
@@ -252,6 +252,19 @@ def check_determinism(dataset, config, log=None):
     return same, "two identical-seed runs produce byte-identical metrics"
 
 
+def check_checkpoint_roundtrip(state):
+    """save_state then load_state gives back every parameter of the model
+    and of the attention net, under the same names, bit for bit."""
+    with tempfile.TemporaryDirectory() as td:
+        path = os.path.join(td, "ck.bin")
+        save_state(path, state)
+        restored = load_state(path)
+    saved, loaded = ([(name, p.values.shape, p.values.tobytes())
+                      for name, p in model.parameters() + (ga.parameters() if ga else [])]
+                     for model, ga in ((state.model, state.ga), restored))
+    return loaded == saved, f"{len(saved)} named parameters bit-exact"
+
+
 def run_all(inject_fault=None):
     """Run every property; returns a list of (name, passed, detail)."""
     results = [(name, err < 1e-5, f"max rel err {err:.2e}") for name, err in (
@@ -284,11 +297,6 @@ def run_all(inject_fault=None):
     results.append(("inference-equivalence",
                      *check_inference_equivalence(state.model, ds.features[ds.test_idx])))
 
-    with tempfile.TemporaryDirectory() as td:
-        ck = os.path.join(td, "ck.bin")
-        save_state(ck, state)
-        pairs = zip(state.model.parameters(), load_state(ck)[0].parameters())
-        same = all(np.array_equal(p.values, q.values) for (_, p), (_, q) in pairs)
-    results.append(("checkpoint-roundtrip", same, "bit-exact parameters"))
+    results.append(("checkpoint-roundtrip", *check_checkpoint_roundtrip(state)))
     results.append(("metrics-determinism", *check_determinism(ds, cfg, log)))
     return results

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from afm import tensor as T
 from afm.checkpoint import read_arrays, write_arrays
 from afm.cli import DATA_KEYS, KEY_ALIASES, TRAIN_KEY_TYPES, main, parse_config
-from afm.data import load_dataset, one_hot
-from afm.errors import ConfigError
+from afm.data import generate, load_dataset, one_hot, save_dataset
+from afm.errors import ConfigError, NumericError
 from afm.grouping import attend, sample_groups
 from afm.mixing import gather_members, interpolate
-from afm.training import TrainConfig, load_state
+from afm.training import TrainConfig, load_state, train
 
 SMALL = """
 # tiny run for tests
@@ -208,6 +208,41 @@ def test_sweep_zero_epochs_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_reports_failed_runs(config_file, tmp_path, capsys, monkeypatch):
+    """A run that raises is named on stderr, the sweep exits 1, and the
+    summary counts only the runs that finished."""
+    def failing(dataset, config):
+        if config.lam == 0.5 and config.seed == 1:
+            raise NumericError("forced failure")
+        return train(dataset, config)
+
+    monkeypatch.delenv("AFM_THREADS", raising=False)  # runs in this process
+    monkeypatch.setattr("afm.cli.train", failing)
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", config_file, "--axis", "lambda",
+               "--values", "0,0.5", "--seeds", "0,1", "--out", str(out)])
+    assert rc == 1
+    assert "run failed: value=0.5 seed=1: forced failure" in capsys.readouterr().err
+    rows = read_csv(out / "summary.csv")
+    assert [(r["value"], r["n_runs"], r["std_acc"]) for r in rows[1:]] == [("0.5", "1", "0.0")]
+    assert rows[0]["n_runs"] == "2"
+    seed0 = read_csv(out / "lambda_0.5" / "seed_0" / "metrics.csv")[-1]["test_acc"]
+    assert rows[1]["mean_acc"] == seed0
+
+
+def test_train_numeric_error_exit_3(tmp_path, capsys):
+    """One step at lr 1e300 leaves finite weights whose test logits
+    overflow: main exits 3 with a numeric error line."""
+    p = tmp_path / "huge_lr.cfg"
+    p.write_text("data_per_class_train = 40\ndata_per_class_test = 10\ndata_d0 = 8\n"
+                 "hidden = 8\nepochs = 1\nlr = 1e300\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--config", str(p), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert capsys.readouterr().err == ("numeric error: test evaluation at epoch 0: "
+                                       "non-finite logits, shape (30, 3)\n")
+
+
 def test_noise_ratio_table(tmp_path, capsys):
     out = tmp_path / "ratio.csv"
     rc = main(["noise-ratio", "--n-noisy", "200", "--n-total", "1000",
@@ -267,6 +302,39 @@ def test_dump_features_bytes_match_csv_writer(config_file, tmp_path):
     expect = io.StringIO()
     csv.writer(expect, lineterminator="\n").writerows(rows)
     assert out.read_bytes() == expect.getvalue().encode()
+
+
+def test_dump_features_mismatched_inputs_exit_2(config_file, tmp_path, capsys):
+    """A dataset of another input width, and interpolations asked of a
+    checkpoint without an attention net, exit 2 with an error line."""
+    run, base = tmp_path / "run", tmp_path / "base"
+    main(["train", "--config", config_file, "--out", str(run)])
+    baseline = tmp_path / "baseline.cfg"
+    baseline.write_text(SMALL + "mode = baseline\nlambda = 0\n")
+    main(["train", "--config", str(baseline), "--out", str(base)])
+    wide = tmp_path / "wide.bin"
+    save_dataset(wide, generate("blobs", 3, 10, 5, 9, 4.0, seed=0))
+    capsys.readouterr()
+    for checkpoint, dataset, n, message in (
+            (run, wide, "0", "dataset width 9 does not match backbone input 8"),
+            (base, base / "dataset.bin", "5", "no attention parameters")):
+        assert main(["dump-features", "--checkpoint", str(checkpoint / "checkpoint.bin"),
+                     "--dataset", str(dataset), "--out", str(tmp_path / "features.csv"),
+                     "--interpolations", n]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_load_state_rejects_wrong_parameter_shape(config_file, tmp_path):
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    ck = run / "checkpoint.bin"
+    arrays = read_arrays(ck)
+    arrays["backbone.0.bias"] = np.zeros((1, 9))
+    write_arrays(ck, arrays)
+    with pytest.raises(ConfigError, match="'backbone.0.bias'"):
+        load_state(ck)
 
 
 @pytest.mark.parametrize("cut", [10, 45, -8])

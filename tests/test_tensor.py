@@ -180,9 +180,9 @@ def test_backward_runs_each_node_once_after_its_consumers(monkeypatch, interacti
     contributions = {}
     accumulate = Tensor._accumulate
 
-    def counted(self, g, shared=False):
+    def counted(self, g):
         contributions[id(self)] = contributions.get(id(self), 0) + 1
-        accumulate(self, g, shared)
+        accumulate(self, g)
 
     monkeypatch.setattr(Tensor, "_accumulate", counted)
     backward(loss)
@@ -192,7 +192,7 @@ def test_backward_runs_each_node_once_after_its_consumers(monkeypatch, interacti
         for p in node._parents:
             if id(p) in interior:
                 assert order[id(node)] < order[id(p)]
-    if projections == "shared" and interaction != "sum":
+    if projections == "shared":
         # each position's slice goes through the one shared projection,
         # whose weight leaf comes just before the attention net's two pairs
         assert contributions[id(leaves[-6])] == 3

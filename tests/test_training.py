@@ -231,6 +231,14 @@ def test_train_rejects_nonfinite_loss(mode, lam):
         train(tiny_dataset(), tiny_config(mode=mode, lam=lam, lr=1e300))
 
 
+def test_train_names_step_of_ungroupable_batch():
+    # 130 training samples in batches of 128 leave a last batch of 2, here
+    # of one class, in which fixed-ratio grouping finds no inter-class group
+    ds = inject_noise(generate("blobs", 2, 65, 10, 8, 4.0, seed=0), "symmetric", 0.4, seed=0)
+    with pytest.raises(ConfigError, match="^epoch 0, step 1: single-class batch"):
+        train(ds, TrainConfig(hidden=(8,), epochs=3, batch_size=128, intra_ratio=0.5))
+
+
 def test_train_rejects_nonfinite_test_logits():
     # one step on all 120 samples leaves finite weights near 1e300, whose
     # test logits overflow; the loss and gradients of that step are finite
@@ -496,6 +504,33 @@ def test_state_roundtrip_preserves_predictions(tmp_path):
     np.testing.assert_array_equal(model.inference_predict(x),
                                   state.model.inference_predict(x))
     assert ga is not None and ga.k == state.ga.k
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(projections="shared"), dict(interaction="concat", projections="none"),
+    dict(interaction="mul", projections="shared", shared_classifiers=False)],
+    ids=["sum-distinct", "sum-shared", "concat-none", "mul-shared-unshared-heads"])
+def test_checkpoint_roundtrip_restores_every_parameter(overrides):
+    """A saved and loaded run has the same parameter names as the run, the
+    attention net's included, and bit-equal values."""
+    state, _ = train(tiny_dataset(), tiny_config(epochs=1, **overrides))
+    passed, detail = verify.check_checkpoint_roundtrip(state)
+    assert passed, detail
+
+
+def test_checkpoint_roundtrip_catches_swapped_attention_records(monkeypatch):
+    """A loader that swaps two projection weights of one shape fails the
+    check, though the backbone and heads load intact."""
+    state, _ = train(tiny_dataset(), tiny_config(epochs=1))
+
+    def swapping(path):
+        model, ga = load_state(path)
+        a, b = ga.proj[0].weight, ga.proj[1].weight
+        a.values, b.values = b.values, a.values
+        return model, ga
+
+    monkeypatch.setattr(verify, "load_state", swapping)
+    assert not verify.check_checkpoint_roundtrip(state)[0]
 
 
 def test_data_fraction_subsamples():
