@@ -2,7 +2,8 @@
 every float bit.
 
 Each configuration trains 4 epochs at seed 0 on the default benchmark data
-(blobs, C=3, d0=32, 1000/250 samples per class, symmetric noise 0.4). For
+(blobs, C=3, d0=32, 1000/250 samples per class, symmetric noise 0.4), the
+last on the same data with pairflip noise 0.4 instead. For
 each it prints the first 16 hex digits of the sha256 of the final
 parameters (the model's, then the attention net's; each name's UTF-8
 bytes followed by the raw bytes of its values) and of the sha256 of
@@ -22,6 +23,7 @@ from afm import cli
 from afm.data import save_dataset
 from afm.training import TrainConfig, save_state, train
 
+PAIRFLIP = "afm K=2, pairflip noise"
 CONFIGS = {
     "afm K=2": {},
     "afm K=3": dict(k=3),
@@ -39,6 +41,8 @@ CONFIGS = {
     "manifold-mixup": dict(mode="manifold-mixup"),
     "sum + shared, K=2": dict(projections="shared"),
     "sum + shared, K=3": dict(projections="shared", k=3),
+    "data_fraction=0.5": dict(data_fraction=0.5),
+    PAIRFLIP: {},
 }
 
 
@@ -47,12 +51,15 @@ def digest(data: bytes) -> str:
 
 
 def main():
-    dataset = cli.build_dataset({key: default for key, (default, _) in cli.DATA_KEYS.items()})
+    spec = {key: default for key, (default, _) in cli.DATA_KEYS.items()}
+    dataset = cli.build_dataset(spec)
+    pairflip = cli.build_dataset({**spec, "noise_model": "pairflip"})
     width = max(map(len, CONFIGS))
     print(f"{'config':<{width}}  {'parameters':<16}  log.rows")
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in CONFIGS.items():
-            state, log = train(dataset, TrainConfig(epochs=4, seed=0, **overrides))
+            state, log = train(pairflip if name == PAIRFLIP else dataset,
+                               TrainConfig(epochs=4, seed=0, **overrides))
             named = state.model.parameters() + (state.ga.parameters() if state.ga else [])
             params = b"".join(n.encode() + p.values.tobytes() for n, p in named)
             print(f"{name:<{width}}  {digest(params)}  {digest(repr(log.rows).encode())}")

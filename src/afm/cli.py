@@ -18,8 +18,8 @@ from . import tensor as T
 from .data import (NoisyDataset, generate, inject_noise, load_dataset,
                    one_hot, save_dataset)
 from .errors import ConfigError, NumericError
-from .grouping import (attend, pure_noisy_group_ratio, sample_groups,
-                       sampled_pure_noisy_ratio)
+from .grouping import (attend, check_sampled_ratio, pure_noisy_group_ratio,
+                       sample_groups)
 from .mixing import gather_members, interpolate
 from .training import TrainConfig, load_state, save_state, train, write_csv
 
@@ -207,15 +207,12 @@ def cmd_noise_ratio(args) -> int:
     rows = []
     print(f"{'K':>3} {'closed_form':>14} {'empirical':>14} {'abs_diff':>12} {'3sigma':>12} pass")
     for k in ks:
-        closed = pure_noisy_group_ratio(args.n_noisy, args.n_total, k)
-        freq = sampled_pure_noisy_ratio(args.n_noisy, args.n_total, k, args.trials, rng)
-        sigma3 = 3.0 * np.sqrt(max(closed * (1 - closed), 1e-300) / args.trials)
-        ok = abs(freq - closed) <= sigma3 + 1e-12
+        closed, freq, sigma3, ok = check_sampled_ratio(args.n_noisy, args.n_total, k,
+                                                       args.trials, rng)
         print(f"{k:>3} {closed:>14.8f} {freq:>14.8f} {abs(freq-closed):>12.8f} "
               f"{sigma3:>12.8f} {'yes' if ok else 'NO'}")
-        rows.append([k, repr(float(closed)), repr(float(freq)),
-                     repr(float(abs(freq - closed))), repr(float(sigma3)),
-                     int(ok)])
+        rows.append([k, repr(closed), repr(freq), repr(abs(freq - closed)),
+                     repr(sigma3), int(ok)])
     if args.out:
         write_csv(args.out, ["k", "closed_form", "empirical", "abs_diff",
                              "three_sigma", "within_bound"], rows)
@@ -245,12 +242,10 @@ def cmd_dump_features(args) -> int:
     interp = None
     if args.interpolations > 0:
         rng = np.random.default_rng(args.seed)
-        tr = dataset.train_idx
-        train_feats = T.constant(feats[tr])
-        labels = one_hot(dataset.given_labels[tr], dataset.n_classes)
-        groups = sample_groups(dataset.given_labels[tr], args.interpolations,
-                               ga.k, rng=rng)
-        members = gather_members(train_feats, labels, groups)
+        train_labels = dataset.given_labels[:dataset.n_train]
+        labels = one_hot(train_labels, dataset.n_classes)
+        groups = sample_groups(train_labels, args.interpolations, ga.k, rng=rng)
+        members = gather_members(T.constant(feats[:dataset.n_train]), labels, groups)
         interp = interpolate(members, attend(members.features, ga))
 
     # the lines csv.writer would write: no field holds a comma, quote or

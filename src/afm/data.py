@@ -1,7 +1,9 @@
 """Synthetic classification datasets with controlled, recorded label noise.
 
-Clean labels are kept alongside the (possibly corrupted) given labels for
-evaluation only; the test split is never corrupted.
+Rows [0, n_train) of a dataset are its train split and the rest its test
+split, which is never corrupted. Clean labels are kept alongside the
+(possibly corrupted) given labels for evaluation only; a sample is
+mislabeled exactly when the two differ.
 """
 
 from __future__ import annotations
@@ -22,27 +24,28 @@ class NoisyDataset:
     features: np.ndarray       # (N, d0)
     given_labels: np.ndarray   # (N,) possibly corrupted on the train split
     clean_labels: np.ndarray   # (N,) hidden, evaluation only
-    noise_mask: np.ndarray     # (N,) bool, given != clean
-    train_idx: np.ndarray
-    test_idx: np.ndarray
+    n_train: int               # rows [0, n_train) train, the rest test
     n_classes: int
 
     def __post_init__(self):
-        if not np.array_equal(self.noise_mask, self.given_labels != self.clean_labels):
-            raise ConfigError("noise mask inconsistent with labels")
-        if np.any(self.noise_mask[self.test_idx]):
+        n = len(self.features)
+        if len(self.given_labels) != n or len(self.clean_labels) != n:
+            raise ConfigError(f"need {n} given and {n} clean labels")
+        if not 0 <= self.n_train <= n:
+            raise ConfigError(f"n_train must be in [0, {n}], got {self.n_train}")
+        if np.any(self.noise_mask[self.n_train:]):
             raise ConfigError("test split must stay clean")
+
+    @property
+    def noise_mask(self) -> np.ndarray:
+        return self.given_labels != self.clean_labels
 
     @property
     def input_dim(self):
         return self.features.shape[1]
 
-    @property
-    def n_train(self):
-        return len(self.train_idx)
-
     def train_noise_count(self) -> int:
-        return int(self.noise_mask[self.train_idx].sum())
+        return int(self.noise_mask[:self.n_train].sum())
 
 
 def generate(kind: str, classes: int, per_class_train: int, per_class_test: int,
@@ -95,19 +98,9 @@ def generate(kind: str, classes: int, per_class_train: int, per_class_test: int,
         for c in range(classes):
             feats.append(pattern(c, split_count))
             labels.append(np.full(split_count, c, dtype=np.int64))
-    features = np.concatenate(feats)
     clean = np.concatenate(labels)
-    n_train = classes * per_class_train
-    n_total = len(clean)
-    return NoisyDataset(
-        features=features,
-        given_labels=clean.copy(),
-        clean_labels=clean,
-        noise_mask=np.zeros(n_total, dtype=bool),
-        train_idx=np.arange(n_train),
-        test_idx=np.arange(n_train, n_total),
-        n_classes=classes,
-    )
+    return NoisyDataset(np.concatenate(feats), clean.copy(), clean,
+                        classes * per_class_train, classes)
 
 
 def inject_noise(dataset: NoisyDataset, model: str, rho: float, seed: int) -> NoisyDataset:
@@ -126,18 +119,12 @@ def inject_noise(dataset: NoisyDataset, model: str, rho: float, seed: int) -> No
     rng = np.random.default_rng([int(seed), 0x401E])
     given = dataset.clean_labels.copy()
     c = dataset.n_classes
-    flip = rng.uniform(size=dataset.n_train) < rho
-    train = dataset.train_idx[flip]
+    flip = np.flatnonzero(rng.uniform(size=dataset.n_train) < rho)
     if model == "symmetric":
-        offsets = rng.integers(1, c, size=len(train))
-        given[train] = (given[train] + offsets) % c
+        given[flip] = (given[flip] + rng.integers(1, c, size=len(flip))) % c
     else:
-        given[train] = (given[train] + 1) % c
-    return replace(
-        dataset,
-        given_labels=given,
-        noise_mask=given != dataset.clean_labels,
-    )
+        given[flip] = (given[flip] + 1) % c
+    return replace(dataset, given_labels=given)
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -149,37 +136,28 @@ def save_dataset(path, dataset: NoisyDataset):
         "features": dataset.features,
         "given_labels": dataset.given_labels.astype(np.float64),
         "clean_labels": dataset.clean_labels.astype(np.float64),
-        "noise_mask": dataset.noise_mask.astype(np.float64),
-        "train_idx": dataset.train_idx.astype(np.float64),
-        "test_idx": dataset.test_idx.astype(np.float64),
+        "n_train": np.asarray(float(dataset.n_train)),
         "n_classes": np.asarray(float(dataset.n_classes)),
     })
 
 
 def load_dataset(path) -> NoisyDataset:
-    """Read a dataset file. Raises ConfigError unless its N samples carry
-    labels in [0, n_classes) with 2 <= n_classes <= N and a 0/1 noise mask,
-    and its split indices are integers in [0, N) with no sample in both
-    splits or twice in one."""
+    """Read a dataset file: the records features, given_labels, clean_labels,
+    n_train and n_classes. Raises ConfigError unless its N samples carry
+    labels in [0, n_classes) with 2 <= n_classes <= N, n_train is an
+    integer in [0, N] and every test row's given label is its clean one."""
     arrays = read_arrays(path)
     try:
         if arrays["features"].ndim != 2:
             raise ConfigError(f"{path}: dataset field 'features' must be a matrix")
         n = len(arrays["features"])
         n_classes = read_integers(path, arrays, "n_classes", 2, n + 1, 1).item()
-        dataset = NoisyDataset(
+        return NoisyDataset(
             features=arrays["features"],
             given_labels=read_integers(path, arrays, "given_labels", 0, n_classes, n),
             clean_labels=read_integers(path, arrays, "clean_labels", 0, n_classes, n),
-            noise_mask=read_integers(path, arrays, "noise_mask", 0, 2, n).astype(bool),
-            train_idx=read_integers(path, arrays, "train_idx", 0, n),
-            test_idx=read_integers(path, arrays, "test_idx", 0, n),
+            n_train=read_integers(path, arrays, "n_train", 0, n + 1, 1).item(),
             n_classes=n_classes,
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing dataset field {exc}") from exc
-    split = np.concatenate([dataset.train_idx, dataset.test_idx])
-    if len(np.unique(split)) != len(split):
-        raise ConfigError(f"{path}: dataset fields 'train_idx' and 'test_idx' "
-                          f"repeat a sample index")
-    return dataset

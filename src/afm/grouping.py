@@ -193,3 +193,14 @@ def sampled_pure_noisy_ratio(n_noisy: int, n_total: int, k: int, trials: int,
     noisy = np.arange(n_total) < n_noisy
     groups = sample_groups(np.zeros(n_total, dtype=np.int64), trials, k, rng=rng)
     return float(noisy[groups].all(axis=1).mean())
+
+
+def check_sampled_ratio(n_noisy: int, n_total: int, k: int, trials: int,
+                        rng: np.random.Generator) -> tuple[float, float, float, bool]:
+    """(closed form, sampled ratio, 3 sigma, within): the ratio of ``trials``
+    groups is within when at most 3 binomial sigma from pure_noisy_group_ratio,
+    so an exact match passes where the closed form is 0 or 1 and sigma is 0."""
+    closed = pure_noisy_group_ratio(n_noisy, n_total, k)
+    freq = sampled_pure_noisy_ratio(n_noisy, n_total, k, trials, rng)
+    three_sigma = 3.0 * float(np.sqrt(closed * (1 - closed) / trials))
+    return closed, freq, three_sigma, abs(freq - closed) <= three_sigma

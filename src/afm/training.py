@@ -303,15 +303,15 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
               decay_overrides={name: 0.0 for name, _ in ga_params})
     state = TrainState(epoch=0, step=0, model=model, ga=ga, optimizer=opt)
 
-    train_idx = dataset.train_idx.copy()
+    n_train = dataset.n_train
+    train_idx = np.arange(n_train)
     if config.data_fraction < 1.0:
-        keep = max(config.batch_size, int(round(config.data_fraction * len(train_idx))))
-        keep = min(keep, len(train_idx))
-        train_idx = train_idx[data_rng.permutation(len(train_idx))[:keep]]
+        keep = max(config.batch_size, int(round(config.data_fraction * n_train)))
+        train_idx = data_rng.permutation(n_train)[:keep]
 
-    test_x = dataset.features[dataset.test_idx]
-    test_y = dataset.clean_labels[dataset.test_idx]
+    test_x, test_y = dataset.features[n_train:], dataset.clean_labels[n_train:]
     given_onehot = one_hot(dataset.given_labels, c)
+    noise_mask = dataset.noise_mask
     log = MetricsLog()
 
     for epoch in range(config.epochs):
@@ -330,7 +330,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
                                      given_onehot[batch_idx], draws, config)
             if ga is not None and interp is not None:
                 step_weights.append(interp.weights.values)
-                step_noisy.append(dataset.noise_mask[batch_idx[draws[0]]])
+                step_noisy.append(noise_mask[batch_idx[draws[0]]])
             if not np.isfinite(loss.values):
                 raise NumericError(f"non-finite loss at epoch {epoch}, step {state.step}")
             opt.zero_grad()

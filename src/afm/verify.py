@@ -19,7 +19,7 @@ from . import tensor as T
 from .data import generate, inject_noise, one_hot
 from .errors import SubgradientWarning
 from .grouping import (INTERACTIONS, PROJECTION_MODES, GAParams, attend,
-                       pure_noisy_group_ratio, sample_groups, sampled_pure_noisy_ratio)
+                       check_sampled_ratio, pure_noisy_group_ratio, sample_groups)
 from .mixing import gather_members, interpolate
 from .model import Model
 from .training import (MODES, TrainConfig, draw_step, load_state, save_state,
@@ -192,13 +192,8 @@ def check_order_symmetry():
 def check_pure_noisy_ratio():
     """Criterion 3: the closed-form pure-noisy-group ratio is exact, matches
     100,000 sampled groups within 3 sigma, and falls from K=1 to K=2."""
-    closed = pure_noisy_group_ratio(200, 1000, 2)
-    exact = Fraction(200, 1000) * Fraction(199, 999)
-    exact_ok = abs(closed - float(exact)) < 1e-12
-    trials = 100_000
-    freq = sampled_pure_noisy_ratio(200, 1000, 2, trials, np.random.default_rng(3))
-    sigma = np.sqrt(closed * (1 - closed) / trials)
-    mc_ok = abs(freq - closed) < 3 * sigma
+    closed, freq, _, mc_ok = check_sampled_ratio(200, 1000, 2, 100_000, np.random.default_rng(3))
+    exact_ok = abs(closed - float(Fraction(200, 1000) * Fraction(199, 999))) < 1e-12
     ineq_ok = closed < pure_noisy_group_ratio(200, 1000, 1)
     return (exact_ok and mc_ok and ineq_ok,
             f"closed {closed:.6g} vs exact, MC {freq:.6g} within 3sigma, "
@@ -235,11 +230,17 @@ def check_simplex_and_hull():
 
 
 def check_inference_equivalence(model, x):
-    """Criterion 8: inference_predict agrees with the tape's normal classifier."""
-    fast = model.inference_predict(x)
-    probs = model.classify(model.extract_features(T.constant(x)), head=2)
-    same = int((fast == np.argmax(probs.values, axis=1)).sum())
-    return same == len(x), f"{same}/{len(x)} predictions identical"
+    """Criterion 8: the tape's normal-classifier logits equal those of a plain
+    numpy forward pass bit for bit, and inference_predict is their argmax."""
+    h = x
+    for layer in model.layers:
+        h = np.maximum(h @ layer.weight.values + layer.bias.values, 0.0)
+    expect = h @ model.head2.weight.values + model.head2.bias.values
+    logits = model.classify(model.extract_features(T.constant(x)), head=2).values
+    bit_equal = logits.tobytes() == expect.tobytes()
+    same = int((model.inference_predict(x) == np.argmax(expect, axis=1)).sum())
+    return (bit_equal and same == len(x),
+            f"{same}/{len(x)} predictions identical, logits bit-equal {bit_equal}")
 
 
 def check_determinism(dataset, config, log=None):
@@ -295,7 +296,7 @@ def run_all(inject_fault=None):
                       lr=0.05, lr_decay_every=10)
     state, log = train(ds, cfg)
     results.append(("inference-equivalence",
-                     *check_inference_equivalence(state.model, ds.features[ds.test_idx])))
+                     *check_inference_equivalence(state.model, ds.features[ds.n_train:])))
 
     results.append(("checkpoint-roundtrip", *check_checkpoint_roundtrip(state)))
     results.append(("metrics-determinism", *check_determinism(ds, cfg, log)))

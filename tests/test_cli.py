@@ -255,6 +255,19 @@ def test_noise_ratio_table(tmp_path, capsys):
     assert all(r["within_bound"] == "1" for r in rows)
 
 
+@pytest.mark.parametrize("n_noisy,k,closed", [(1, 2, 0.0), (10, 3, 1.0)])
+def test_noise_ratio_exact_degenerate_rows(tmp_path, capsys, n_noisy, k, closed):
+    """Where the closed form is 0 or 1, sigma is 0 and every sampled group
+    agrees, so the row is within its bound of 0."""
+    out = tmp_path / "ratio.csv"
+    assert main(["noise-ratio", "--n-noisy", str(n_noisy), "--n-total", "10",
+                 "--values", str(k), "--trials", "50", "--out", str(out)]) == 0
+    (row,) = read_csv(out)
+    assert (float(row["closed_form"]), float(row["empirical"])) == (closed, closed)
+    assert (row["three_sigma"], row["within_bound"]) == ("0.0", "1")
+    assert capsys.readouterr().out.splitlines()[1].endswith(" yes")
+
+
 def test_dump_features(config_file, tmp_path):
     run = tmp_path / "run"
     main(["train", "--config", config_file, "--out", str(run)])
@@ -291,10 +304,10 @@ def test_dump_features_bytes_match_csv_writer(config_file, tmp_path):
         rows.append([repr(float(v)) for v in feats[i]]
                     + [int(ds.given_labels[i]), int(ds.clean_labels[i]),
                        int(ds.noise_mask[i]), 0, ""])
-    tr = ds.train_idx
-    groups = sample_groups(ds.given_labels[tr], 7, ga.k, rng=np.random.default_rng(3))
-    members = gather_members(T.constant(feats[tr]), one_hot(ds.given_labels[tr], ds.n_classes),
-                             groups)
+    train_labels = ds.given_labels[:ds.n_train]
+    groups = sample_groups(train_labels, 7, ga.k, rng=np.random.default_rng(3))
+    members = gather_members(T.constant(feats[:ds.n_train]),
+                             one_hot(train_labels, ds.n_classes), groups)
     interp = interpolate(members, attend(members.features, ga))
     for f, w in zip(interp.features.values, interp.weights.values):
         rows.append([repr(float(v)) for v in f]
@@ -386,16 +399,14 @@ def test_dump_features_nonfinite_values_exit_2(config_file, tmp_path, capsys, fi
     assert f"record {name!r} holds NaN or inf" in capsys.readouterr().err
 
 
-# the small config's dataset has 3 classes and 150 samples: train indices
-# 0-119, test indices 120-149
+# the small config's dataset has 3 classes and 150 samples: train rows
+# 0-119, test rows 120-149
 @pytest.mark.parametrize("name,at,value", [
-    ("test_idx", 0, 1e9),
-    ("train_idx", 0, -1.0),
-    ("train_idx", 0, 0.5),
-    ("train_idx", 1, 0.0),          # repeats train_idx[0]
+    ("n_train", None, -1.0),
+    ("n_train", None, 151.0),
+    ("n_train", None, 2.5),
     ("given_labels", 0, 3.0),
     ("clean_labels", 0, -1.0),
-    ("noise_mask", None, 2.0),      # on every noisy sample, so it agrees with the labels
     ("n_classes", None, 2.5),
 ])
 def test_dump_features_forged_dataset_exit_2(config_file, tmp_path, capsys, name, at,
@@ -413,13 +424,38 @@ def test_dump_features_forged_dataset_exit_2(config_file, tmp_path, capsys, name
     assert repr(name) in capsys.readouterr().err
 
 
+def test_dump_features_dataset_contract_exit_2(config_file, tmp_path, capsys):
+    """A test row whose given label is not its clean one, and a file of the
+    old format (split index arrays and a noise mask instead of n_train),
+    exit 2 with an error line."""
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    arrays = read_arrays(run / "dataset.bin")
+    noisy_test = dict(arrays, given_labels=arrays["given_labels"].copy())
+    noisy_test["given_labels"][120] = (arrays["clean_labels"][120] + 1) % 3
+    old = {name: values for name, values in arrays.items() if name != "n_train"}
+    old.update(noise_mask=(arrays["given_labels"] != arrays["clean_labels"]) * 1.0,
+               train_idx=np.arange(120.0), test_idx=np.arange(120.0, 150.0))
+    capsys.readouterr()
+    for fields, message in ((noisy_test, "test split must stay clean"),
+                            (old, "missing dataset field 'n_train'")):
+        write_arrays(run / "dataset.bin", fields)
+        assert main(["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
+                     "--dataset", str(run / "dataset.bin"),
+                     "--out", str(tmp_path / "features.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "features.csv").exists()
+
+
 def test_bad_arguments_exit_2(config_file, tmp_path, capsys):
     """Values that cannot be parsed or run, wherever they are found, exit 2
     with an error line from main, never a traceback."""
     run = tmp_path / "run"
     main(["train", "--config", config_file, "--out", str(run)])
     arrays = read_arrays(run / "dataset.bin")
-    arrays["train_idx"] = arrays["train_idx"][:1]  # fewer samples than K
+    arrays["n_train"] = np.asarray(1.0)  # fewer train samples than K
+    arrays["given_labels"] = arrays["clean_labels"]  # so every test row is clean
     one = tmp_path / "one_train_sample.bin"
     write_arrays(one, arrays)
     sweep = ["sweep", "--config", config_file, "--out", str(tmp_path / "sweep")]

@@ -20,20 +20,20 @@ def small_blobs(seed=0):
 def test_blob_counts_and_splits():
     ds = small_blobs()
     assert ds.n_train == 120
-    assert len(ds.test_idx) == 30
+    assert len(ds.features) == 150
     assert ds.input_dim == 8
     assert ds.n_classes == 3
     # balanced classes on both splits
-    for idx in (ds.train_idx, ds.test_idx):
-        _, counts = np.unique(ds.clean_labels[idx], return_counts=True)
+    for split in (ds.clean_labels[:ds.n_train], ds.clean_labels[ds.n_train:]):
+        _, counts = np.unique(split, return_counts=True)
         assert len(set(counts)) == 1
 
 
 def test_blob_center_separation():
     # class means sit ~separation apart (orthonormal construction)
     ds = generate("blobs", 3, 500, 10, 16, 6.0, seed=1)
-    means = [ds.features[ds.train_idx][ds.clean_labels[ds.train_idx] == c].mean(axis=0)
-             for c in range(3)]
+    train_x, train_y = ds.features[:ds.n_train], ds.clean_labels[:ds.n_train]
+    means = [train_x[train_y == c].mean(axis=0) for c in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
             d = np.linalg.norm(means[i] - means[j])
@@ -68,7 +68,7 @@ def test_symmetric_noise_rate_and_mask():
     assert abs(frac - 0.4) < 0.05
     # mask agrees with label disagreement, test split untouched
     np.testing.assert_array_equal(ds.noise_mask, ds.given_labels != ds.clean_labels)
-    assert not ds.noise_mask[ds.test_idx].any()
+    assert not ds.noise_mask[ds.n_train:].any()
     # corrupted labels are never the clean label
     flipped = ds.noise_mask
     assert np.all(ds.given_labels[flipped] != ds.clean_labels[flipped])
@@ -102,11 +102,25 @@ def test_noise_deterministic_in_seed():
 
 def test_noisydataset_validates_consistency():
     ds = small_blobs()
-    bad_mask = ds.noise_mask.copy()
-    bad_mask[0] = True
-    with pytest.raises(ConfigError):
-        NoisyDataset(ds.features, ds.given_labels, ds.clean_labels, bad_mask,
-                     ds.train_idx, ds.test_idx, ds.n_classes)
+    n = len(ds.features)
+    for n_train in (-1, n + 1):
+        with pytest.raises(ConfigError, match=r"n_train must be in \[0, 150\]"):
+            NoisyDataset(ds.features, ds.given_labels, ds.clean_labels, n_train,
+                         ds.n_classes)
+    for given, clean in ((ds.given_labels[:-1], ds.clean_labels),
+                         (ds.given_labels, ds.clean_labels[:-1])):
+        with pytest.raises(ConfigError, match="need 150 given and 150 clean labels"):
+            NoisyDataset(ds.features, given, clean, ds.n_train, ds.n_classes)
+    given = ds.given_labels.copy()
+    given[ds.n_train] = (given[ds.n_train] + 1) % 3
+    with pytest.raises(ConfigError, match="test split must stay clean"):
+        NoisyDataset(ds.features, given, ds.clean_labels, ds.n_train, ds.n_classes)
+    # the same label change on a train row is label noise
+    given = ds.given_labels.copy()
+    given[ds.n_train - 1] = (given[ds.n_train - 1] + 1) % 3
+    noisy = NoisyDataset(ds.features, given, ds.clean_labels, ds.n_train, ds.n_classes)
+    assert noisy.train_noise_count() == 1
+    np.testing.assert_array_equal(np.flatnonzero(noisy.noise_mask), [ds.n_train - 1])
 
 
 def test_one_hot():
@@ -121,8 +135,24 @@ def test_dataset_roundtrip(tmp_path):
     back = load_dataset(p)
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.given_labels, ds.given_labels)
-    np.testing.assert_array_equal(back.noise_mask, ds.noise_mask)
-    assert back.n_classes == ds.n_classes
+    np.testing.assert_array_equal(back.clean_labels, ds.clean_labels)
+    assert (back.n_train, back.n_classes) == (ds.n_train, ds.n_classes)
+    assert list(read_arrays(p)) == ["features", "given_labels", "clean_labels",
+                                    "n_train", "n_classes"]
+
+
+def test_loaded_dataset_trains_like_the_original(tmp_path):
+    """A dataset read back from its file gives the in-memory run's final
+    parameters and metrics, bit for bit."""
+    ds = inject_noise(small_blobs(), "symmetric", 0.4, 0)
+    p = tmp_path / "ds.bin"
+    save_dataset(p, ds)
+    runs = []
+    for data in (ds, load_dataset(p)):
+        state, log = train(data, TrainConfig(hidden=(8,), epochs=2, batch_size=32))
+        named = state.model.parameters() + state.ga.parameters()
+        runs.append(([(name, v.values.tobytes()) for name, v in named], repr(log.rows)))
+    assert runs[0] == runs[1]
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from afm import tensor as T
 from afm.errors import ConfigError, ShapeError
-from afm.grouping import (GAParams, attend, member_selectors,
+from afm.grouping import (GAParams, attend, check_sampled_ratio, member_selectors,
                           pure_noisy_group_ratio, sample_groups,
                           sampled_pure_noisy_ratio)
 from afm.tensor import backward
@@ -235,3 +235,13 @@ def test_pure_noisy_ratio_monte_carlo():
     # the first n_noisy samples are the mislabeled ones
     assert sampled_pure_noisy_ratio(10, 10, 3, 50, np.random.default_rng(0)) == 1.0
     assert sampled_pure_noisy_ratio(1, 10, 2, 50, np.random.default_rng(0)) == 0.0
+
+
+def test_check_sampled_ratio_passes_exact_degenerate_ratios():
+    """sigma is 0 where the closed form is 0 or 1; an exact match passes."""
+    assert check_sampled_ratio(1, 10, 2, 50, np.random.default_rng(0)) == (0.0, 0.0, 0.0, True)
+    assert check_sampled_ratio(10, 10, 3, 50, np.random.default_rng(0)) == (1.0, 1.0, 0.0, True)
+    closed, freq, three_sigma, within = check_sampled_ratio(
+        20, 50, 2, 100_000, np.random.default_rng(12))
+    assert within and three_sigma == 3 * np.sqrt(closed * (1 - closed) / 100_000)
+    assert freq == sampled_pure_noisy_ratio(20, 50, 2, 100_000, np.random.default_rng(12))

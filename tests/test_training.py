@@ -500,7 +500,7 @@ def test_state_roundtrip_preserves_predictions(tmp_path):
     p = tmp_path / "state.bin"
     save_state(p, state)
     model, ga = load_state(p)
-    x = ds.features[ds.test_idx]
+    x = ds.features[ds.n_train:]
     np.testing.assert_array_equal(model.inference_predict(x),
                                   state.model.inference_predict(x))
     assert ga is not None and ga.k == state.ga.k
@@ -531,6 +531,20 @@ def test_checkpoint_roundtrip_catches_swapped_attention_records(monkeypatch):
 
     monkeypatch.setattr(verify, "load_state", swapping)
     assert not verify.check_checkpoint_roundtrip(state)[0]
+
+
+def test_inference_equivalence_catches_a_dropped_bias(monkeypatch):
+    """Criterion 8 compares against a numpy forward pass of its own, so a
+    fault in the tape's dense layer fails it."""
+    ds = tiny_dataset()
+    state, _ = train(ds, tiny_config(epochs=1))
+    x = ds.features[ds.n_train:]
+    assert verify.check_inference_equivalence(state.model, x)[0]
+    affine = T.affine
+    monkeypatch.setattr(T, "affine", lambda x, w, b, relu=False: affine(
+        x, w, T.constant(np.zeros_like(b.values)), relu))
+    passed, detail = verify.check_inference_equivalence(state.model, x)
+    assert not passed and "logits bit-equal False" in detail
 
 
 def test_data_fraction_subsamples():
