@@ -7,8 +7,9 @@ last on the same data with pairflip noise 0.4 instead. For
 each it prints the first 16 hex digits of the sha256 of the final
 parameters (the model's, then the attention net's; each name's UTF-8
 bytes followed by the raw bytes of its values) and of the sha256 of
-repr(log.rows). Last comes the sha256 of the CSV that
-`afm dump-features --interpolations 3000` writes from the afm K=2 run.
+repr(log.rows). Last come the sha256 of the CSV that
+`afm dump-features --interpolations 3000` writes from the afm K=2 run,
+and that of the checkpoint file `save_state` writes of that run.
 
 Run from the repository root, on two checkouts, and compare the output:
 
@@ -73,6 +74,8 @@ def main():
             raise SystemExit("dump-features failed")
         with open(out, "rb") as f:
             print(f"dump-features, 3000 interpolations: {digest(f.read())}")
+        with open(checkpoint, "rb") as f:
+            print(f"checkpoint file, afm K=2: {digest(f.read())}")
 
 
 if __name__ == "__main__":

@@ -83,12 +83,18 @@ def read_arrays(path) -> dict[str, np.ndarray]:
     return arrays
 
 
+def read_record(path, arrays, name) -> np.ndarray:
+    """Record ``name`` of ``arrays``, read from ``path``; ConfigError if missing."""
+    if name not in arrays:
+        raise ConfigError(f"{path}: missing record {name!r}")
+    return arrays[name]
+
+
 def read_integers(path, arrays, name, low, high=2 ** 63, size=None) -> np.ndarray:
-    """Record ``name`` of ``arrays``, read from ``path``, as int64 values.
-    Raises ConfigError, naming the file and the record, unless it holds only
-    integers in [low, high), and exactly ``size`` of them when ``size`` is
-    given; a missing record raises KeyError."""
-    values = arrays[name].reshape(-1)
+    """Record ``name`` of ``arrays``, read from ``path``, as int64 values; raises
+    ConfigError, naming both, when it is missing or holds anything but integers
+    in [low, high), or other than exactly ``size`` of them when ``size`` is given."""
+    values = read_record(path, arrays, name).reshape(-1)
     if (size is not None and len(values) != size) or not np.all(
             (values == np.floor(values)) & (values >= low) & (values < high)):
         count = "" if size is None else f", {size} of them"

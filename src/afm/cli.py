@@ -162,11 +162,13 @@ def cmd_sweep(args) -> int:
     jobs = [(v, s, (replace(_apply_axis(config, args.axis, v), seed=s).validate(),
                     data_spec, os.path.join(args.out, f"{args.axis}_{v}", f"seed_{s}")))
             for v in values for s in seeds]
-    os.makedirs(args.out, exist_ok=True)
-
-    # with AFM_THREADS > 1 the runs start at once in that many worker
-    # processes; otherwise each runs when the loop below reaches it
+    # with AFM_THREADS > 1 the runs start at once in that many worker processes,
+    # at most one per run; otherwise each runs when the loop below reaches it
     workers = _parse_value("AFM_THREADS", os.environ.get("AFM_THREADS", "1"), int)
+    if workers < 1:
+        raise ConfigError(f"AFM_THREADS must be >= 1, got {workers}")
+    workers = min(workers, len(jobs))
+    os.makedirs(args.out, exist_ok=True)
     results, failures = {}, []
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         futures = [pool.submit(_sweep_worker, job) if pool else None for _, _, job in jobs]

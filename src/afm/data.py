@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import read_arrays, read_integers, write_arrays
+from .checkpoint import read_arrays, read_integers, read_record, write_arrays
 from .errors import ConfigError
 
 DATASET_KINDS = ("blobs", "two-moons", "rings")
@@ -31,6 +31,8 @@ class NoisyDataset:
         n = len(self.features)
         if len(self.given_labels) != n or len(self.clean_labels) != n:
             raise ConfigError(f"need {n} given and {n} clean labels")
+        if isinstance(self.n_train, bool) or not isinstance(self.n_train, (int, np.integer)):
+            raise ConfigError(f"n_train must be an integer, got {self.n_train!r}")
         if not 0 <= self.n_train <= n:
             raise ConfigError(f"n_train must be in [0, {n}], got {self.n_train}")
         if np.any(self.noise_mask[self.n_train:]):
@@ -147,17 +149,15 @@ def load_dataset(path) -> NoisyDataset:
     labels in [0, n_classes) with 2 <= n_classes <= N, n_train is an
     integer in [0, N] and every test row's given label is its clean one."""
     arrays = read_arrays(path)
-    try:
-        if arrays["features"].ndim != 2:
-            raise ConfigError(f"{path}: dataset field 'features' must be a matrix")
-        n = len(arrays["features"])
-        n_classes = read_integers(path, arrays, "n_classes", 2, n + 1, 1).item()
-        return NoisyDataset(
-            features=arrays["features"],
-            given_labels=read_integers(path, arrays, "given_labels", 0, n_classes, n),
-            clean_labels=read_integers(path, arrays, "clean_labels", 0, n_classes, n),
-            n_train=read_integers(path, arrays, "n_train", 0, n + 1, 1).item(),
-            n_classes=n_classes,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing dataset field {exc}") from exc
+    features = read_record(path, arrays, "features")
+    if features.ndim != 2:
+        raise ConfigError(f"{path}: dataset field 'features' must be a matrix")
+    n = len(features)
+    n_classes = read_integers(path, arrays, "n_classes", 2, n + 1, 1).item()
+    return NoisyDataset(
+        features=features,
+        given_labels=read_integers(path, arrays, "given_labels", 0, n_classes, n),
+        clean_labels=read_integers(path, arrays, "clean_labels", 0, n_classes, n),
+        n_train=read_integers(path, arrays, "n_train", 0, n + 1, 1).item(),
+        n_classes=n_classes,
+    )

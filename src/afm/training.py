@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from operator import attrgetter, is_, is_not, methodcaller
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import read_arrays, read_integers, write_arrays
+from .checkpoint import read_arrays, read_integers, read_record, write_arrays
 from .data import NoisyDataset, one_hot
 from .errors import AfmError, ConfigError, NumericError
 from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
@@ -364,56 +364,45 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
 # ---------------------------------------------------------------------------
 
 def save_state(path, state: TrainState):
-    arrays = {name: p.values for name, p in
-              state.model.parameters() + (state.ga.parameters() if state.ga else [])}
-    meta = {
-        "__meta__/widths": np.asarray(state.model.widths, dtype=np.float64),
-        "__meta__/n_classes": np.asarray(float(state.model.n_classes)),
-        "__meta__/shared": np.asarray(float(state.model.shared)),
-    }
-    if state.ga is not None:
-        meta["__meta__/k"] = np.asarray(float(state.ga.k))
-        meta["__meta__/interaction"] = np.asarray(
-            float(INTERACTIONS.index(state.ga.interaction)))
-        meta["__meta__/projections"] = np.asarray(
-            float(PROJECTION_MODES.index(state.ga.projections)))
-    write_arrays(path, {**meta, **arrays})
+    """Write the named parameters and afm's interaction, which no shape gives."""
+    named = state.model.parameters() + (state.ga.parameters() if state.ga else [])
+    meta = {} if state.ga is None else {"__meta__/interaction": np.asarray(
+        float(INTERACTIONS.index(state.ga.interaction)))}
+    write_arrays(path, {**meta, **{name: p.values for name, p in named}})
 
 
 def load_state(path) -> tuple[Model, GAParams | None]:
+    """Rebuild what save_state wrote from its records' names and shapes: widths
+    are the rows of backbone.{i}.weight for i = 0, 1, ... while it exists, then
+    of classifier.head1.weight, whose columns are n_classes; heads are shared
+    unless classifier.head2.weight exists; ga.att2.weight gives K (its columns),
+    and ga.proj0.* or ga.proj_shared.* distinct or shared projections, else none."""
     arrays = read_arrays(path)
 
-    def stored(name, shape):
-        if name not in arrays:
-            raise ConfigError(f"{path}: missing parameter {name!r}")
-        if arrays[name].shape != shape:
-            raise ConfigError(f"{path}: shape mismatch for {name!r}")
-        return arrays[name]
+    def stored(name, shape=None):  # a matrix with no zero dimension, of shape if given
+        values = read_record(path, arrays, name)
+        if values.ndim != 2 or 0 in values.shape or (shape and values.shape != shape):
+            raise ConfigError(f"{path}: record {name!r} has shape {values.shape}, need "
+                              f"{shape or 'a matrix with no zero dimension'}")
+        return values
 
-    try:
-        widths = read_integers(path, arrays, "__meta__/widths", 1).tolist()
-        n_classes = read_integers(path, arrays, "__meta__/n_classes", 1, size=1).item()
-        shared = read_integers(path, arrays, "__meta__/shared", 0, 2, 1).item()
-        k = None
-        if "__meta__/k" in arrays:
-            k = read_integers(path, arrays, "__meta__/k", 2, size=1).item()
-            interaction = INTERACTIONS[read_integers(
-                path, arrays, "__meta__/interaction", 0, len(INTERACTIONS), 1).item()]
-            projections = PROJECTION_MODES[read_integers(
-                path, arrays, "__meta__/projections", 0, len(PROJECTION_MODES), 1).item()]
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing checkpoint metadata {exc}") from exc
-    if not widths:
-        raise ConfigError(f"{path}: record '__meta__/widths' is empty")
-    # every size the metadata gives must match a stored parameter before any
-    # is allocated: a forged width or K could ask for more memory than exists
-    for i in range(len(widths) - 1):
-        stored(f"backbone.{i}.weight", (widths[i], widths[i + 1]))
-    stored("classifier.head1.weight", (widths[-1], n_classes))
-    if k is not None:
-        stored("ga.att2.weight", (widths[-1], k))
-    model = Model(widths, n_classes, shared)
-    ga = None if k is None else GAParams(widths[-1], k, interaction, projections)
-    for name, p in model.parameters() + (ga.parameters() if ga else []):
-        p.values = stored(name, p.values.shape).copy()
+    depth = next(i for i in count() if f"backbone.{i}.weight" not in arrays)
+    widths = [stored(f"backbone.{i}.weight").shape[0] for i in range(depth)]
+    d, n_classes = stored("classifier.head1.weight").shape
+    model = Model(widths + [d], n_classes, "classifier.head2.weight" not in arrays)
+    ga = None
+    if "ga.att2.weight" in arrays:
+        k = stored("ga.att2.weight").shape[1]
+        stored("ga.att2.weight", (d, max(k, 2)))  # one column per member, K >= 2
+        interaction = read_integers(path, arrays, "__meta__/interaction", 0,
+                                    len(INTERACTIONS), 1).item()
+        ga = GAParams(d, k, INTERACTIONS[interaction],
+                      "distinct" if "ga.proj0.weight" in arrays else
+                      "shared" if "ga.proj_shared.weight" in arrays else "none")
+    params = dict(model.parameters() + (ga.parameters() if ga else []))
+    for name in arrays:  # each record is a parameter or afm's interaction
+        if name not in params and not (ga and name == "__meta__/interaction"):
+            raise ConfigError(f"{path}: unexpected record {name!r}")
+    for name, p in params.items():
+        p.values = stored(name, p.values.shape)
     return model, ga

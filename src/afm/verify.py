@@ -254,16 +254,18 @@ def check_determinism(dataset, config, log=None):
 
 
 def check_checkpoint_roundtrip(state):
-    """save_state then load_state gives back every parameter of the model
-    and of the attention net, under the same names, bit for bit."""
+    """save_state then load_state gives back the architecture and every
+    parameter of the model and of the attention net, by name, bit for bit."""
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "ck.bin")
         save_state(path, state)
         restored = load_state(path)
-    saved, loaded = ([(name, p.values.shape, p.values.tobytes())
-                      for name, p in model.parameters() + (ga.parameters() if ga else [])]
+    saved, loaded = ([(model.widths, model.n_classes, model.shared,
+                       ga and (ga.k, ga.interaction, ga.projections))]
+                     + [(name, p.values.shape, p.values.tobytes())
+                        for name, p in model.parameters() + (ga.parameters() if ga else [])]
                      for model, ga in ((state.model, state.ga), restored))
-    return loaded == saved, f"{len(saved)} named parameters bit-exact"
+    return loaded == saved, f"architecture and {len(saved) - 1} named parameters bit-exact"
 
 
 def run_all(inject_fault=None):

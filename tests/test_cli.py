@@ -1,5 +1,6 @@
 """CLI: config parsing, subcommands, exit codes, sweep harness."""
 
+import concurrent.futures
 import csv
 import io
 import os
@@ -192,6 +193,57 @@ def test_sweep_parallel_matches_serial(config_file, tmp_path):
     assert (serial / "summary.csv").read_text() == (par / "summary.csv").read_text()
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of each ProcessPoolExecutor the test makes. The pool
+    is a stand-in that runs each job in this process when it is submitted."""
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return made
+
+
+@pytest.mark.parametrize("threads,seeds,workers", [("64", "0,1", [2]), ("3", "0,1,2,3", [3]),
+                                                  ("64", "0", []), ("1", "0,1", [])])
+def test_sweep_starts_at_most_one_process_per_run(config_file, tmp_path, monkeypatch, pools,
+                                                  threads, seeds, workers):
+    """AFM_THREADS asks for at most that many worker processes: a sweep of
+    fewer runs makes one per run, and one run or AFM_THREADS=1 makes no pool."""
+    monkeypatch.setenv("AFM_THREADS", threads)
+    assert main(["sweep", "--config", config_file, "--axis", "lambda", "--values", "0.5",
+                 "--seeds", seeds, "--out", str(tmp_path / "sweep")]) == 0
+    assert pools == workers
+    assert read_csv(tmp_path / "sweep" / "summary.csv")[0]["n_runs"] == str(len(seeds.split(",")))
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_thread(config_file, tmp_path, capsys, monkeypatch, pools,
+                                             threads):
+    monkeypatch.setenv("AFM_THREADS", threads)
+    assert main(["sweep", "--config", config_file, "--axis", "lambda", "--values", "0.5",
+                 "--seeds", "0", "--out", str(tmp_path / "sweep")]) == 2
+    assert f"error: AFM_THREADS must be >= 1, got {threads}" in capsys.readouterr().err
+    assert pools == [] and not (tmp_path / "sweep").exists()
+
+
 def test_sweep_unknown_axis(config_file, tmp_path):
     rc = main(["sweep", "--config", config_file, "--axis", "dropout",
                "--values", "1", "--seeds", "0", "--out", str(tmp_path / "x")])
@@ -366,8 +418,8 @@ def test_dump_features_truncated_checkpoint_exit_2(config_file, tmp_path, capsys
 @pytest.mark.parametrize("name,value", [
     ("__meta__/interaction", 7.0),      # past the end of INTERACTIONS
     ("__meta__/interaction", -1.0),     # would index from the end
-    ("__meta__/projections", 2.5),      # would truncate to an index
-    ("__meta__/widths", [8.0, -8.0]),
+    ("__meta__/projections", 2.5),      # records of the old format,
+    ("__meta__/widths", [8.0, -8.0]),   # which no loader reads now
 ])
 def test_dump_features_forged_metadata_exit_2(config_file, tmp_path, capsys, name, value):
     run = tmp_path / "run"
@@ -381,6 +433,56 @@ def test_dump_features_forged_metadata_exit_2(config_file, tmp_path, capsys, nam
                "--out", str(tmp_path / "features.csv"), "--interpolations", "5"])
     assert rc == 2
     assert name in capsys.readouterr().err
+
+
+def _without(name):
+    return lambda arrays: {n: v for n, v in arrays.items() if n != name}
+
+
+def _with(name, value):
+    """Set record ``name`` to ``value(arrays)``, in its place if it exists."""
+    return lambda arrays: {**arrays, name: value(arrays)}
+
+
+def _old_format(arrays):
+    """The records as a checkpoint written before the architecture was read
+    off the parameter records: six float-coded metadata records first."""
+    meta = {"__meta__/widths": np.asarray([8.0, 8.0]), "__meta__/n_classes": np.asarray(3.0),
+            "__meta__/shared": np.asarray(1.0), "__meta__/k": np.asarray(2.0),
+            "__meta__/interaction": arrays["__meta__/interaction"],
+            "__meta__/projections": np.asarray(0.0)}
+    return {**meta, **_without("__meta__/interaction")(arrays)}
+
+
+# the small config's checkpoint: an 8-wide backbone layer, 3 classes, K=2
+@pytest.mark.parametrize("unshared,name,forge", [
+    (False, "__meta__/interaction", _without("__meta__/interaction")),
+    (False, "__meta__/interaction", _with("__meta__/interaction", lambda a: np.asarray(2.5))),
+    (False, "ga.att2.weight", _with("ga.att2.weight", lambda a: a["ga.att2.weight"][:, :1])),
+    (False, "classifier.head1.weight",
+     _with("classifier.head1.weight", lambda a: a["classifier.head1.weight"].ravel())),
+    (False, "classifier.head1.weight",
+     _with("classifier.head1.weight", lambda a: np.zeros((8, 0)))),
+    (True, "classifier.head2.bias", _without("classifier.head2.weight")),
+    (False, "__meta__/widths", _old_format),
+], ids=["interaction-missing", "interaction-2.5", "att2-one-column", "head1-1d",
+        "head1-no-columns", "head2-bias-without-weight", "old-format"])
+def test_dump_features_forged_architecture_exit_2(tmp_path, capsys, unshared, name, forge):
+    """A checkpoint whose records describe no network that save_state writes
+    exits 2 and names the record at fault."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + f"shared_classifiers = {not unshared}\n")
+    run = tmp_path / "run"
+    main(["train", "--config", str(cfg), "--out", str(run)])
+    ck = run / "checkpoint.bin"
+    write_arrays(ck, forge(read_arrays(ck)))
+    capsys.readouterr()
+    rc = main(["dump-features", "--checkpoint", str(ck),
+               "--dataset", str(run / "dataset.bin"),
+               "--out", str(tmp_path / "features.csv"), "--interpolations", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(name) in err
 
 
 @pytest.mark.parametrize("file,name,value", [("checkpoint.bin", "backbone.0.weight", np.nan),
@@ -438,7 +540,7 @@ def test_dump_features_dataset_contract_exit_2(config_file, tmp_path, capsys):
                train_idx=np.arange(120.0), test_idx=np.arange(120.0, 150.0))
     capsys.readouterr()
     for fields, message in ((noisy_test, "test split must stay clean"),
-                            (old, "missing dataset field 'n_train'")):
+                            (old, "missing record 'n_train'")):
         write_arrays(run / "dataset.bin", fields)
         assert main(["dump-features", "--checkpoint", str(run / "checkpoint.bin"),
                      "--dataset", str(run / "dataset.bin"),

@@ -123,6 +123,18 @@ def test_noisydataset_validates_consistency():
     np.testing.assert_array_equal(np.flatnonzero(noisy.noise_mask), [ds.n_train - 1])
 
 
+@pytest.mark.parametrize("n_train", [2.5, np.float64(3.0), True, np.True_],
+                         ids=["float", "numpy-float", "bool", "numpy-bool"])
+def test_noisydataset_rejects_a_non_integer_n_train(n_train):
+    ds = small_blobs()
+    with pytest.raises(ConfigError, match="n_train must be an integer"):
+        NoisyDataset(ds.features, ds.given_labels, ds.clean_labels, n_train, ds.n_classes)
+    # python and numpy integers are accepted
+    for value in (3, np.int64(3)):
+        assert NoisyDataset(ds.features, ds.given_labels, ds.clean_labels, value,
+                            ds.n_classes).n_train == 3
+
+
 def test_one_hot():
     out = one_hot(np.array([0, 2, 1]), 3)
     np.testing.assert_array_equal(out, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -288,8 +300,8 @@ def loader_file_bytes(base, loader):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_loaders_load_or_raise_config_error(tmp_path_factory, loader, data):
-    """A forged size in a checkpoint's metadata must fail before it
-    allocates a model larger than the file."""
+    """A forged name or size in a checkpoint's records must fail with a
+    ConfigError, never a raw exception."""
     base = tmp_path_factory.getbasetemp()
     p = base / "variant.bin"
     p.write_bytes(data.draw(file_variants(loader_file_bytes(base, loader))))
@@ -297,18 +309,3 @@ def test_loaders_load_or_raise_config_error(tmp_path_factory, loader, data):
         loader(p)
     except ConfigError:
         pass
-
-
-@pytest.mark.parametrize("name,value", [("__meta__/widths", []),
-                                        ("__meta__/n_classes", [3.0, 3.0]),
-                                        ("__meta__/shared", [1.0, 0.0])])
-def test_load_state_rejects_metadata_of_wrong_length(tmp_path, name, value):
-    p = tmp_path / "checkpoint.bin"
-    state, _ = train(small_blobs(), TrainConfig(hidden=(4,), epochs=1, batch_size=32))
-    save_state(p, state)
-    arrays = read_arrays(p)
-    arrays[name] = np.asarray(value)
-    write_arrays(p, arrays)
-    with pytest.raises(ConfigError) as exc:
-        load_state(p)
-    assert f"{p}: record '{name}'" in str(exc.value)

@@ -2,6 +2,7 @@
 
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -506,16 +507,36 @@ def test_state_roundtrip_preserves_predictions(tmp_path):
     assert ga is not None and ga.k == state.ga.k
 
 
-@pytest.mark.parametrize("overrides", [
-    {}, dict(projections="shared"), dict(interaction="concat", projections="none"),
-    dict(interaction="mul", projections="shared", shared_classifiers=False)],
-    ids=["sum-distinct", "sum-shared", "concat-none", "mul-shared-unshared-heads"])
-def test_checkpoint_roundtrip_restores_every_parameter(overrides):
-    """A saved and loaded run has the same parameter names as the run, the
-    attention net's included, and bit-equal values."""
-    state, _ = train(tiny_dataset(), tiny_config(epochs=1, **overrides))
+@pytest.mark.parametrize("config", [
+    tiny_config(epochs=1), tiny_config(epochs=1, projections="shared"),
+    tiny_config(epochs=1, interaction="concat", projections="none"),
+    tiny_config(epochs=1, interaction="mul", projections="shared", shared_classifiers=False),
+    *(replace(config, epochs=1) for config in verify.LOSS_CONFIGS)],
+    ids=["sum-distinct", "sum-shared", "concat-none", "mul-shared-unshared-heads",
+         *map(config_id, verify.LOSS_CONFIGS)])
+def test_checkpoint_roundtrip_restores_every_parameter(config):
+    """A saved and loaded run has the architecture of the run, the same
+    parameter names, the attention net's included, and bit-equal values:
+    on tiny_config's backbone, then in every configuration of
+    verify.LOSS_CONFIGS."""
+    state, _ = train(tiny_dataset(), config)
     passed, detail = verify.check_checkpoint_roundtrip(state)
     assert passed, detail
+
+
+def test_checkpoint_roundtrip_catches_a_misread_interaction(monkeypatch):
+    """A loader that reads mul for a sum run fails the check, though sum and
+    mul give the attention net the same parameter names and shapes."""
+    state, _ = train(tiny_dataset(), tiny_config(epochs=1))
+    assert state.ga.interaction == "sum"
+
+    def misreading(path):
+        model, ga = load_state(path)
+        ga.interaction = "mul"
+        return model, ga
+
+    monkeypatch.setattr(verify, "load_state", misreading)
+    assert not verify.check_checkpoint_roundtrip(state)[0]
 
 
 def test_checkpoint_roundtrip_catches_swapped_attention_records(monkeypatch):
