@@ -9,6 +9,7 @@ import numpy as np
 from afm import tensor as T
 from afm.grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
 from afm.mixing import gather_members, interpolate
+from afm.model import glorot
 from afm.data import one_hot
 
 rng = np.random.default_rng(1)
@@ -26,8 +27,10 @@ for g, g_labels in zip(groups, labels_int[groups]):
 
 # each group's members, gathered once: (m, K*d) features, (m, K*C) labels
 members = gather_members(feats, labels, groups)
+# every parameter comes from a source, called with its checkpoint name and
+# shape; glorot(rng) draws glorot-uniform weights and zero biases
 ga = GAParams(feature_dim=6, k=2, interaction="sum", projections="distinct",
-              rng=np.random.default_rng(2))
+              source=glorot(np.random.default_rng(2)))
 raw = attend(members.features, ga)
 print("\nraw sigmoid attention weights:")
 print(np.round(raw.values, 3))
@@ -44,7 +47,7 @@ w_swap = attend(swapped, ga).values
 print("\nmax weight change under member-order swap (distinct projections):",
       f"{np.abs(raw.values - w_swap).max():.3g}")
 
-shared = GAParams(6, 2, "sum", "shared", np.random.default_rng(2))
+shared = GAParams(6, 2, "sum", "shared", source=glorot(np.random.default_rng(2)))
 w_a = attend(members.features, shared).values
 w_b = attend(swapped, shared).values
 print("same, with a shared projection (order-invariant):",

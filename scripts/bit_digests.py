@@ -7,9 +7,13 @@ last on the same data with pairflip noise 0.4 instead. For
 each it prints the first 16 hex digits of the sha256 of the final
 parameters (the model's, then the attention net's; each name's UTF-8
 bytes followed by the raw bytes of its values) and of the sha256 of
-repr(log.rows). Last come the sha256 of the CSV that
+repr(log.rows). Then come the sha256 of the CSV that
 `afm dump-features --interpolations 3000` writes from the afm K=2 run,
-and that of the checkpoint file `save_state` writes of that run.
+and that of the checkpoint file `save_state` writes of that run. Last
+come the repr of the worst finite-difference errors of
+`afm.verify.check_gradients()` and `afm.verify.check_step_loss()`, so a
+change to how the gradient checks build their functions is compared bit
+for bit as well.
 
 Run from the repository root, on two checkouts, and compare the output:
 
@@ -20,7 +24,7 @@ import hashlib
 import os
 import tempfile
 
-from afm import cli
+from afm import cli, verify
 from afm.data import save_dataset
 from afm.training import TrainConfig, save_state, train
 
@@ -76,6 +80,8 @@ def main():
             print(f"dump-features, 3000 interpolations: {digest(f.read())}")
         with open(checkpoint, "rb") as f:
             print(f"checkpoint file, afm K=2: {digest(f.read())}")
+    print(f"verify.check_gradients(): {verify.check_gradients()!r}")
+    print(f"verify.check_step_loss(): {verify.check_step_loss()!r}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ experiments, sweeps, and verification.
 
 from .errors import AfmError, ConfigError, NumericError, ShapeError, SubgradientWarning
 from .tensor import Tensor, backward, grad_check
-from .model import Model
+from .model import Model, glorot
 from .grouping import GAParams, attend, pure_noisy_group_ratio, sample_groups
 from .mixing import GroupMembers, InterpolationBatch, gather_members, interpolate
 from .data import NoisyDataset, generate, inject_noise, one_hot
@@ -18,7 +18,7 @@ from .training import (MetricsLog, SGD, TrainConfig, TrainState,
 __all__ = [
     "AfmError", "ConfigError", "NumericError", "ShapeError", "SubgradientWarning",
     "Tensor", "backward", "grad_check",
-    "Model",
+    "Model", "glorot",
     "GAParams", "attend",
     "pure_noisy_group_ratio", "sample_groups",
     "GroupMembers", "InterpolationBatch", "gather_members", "interpolate",

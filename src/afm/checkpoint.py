@@ -3,7 +3,7 @@
 Layout: magic "AFM1", 32 reserved zero bytes, u32 record count; then
 per record: u32 name length, utf-8 name, u32 rank, u64 dims, raw float64
 little-endian values. Round trips are bit-exact. The reserved bytes are
-skipped on read, so files that hold a config hash there still load.
+written as zeros and skipped on read.
 """
 
 from __future__ import annotations

@@ -88,11 +88,11 @@ def sample_groups(labels, m: int, k: int, intra_ratio: float | None = None, *,
 
 
 class GAParams:
-    """Positional projection maps plus the attention net (FC-ReLU-FC-Sigmoid)."""
+    """Positional projection maps plus the attention net (FC-ReLU-FC-Sigmoid),
+    each parameter taken from ``source`` by its checkpoint name, as in Model."""
 
     def __init__(self, feature_dim: int, k: int, interaction: str = "sum",
-                 projections: str = "distinct",
-                 rng: np.random.Generator | None = None):
+                 projections: str = "distinct", *, source):
         if interaction not in INTERACTIONS:
             raise ConfigError(f"interaction must be one of {INTERACTIONS}")
         if projections not in PROJECTION_MODES:
@@ -101,26 +101,20 @@ class GAParams:
         self.k = k
         self.interaction = interaction
         self.projections = projections
+        d = feature_dim
         if projections == "distinct":
-            self.proj = [Affine(feature_dim, feature_dim, rng) for _ in range(k)]
+            self.proj = [Affine(f"ga.proj{i}", d, d, source) for i in range(k)]
         elif projections == "shared":
-            shared = Affine(feature_dim, feature_dim, rng)
-            self.proj = [shared] * k
+            self.proj = [Affine("ga.proj_shared", d, d, source)] * k
         else:
             self.proj = []
-        d_in = k * feature_dim if interaction == "concat" else feature_dim
-        self.att1 = Affine(d_in, feature_dim, rng)
-        self.att2 = Affine(feature_dim, k, rng)
+        self.att1 = Affine("ga.att1", k * d if interaction == "concat" else d, d, source)
+        self.att2 = Affine("ga.att2", d, k, source)
 
     def parameters(self):
         out = []
-        if self.projections == "distinct":
-            for i, p in enumerate(self.proj):
-                out.extend(p.parameters(f"ga.proj{i}"))
-        elif self.projections == "shared":
-            out.extend(self.proj[0].parameters("ga.proj_shared"))
-        out.extend(self.att1.parameters("ga.att1"))
-        out.extend(self.att2.parameters("ga.att2"))
+        for layer in dict.fromkeys(self.proj + [self.att1, self.att2]):  # shared once
+            out += layer.parameters()
         return out
 
 

@@ -10,24 +10,30 @@ from .errors import NumericError, ShapeError
 from .tensor import Tensor
 
 
+def glorot(rng: np.random.Generator):
+    """The source of a fresh network: glorot-uniform weights from ``rng``, zero biases."""
+    def source(name, shape):
+        if name.endswith(".bias"):
+            return Tensor(np.zeros(shape), requires_grad=True)
+        a = np.sqrt(6.0 / sum(shape))
+        return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
+    return source
+
+
 class Affine:
     """Dense layer y = x @ W + b, optionally followed by relu, as one tape
-    node; glorot-uniform init, zero bias."""
+    node; ``source(name, shape)`` gives ``{name}.weight`` and ``{name}.bias``."""
 
-    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator | None = None):
-        if rng is None:
-            w = np.zeros((fan_in, fan_out))
-        else:
-            a = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-a, a, size=(fan_in, fan_out))
-        self.weight = T.parameter(w)
-        self.bias = T.parameter(np.zeros((1, fan_out)))
+    def __init__(self, name: str, fan_in: int, fan_out: int, source):
+        self.name = name
+        self.weight = source(f"{name}.weight", (fan_in, fan_out))
+        self.bias = source(f"{name}.bias", (1, fan_out))
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         return T.affine(x, self.weight, self.bias, relu)
 
-    def parameters(self, prefix: str):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
+    def parameters(self):
+        return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
 
 
 class Model:
@@ -39,17 +45,18 @@ class Model:
     either path affects both.
     """
 
-    def __init__(self, widths, n_classes, shared_classifiers=True,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, widths, n_classes, shared_classifiers=True, *, source):
         widths = list(widths)
         if len(widths) < 1:
             raise ShapeError("backbone needs at least an input width")
         self.widths = widths
         self.n_classes = n_classes
         self.shared = bool(shared_classifiers)
-        self.layers = [Affine(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
-        self.head1 = Affine(self.feature_dim, n_classes, rng)
-        self.head2 = self.head1 if self.shared else Affine(self.feature_dim, n_classes, rng)
+        self.layers = [Affine(f"backbone.{i}", widths[i], widths[i + 1], source)
+                       for i in range(len(widths) - 1)]
+        self.head1 = Affine("classifier.head1", widths[-1], n_classes, source)
+        self.head2 = (self.head1 if self.shared else
+                      Affine("classifier.head2", widths[-1], n_classes, source))
 
     @property
     def input_dim(self):
@@ -91,9 +98,6 @@ class Model:
 
     def parameters(self):
         out = []
-        for i, layer in enumerate(self.layers):
-            out.extend(layer.parameters(f"backbone.{i}"))
-        out.extend(self.head1.parameters("classifier.head1"))
-        if not self.shared:
-            out.extend(self.head2.parameters("classifier.head2"))
+        for layer in dict.fromkeys(self.layers + [self.head1, self.head2]):  # shared once
+            out += layer.parameters()
         return out

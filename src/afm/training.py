@@ -19,7 +19,7 @@ from .errors import AfmError, ConfigError, NumericError
 from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
                        sample_groups)
 from .mixing import InterpolationBatch, gather_members, interpolate
-from .model import Model
+from .model import Model, glorot
 from .tensor import Tensor, backward
 
 MODES = ("afm", "baseline", "standard-mixup", "manifold-mixup")
@@ -284,13 +284,23 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     data_rng = np.random.default_rng([config.seed, 1])
     group_rng = np.random.default_rng([config.seed, 2])
 
+    n_train = dataset.n_train
+    train_idx = np.arange(n_train)
+    if config.data_fraction < 1.0:
+        keep = max(config.batch_size, int(round(config.data_fraction * n_train)))
+        train_idx = data_rng.permutation(n_train)[:keep]
+    if len(train_idx) < config.k:
+        raise ConfigError(f"group size {config.k} exceeds the {len(train_idx)} "
+                          "training rows used: no step can run")
+
     d0 = dataset.input_dim
     c = dataset.n_classes
-    model = Model([d0, *config.hidden], c, config.shared_classifiers, init_rng)
+    source = glorot(init_rng)
+    model = Model([d0, *config.hidden], c, config.shared_classifiers, source=source)
     ga = None
     if config.mode == "afm":
         ga = GAParams(model.feature_dim, config.k, config.interaction,
-                      config.projections, init_rng)
+                      config.projections, source=source)
 
     ga_params = ga.parameters() if ga else []
     params = model.parameters() + ga_params
@@ -302,12 +312,6 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
               lr_scales={name: config.ga_lr_scale for name, _ in ga_params},
               decay_overrides={name: 0.0 for name, _ in ga_params})
     state = TrainState(epoch=0, step=0, model=model, ga=ga, optimizer=opt)
-
-    n_train = dataset.n_train
-    train_idx = np.arange(n_train)
-    if config.data_fraction < 1.0:
-        keep = max(config.batch_size, int(round(config.data_fraction * n_train)))
-        train_idx = data_rng.permutation(n_train)[:keep]
 
     test_x, test_y = dataset.features[n_train:], dataset.clean_labels[n_train:]
     given_onehot = one_hot(dataset.given_labels, c)
@@ -376,33 +380,34 @@ def load_state(path) -> tuple[Model, GAParams | None]:
     are the rows of backbone.{i}.weight for i = 0, 1, ... while it exists, then
     of classifier.head1.weight, whose columns are n_classes; heads are shared
     unless classifier.head2.weight exists; ga.att2.weight gives K (its columns),
-    and ga.proj0.* or ga.proj_shared.* distinct or shared projections, else none."""
+    and ga.proj0.* or ga.proj_shared.* distinct or shared projections, else none.
+    Each parameter is its stored record, shape-checked before the next is read."""
     arrays = read_arrays(path)
 
-    def stored(name, shape=None):  # a matrix with no zero dimension, of shape if given
+    def stored(name, shape=None):  # a parameter: a matrix, no zero dimension, of shape if given
         values = read_record(path, arrays, name)
         if values.ndim != 2 or 0 in values.shape or (shape and values.shape != shape):
             raise ConfigError(f"{path}: record {name!r} has shape {values.shape}, need "
                               f"{shape or 'a matrix with no zero dimension'}")
-        return values
+        return T.parameter(values)
 
     depth = next(i for i in count() if f"backbone.{i}.weight" not in arrays)
-    widths = [stored(f"backbone.{i}.weight").shape[0] for i in range(depth)]
-    d, n_classes = stored("classifier.head1.weight").shape
-    model = Model(widths + [d], n_classes, "classifier.head2.weight" not in arrays)
+    widths = [stored(f"backbone.{i}.weight").values.shape[0] for i in range(depth)]
+    d, n_classes = stored("classifier.head1.weight").values.shape
+    model = Model(widths + [d], n_classes, "classifier.head2.weight" not in arrays,
+                  source=stored)
     ga = None
     if "ga.att2.weight" in arrays:
-        k = stored("ga.att2.weight").shape[1]
+        k = stored("ga.att2.weight").values.shape[1]
         stored("ga.att2.weight", (d, max(k, 2)))  # one column per member, K >= 2
         interaction = read_integers(path, arrays, "__meta__/interaction", 0,
                                     len(INTERACTIONS), 1).item()
         ga = GAParams(d, k, INTERACTIONS[interaction],
                       "distinct" if "ga.proj0.weight" in arrays else
-                      "shared" if "ga.proj_shared.weight" in arrays else "none")
+                      "shared" if "ga.proj_shared.weight" in arrays else "none",
+                      source=stored)
     params = dict(model.parameters() + (ga.parameters() if ga else []))
     for name in arrays:  # each record is a parameter or afm's interaction
         if name not in params and not (ga and name == "__meta__/interaction"):
             raise ConfigError(f"{path}: unexpected record {name!r}")
-    for name, p in params.items():
-        p.values = stored(name, p.values.shape)
     return model, ga

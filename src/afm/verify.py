@@ -21,7 +21,7 @@ from .errors import SubgradientWarning
 from .grouping import (INTERACTIONS, PROJECTION_MODES, GAParams, attend,
                        check_sampled_ratio, pure_noisy_group_ratio, sample_groups)
 from .mixing import gather_members, interpolate
-from .model import Model
+from .model import Model, glorot
 from .training import (MODES, TrainConfig, draw_step, load_state, save_state,
                        step_loss, train)
 
@@ -119,36 +119,34 @@ LOSS_CONFIGS += [TrainConfig(mode=mode, lam=0.0 if mode == "baseline" else 0.75,
 def step_loss_case(config, rng):
     """(parameter names, random point, loss): training.step_loss of
     ``config`` on 12 random samples, 4 per class so that K=4 intra groups
-    exist, as a function of one leaf per distinct parameter tensor, bound by
-    identity: a shared projection or head is one leaf pair. A point where a
-    parameter the step reads gets no gradient is redrawn, up to 100 times."""
+    exist, on a network built from leaves looked up by name: a shared
+    projection or head is one leaf pair. A point where a parameter the step
+    reads gets no gradient is redrawn, up to 100 times."""
     n, d0, c = 12, 3, 3
     labels = rng.permutation(np.repeat(np.arange(c), n // c))
-    model = Model([d0, *config.hidden], c, config.shared_classifiers)
-    ga = (GAParams(model.feature_dim, config.k, config.interaction, config.projections)
-          if config.mode == "afm" else None)
     x, y = T.constant(rng.normal(size=(n, d0))), one_hot(labels, c)
     draws = draw_step(labels, config, rng)
-    named = model.parameters() + (ga.parameters() if ga else [])
-    slot = {id(p): i for i, (_, p) in enumerate(named)}
-    layers = [*model.layers, model.head1, model.head2]
-    layers += [*ga.proj, ga.att1, ga.att2] if ga else []
-    binding = [(layer, slot[id(layer.weight)], slot[id(layer.bias)]) for layer in layers]
+
+    def loss_of(source):
+        model = Model([d0, *config.hidden], c, config.shared_classifiers, source=source)
+        ga = (GAParams(model.feature_dim, config.k, config.interaction, config.projections,
+                       source=source) if config.mode == "afm" else None)
+        return step_loss(model, ga, x, y, draws, config)[0]
+
+    def draw(name, shape):  # small weights and positive biases keep most relus active
+        drawn[name] = T.parameter(rng.uniform(0.25, 0.75, size=shape) if name.endswith(".bias")
+                                  else rng.normal(size=shape) * 0.5 / np.sqrt(shape[0]))
+        return drawn[name]
+    for _ in range(100):
+        drawn = {}
+        T.backward(loss_of(draw))
+        if all(p.grad is None or p.grad.any() for p in drawn.values()):
+            break
 
     def loss(leaves):
-        for layer, w, b in binding:
-            layer.weight, layer.bias = leaves[w], leaves[b]
-        return step_loss(model, ga, x, y, draws, config)[0]
-    # small weights and positive biases keep most relus active at the point
-    for _ in range(100):
-        point = [rng.uniform(0.25, 0.75, size=p.values.shape) if name.endswith(".bias")
-                 else rng.normal(size=p.values.shape) * 0.5 / np.sqrt(len(p.values))
-                 for name, p in named]
-        leaves = [T.parameter(v) for v in point]
-        T.backward(loss(leaves))
-        if all(leaf.grad is None or leaf.grad.any() for leaf in leaves):
-            break
-    return [name for name, _ in named], point, loss
+        by_name = dict(zip(drawn, leaves))
+        return loss_of(lambda name, shape: by_name[name])
+    return list(drawn), [p.values for p in drawn.values()], loss
 
 
 def check_step_loss(configs=LOSS_CONFIGS, n_points=1, inject_fault=None):
@@ -177,11 +175,13 @@ def check_order_symmetry():
         groups = sample_groups(labels, 4, 2, rng=rng)
         members = gather_members(feats, one_hot(labels, 3), groups).features
         swapped = gather_members(feats, one_hot(labels, 3), groups[:, ::-1]).features
-        shared = GAParams(6, 2, "sum", "shared", np.random.default_rng(1000 + trial))
+        shared = GAParams(6, 2, "sum", "shared",
+                          source=glorot(np.random.default_rng(1000 + trial)))
         w1 = attend(members, shared).values
         w2 = attend(swapped, shared).values
         invariant += int(np.array_equal(w1, w2))
-        distinct = GAParams(6, 2, "sum", "distinct", np.random.default_rng(2000 + trial))
+        distinct = GAParams(6, 2, "sum", "distinct",
+                            source=glorot(np.random.default_rng(2000 + trial)))
         v1 = attend(members, distinct).values
         v2 = attend(swapped, distinct).values
         sensitive += int(np.abs(v1 - v2).max() > 1e-9)
@@ -213,7 +213,7 @@ def check_simplex_and_hull():
         feats = T.constant(rng.normal(size=(n, 7)))
         labels_int = rng.integers(0, 3, size=n)
         groups = sample_groups(labels_int, m, 2, rng=rng)
-        ga = GAParams(7, 2, rng=rng)
+        ga = GAParams(7, 2, source=glorot(rng))
         members = gather_members(feats, one_hot(labels_int, 3), groups)
         out = interpolate(members, attend(members.features, ga))
         s = out.soft_labels.values
@@ -279,7 +279,7 @@ def run_all(inject_fault=None):
     labels_int = rng.integers(0, 3, size=6)
     groups = sample_groups(labels_int, 4, 2, rng=rng)
     members = gather_members(feats, one_hot(labels_int, 3), groups)
-    w = attend(members.features, GAParams(5, 2, rng=rng)).values
+    w = attend(members.features, GAParams(5, 2, source=glorot(rng))).values
     results.append(("attention-weight-range", bool(np.all((w > 0) & (w < 1))),
                     f"range [{w.min():.3f}, {w.max():.3f}]"))
     results.append(("order-symmetry", *check_order_symmetry()))

@@ -24,7 +24,7 @@ def test_tracer_installs_and_uninstalls_cleanly():
     original = vars(afm.model.Model)["extract_features"]
     try:
         tracer.install(afm)
-        model = afm.model.Model([4, 3], 2, rng=np.random.default_rng(0))
+        model = afm.model.Model([4, 3], 2, source=afm.model.glorot(np.random.default_rng(0)))
         model.inference_predict(np.zeros((2, 4)))
     finally:
         left = tracer.uninstall()

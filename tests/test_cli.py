@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from afm.checkpoint import read_arrays, write_arrays
 from afm.cli import DATA_KEYS, KEY_ALIASES, TRAIN_KEY_TYPES, main, parse_config
 from afm.data import generate, load_dataset, one_hot, save_dataset
 from afm.errors import ConfigError, NumericError
-from afm.grouping import attend, sample_groups
+from afm.grouping import INTERACTIONS, attend, sample_groups
 from afm.mixing import gather_members, interpolate
 from afm.training import TrainConfig, load_state, train
 
@@ -150,6 +151,18 @@ def test_train_command_bad_config_exit_2(tmp_path, capsys, lines):
     p.write_text(SMALL + lines.replace(";", "\n") + "\n")
     assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_with_fewer_train_rows_than_k_exit_2(tmp_path, capsys):
+    """A run whose group size exceeds its training rows could take no step
+    and would write an untrained checkpoint; it exits 2 before training."""
+    p = tmp_path / "tiny.cfg"
+    p.write_text("data_per_class_train = 10\ndata_per_class_test = 5\ndata_d0 = 8\n"
+                 "hidden = 8\nepochs = 2\nk = 40\nbatch_size = 64\n")
+    assert main(["train", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == ("error: group size 40 exceeds the 30 training "
+                                       "rows used: no step can run\n")
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
 def test_train_determinism_byte_identical(config_file, tmp_path):
@@ -480,6 +493,52 @@ def test_dump_features_forged_architecture_exit_2(tmp_path, capsys, unshared, na
     rc = main(["dump-features", "--checkpoint", str(ck),
                "--dataset", str(run / "dataset.bin"),
                "--out", str(tmp_path / "features.csv"), "--interpolations", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(name) in err
+
+
+# checkpoints of 1 to 2 MB whose records ask for a (40000, 40000) layer:
+# every size is a dimension of a stored record, the layer is two of them
+_WIDE = 40_000
+FORGED_WIDE = {
+    "backbone": ("backbone.0.weight", {
+        "backbone.0.weight": np.zeros((_WIDE, 1)), "backbone.0.bias": np.zeros((1, _WIDE)),
+        "classifier.head1.weight": np.zeros((_WIDE, 1)),
+        "classifier.head1.bias": np.zeros((1, 1))}),
+    "attention": ("ga.att1.weight", {
+        "__meta__/interaction": np.asarray(float(INTERACTIONS.index("sum"))),
+        "backbone.0.weight": np.zeros((1, _WIDE)), "backbone.0.bias": np.zeros((1, _WIDE)),
+        "classifier.head1.weight": np.zeros((_WIDE, 1)),
+        "classifier.head1.bias": np.zeros((1, 1)),
+        "ga.att1.weight": np.zeros((1, 1)), "ga.att2.weight": np.zeros((_WIDE, 2))}),
+}
+
+
+@pytest.mark.parametrize("name,records", FORGED_WIDE.values(), ids=FORGED_WIDE)
+def test_load_state_allocates_only_what_the_file_holds(tmp_path, name, records):
+    """Each parameter is its stored record, checked before the next layer is
+    built: a record of the wrong shape is named, and reading a forged file
+    takes memory in proportion to the file, not to the layer it asks for."""
+    ck = tmp_path / "checkpoint.bin"
+    write_arrays(ck, records)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"record {name!r} has shape"):
+            load_state(ck)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ck.stat().st_size
+
+
+@pytest.mark.parametrize("name,records", FORGED_WIDE.values(), ids=FORGED_WIDE)
+def test_dump_features_forged_wide_checkpoint_exit_2(tmp_path, capsys, name, records):
+    ck, data = tmp_path / "checkpoint.bin", tmp_path / "dataset.bin"
+    write_arrays(ck, records)
+    save_dataset(data, generate("blobs", 3, 10, 5, 8, 4.0, seed=0))
+    rc = main(["dump-features", "--checkpoint", str(ck), "--dataset", str(data),
+               "--out", str(tmp_path / "features.csv")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(name) in err

@@ -182,7 +182,8 @@ def test_checkpoint_roundtrip_exact(tmp_path):
 
 
 def test_read_arrays_skips_reserved_bytes(tmp_path):
-    # files that hold a config hash in the reserved bytes still load
+    # the reserved bytes are written as zeros and skipped on read, whatever
+    # they hold
     p = tmp_path / "ck.bin"
     write_arrays(p, {"w": np.arange(6.0).reshape(2, 3)})
     data = p.read_bytes()

@@ -13,6 +13,7 @@ from afm.errors import ConfigError, ShapeError
 from afm.grouping import (GAParams, attend, check_sampled_ratio, member_selectors,
                           pure_noisy_group_ratio, sample_groups,
                           sampled_pure_noisy_ratio)
+from afm.model import glorot
 from afm.tensor import backward
 
 
@@ -142,7 +143,7 @@ def test_member_selectors_bad_index():
 @pytest.mark.parametrize("projections", ["distinct", "shared", "none"])
 def test_attend_weight_shape_and_range(interaction, projections):
     rng = np.random.default_rng(0)
-    params = GAParams(6, 2, interaction, projections, rng)
+    params = GAParams(6, 2, interaction, projections, source=glorot(rng))
     feats = T.constant(np.random.default_rng(1).standard_normal((10, 6)))
     groups = sample_groups(labels_balanced(10), 5, 2, rng=np.random.default_rng(2))
     w = attend(T.gather_rows(feats, groups), params)
@@ -152,7 +153,7 @@ def test_attend_weight_shape_and_range(interaction, projections):
 
 
 def test_attend_gradients_reach_projections():
-    params = GAParams(4, 2, "sum", "distinct", np.random.default_rng(0))
+    params = GAParams(4, 2, "sum", "distinct", source=glorot(np.random.default_rng(0)))
     feats = T.constant(np.random.default_rng(1).standard_normal((6, 4)))
     groups = sample_groups(labels_balanced(6), 3, 2, rng=np.random.default_rng(2))
     backward(T.sum_reduce(attend(T.gather_rows(feats, groups), params)))
@@ -163,7 +164,7 @@ def test_attend_gradients_reach_projections():
 
 def test_order_invariance_sum_shared():
     # sum interaction with a shared projection is symmetric in member order
-    params = GAParams(5, 2, "sum", "shared", np.random.default_rng(3))
+    params = GAParams(5, 2, "sum", "shared", source=glorot(np.random.default_rng(3)))
     feats = T.constant(np.random.default_rng(4).standard_normal((8, 5)))
     groups = sample_groups(labels_balanced(8), 6, 2, rng=np.random.default_rng(5))
     w1 = attend(T.gather_rows(feats, groups), params).values
@@ -172,7 +173,7 @@ def test_order_invariance_sum_shared():
 
 
 def test_order_sensitivity_distinct_projections():
-    params = GAParams(5, 2, "sum", "distinct", np.random.default_rng(3))
+    params = GAParams(5, 2, "sum", "distinct", source=glorot(np.random.default_rng(3)))
     feats = T.constant(np.random.default_rng(4).standard_normal((8, 5)))
     groups = sample_groups(labels_balanced(8), 6, 2, rng=np.random.default_rng(5))
     w1 = attend(T.gather_rows(feats, groups), params).values
@@ -182,7 +183,7 @@ def test_order_sensitivity_distinct_projections():
 
 def test_attend_feature_dim_mismatch():
     # the member block's width must be K times the GA feature dim
-    params = GAParams(5, 2, rng=np.random.default_rng(0))
+    params = GAParams(5, 2, source=glorot(np.random.default_rng(0)))
     assert attend(T.constant(np.zeros((4, 10))), params).values.shape == (4, 2)
     for shape in ((4, 6), (4, 15), (10,)):  # width 3 members, K=3, not a matrix
         with pytest.raises(ShapeError):
@@ -191,9 +192,9 @@ def test_attend_feature_dim_mismatch():
 
 def test_gaparams_rejects_unknown_modes():
     with pytest.raises(ConfigError):
-        GAParams(4, 2, interaction="avg")
+        GAParams(4, 2, interaction="avg", source=glorot(np.random.default_rng(0)))
     with pytest.raises(ConfigError):
-        GAParams(4, 2, projections="tied")
+        GAParams(4, 2, projections="tied", source=glorot(np.random.default_rng(0)))
 
 
 def exact_ratio(n_noisy, n_total, k):

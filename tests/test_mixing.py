@@ -7,6 +7,7 @@ from afm import tensor as T
 from afm.errors import ShapeError
 from afm.grouping import GAParams, attend, sample_groups
 from afm.mixing import DEFAULT_EPSILON, gather_members, interpolate
+from afm.model import glorot
 from afm.tensor import Tensor, backward
 
 
@@ -16,7 +17,7 @@ def make_batch(n=12, d=5, c=3, m=6, k=2, seed=0):
     labels_int = rng.integers(0, c, size=n)
     labels = np.eye(c)[labels_int]
     groups = sample_groups(labels_int, m, k, rng=rng)
-    params = GAParams(d, k, rng=np.random.default_rng(seed + 1))
+    params = GAParams(d, k, source=glorot(np.random.default_rng(seed + 1)))
     members = gather_members(feats, labels, groups)
     return feats, labels, groups, members, attend(members.features, params), params
 

@@ -12,7 +12,7 @@ from afm.data import generate, inject_noise, one_hot
 from afm.errors import AfmError, ConfigError, NumericError
 from afm.grouping import GAParams, attend, sample_groups
 from afm.mixing import InterpolationBatch, gather_members, interpolate
-from afm.model import Model
+from afm.model import Model, glorot
 from afm.tensor import Tensor
 from afm.training import (MetricsLog, SGD, TrainConfig, _attention_stats,
                           compute_loss, load_state, save_state, train)
@@ -131,7 +131,7 @@ def test_mixing_loss_gives_gate_no_gradient_when_prediction_matches():
     """With p(z) = s the mixing term is at its minimum over the gate
     weights. A cross-entropy mixing term would still push the raw weights
     towards one-hot, because H(s) falls as the weights saturate."""
-    model = Model([2, 2], 2, rng=np.random.default_rng(0))
+    model = Model([2, 2], 2, source=glorot(np.random.default_rng(0)))
     model.head1.weight.values = np.eye(2)
     y = one_hot(np.array([0, 1, 0, 1]), 2)
     groups = np.array([[0, 1], [2, 3], [1, 2]])
@@ -148,7 +148,7 @@ def test_mixing_loss_gives_gate_no_gradient_when_prediction_matches():
 
 
 def test_compute_loss_lambda_zero_is_org_only():
-    model = Model([8, 8], 3, rng=np.random.default_rng(0))
+    model = Model([8, 8], 3, source=glorot(np.random.default_rng(0)))
     x = T.constant(np.random.default_rng(1).standard_normal((6, 8)))
     y = one_hot(np.array([0, 1, 2, 0, 1, 2]), 3)
     cfg = tiny_config(lam=0.0, mode="baseline")
@@ -163,7 +163,7 @@ def test_compute_loss_lambda_zero_is_org_only():
 def test_compute_loss_finite_when_a_probability_underflows():
     # a logit gap of 1e3 gives the given label probability exp(-1e3) = 0
     # in float64; the loss is the gap itself
-    model = Model([2], 2, rng=np.random.default_rng(0))
+    model = Model([2], 2, source=glorot(np.random.default_rng(0)))
     model.head2.weight.values = np.array([[1e3, 0.0], [0.0, 0.0]])
     feats = T.constant(np.array([[1.0, 0.0]]))
     loss = compute_loss(model, feats, one_hot(np.array([1]), 2), None,
@@ -172,14 +172,14 @@ def test_compute_loss_finite_when_a_probability_underflows():
 
 
 def test_compute_loss_convex_combination():
-    model = Model([8, 8], 3, rng=np.random.default_rng(0))
+    model = Model([8, 8], 3, source=glorot(np.random.default_rng(0)))
     rng = np.random.default_rng(1)
     x = T.constant(rng.standard_normal((6, 8)))
     labels_int = np.array([0, 1, 2, 0, 1, 2])
     y = one_hot(labels_int, 3)
     feats = model.extract_features(x)
     groups = sample_groups(labels_int, 4, 2, rng=rng)
-    ga = GAParams(8, 2, rng=np.random.default_rng(2))
+    ga = GAParams(8, 2, source=glorot(np.random.default_rng(2)))
     members = gather_members(feats, y, groups)
     interp = interpolate(members, attend(members.features, ga))
 
@@ -192,7 +192,7 @@ def test_compute_loss_convex_combination():
 
 
 def test_compute_loss_needs_interp_when_lambda_positive():
-    model = Model([8, 8], 3, rng=np.random.default_rng(0))
+    model = Model([8, 8], 3, source=glorot(np.random.default_rng(0)))
     feats = model.extract_features(T.constant(np.zeros((2, 8))))
     y = one_hot(np.array([0, 1]), 3)
     with pytest.raises(ConfigError):
@@ -318,6 +318,19 @@ def test_tape_nodes_per_step(monkeypatch, mode, lam, most):
     state, _ = train(ds, TrainConfig(mode=mode, lam=lam, k=2, epochs=2, seed=0))
     assert state.step == 48
     assert made[0] / state.step <= most
+
+
+def test_train_rejects_a_run_that_can_take_no_step(monkeypatch):
+    """Group size above the training rows a run uses would run no step and
+    log NaN losses; train() raises before any network is built. At exactly
+    K rows each epoch takes one step."""
+    ds = inject_noise(generate("blobs", 3, 10, 5, 8, 4.0, seed=0), "symmetric", 0.4, seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "Model", None)
+        with pytest.raises(ConfigError, match="group size 40 exceeds the 30 training rows"):
+            train(ds, TrainConfig(k=40, batch_size=64, hidden=(8,), epochs=2))
+    state, log = train(ds, TrainConfig(k=30, batch_size=64, hidden=(8,), epochs=2))
+    assert state.step == 2 and np.isfinite(log.final("train_loss"))
 
 
 @pytest.mark.parametrize("mode,lam,most", [("afm", 0.75, 118.5), ("baseline", 0.0, 41.3)])
