@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -62,18 +63,22 @@ ANNOTATION_KINDS = {"bool": bool, "int": int, "float": float, "str": str,
                     "int | None": int, "float | None": float,
                     "tuple[int, ...]": tuple}
 TRAIN_KEY_TYPES = {f.name: ANNOTATION_KINDS[f.type] for f in fields(TrainConfig)}
-# 'lambda' is accepted as the user-facing spelling of the trade-off weight
-KEY_ALIASES = {"lambda": "lam"}
+# second spellings of TrainConfig fields, accepted wherever a key is read:
+# 'lambda' for the trade-off weight and hyphenated names for three more
+KEY_ALIASES = {"lambda": "lam", "group-size": "k", "intra-inter-ratio": "intra_ratio",
+               "data-fraction": "data_fraction"}
 
 
-def parse_config(path) -> tuple[TrainConfig, dict]:
+def parse_config(path, extra=()) -> tuple[TrainConfig, dict]:
+    """The run that the config file at ``path`` describes, with the
+    ``extra`` key=value lines read after the file's, as if appended to it."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     train_kwargs: dict = {}
     data_spec = {k: v for k, (v, _) in DATA_KEYS.items()}
     # undecodable bytes read as U+FFFD, which the key and value checks reject
     with open(path, encoding="utf-8", errors="replace") as f:
-        for lineno, line in enumerate(f, 1):
+        for lineno, line in enumerate(itertools.chain(f, extra), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -119,27 +124,15 @@ def _check_out(path):
 
 def cmd_train(args) -> int:
     config, data_spec = parse_config(args.config)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is not a directory")
     dataset = build_dataset(data_spec)
-    os.makedirs(args.out, exist_ok=True)
     state, log = train(dataset, config)
+    os.makedirs(args.out, exist_ok=True)  # a run train() rejects leaves no directory
     log.to_csv(os.path.join(args.out, "metrics.csv"))
     save_state(os.path.join(args.out, "checkpoint.bin"), state)
     save_dataset(os.path.join(args.out, "dataset.bin"), dataset)
     return 0
-
-
-# sweep axis -> the TrainConfig field it sets
-AXES = {"lambda": "lam", "group-size": "k", "interaction": "interaction",
-        "intra-inter-ratio": "intra_ratio", "data-fraction": "data_fraction"}
-
-
-def _apply_axis(config: TrainConfig, axis: str, raw: str) -> TrainConfig:
-    """A copy of ``config`` with the axis's field set to ``raw`` parsed."""
-    if axis not in AXES:
-        raise ConfigError(f"axis must be one of {tuple(AXES)}")
-    name = AXES[axis]
-    value = _parse_value(f"--values for axis {axis}", raw, TRAIN_KEY_TYPES[name])
-    return replace(config, **{name: value})
 
 
 def _sweep_worker(job):
@@ -152,15 +145,17 @@ def _sweep_worker(job):
 
 def cmd_sweep(args) -> int:
     from concurrent.futures import ProcessPoolExecutor  # imported by this command only
-    config, data_spec = parse_config(args.config)
+    if args.axis == "seed":
+        raise ConfigError("--axis seed: a sweep's seeds are given by --seeds")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     seeds = _parse_list("--seeds", args.seeds, int)
     if not values or not seeds or len(set(values)) != len(values) \
             or len(set(seeds)) != len(seeds):
         raise ConfigError("need nonempty lists of distinct values and seeds")
+    # each run is the config file with its axis and seed lines appended, and
     # every run's config is checked before the first run starts
-    jobs = [(v, s, (replace(_apply_axis(config, args.axis, v), seed=s).validate(),
-                    data_spec, os.path.join(args.out, f"{args.axis}_{v}", f"seed_{s}")))
+    jobs = [(v, s, (*parse_config(args.config, [f"{args.axis} = {v}", f"seed = {s}"]),
+                    os.path.join(args.out, f"{args.axis}_{v}", f"seed_{s}")))
             for v in values for s in seeds]
     # with AFM_THREADS > 1 the runs start at once in that many worker processes,
     # at most one per run; otherwise each runs when the loop below reaches it
@@ -325,13 +320,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a ConfigError or a file that cannot be opened or
-    made exits 2, and a NumericError 3."""
+    """Run one subcommand; a ConfigError, a file that cannot be opened or
+    made, or an array too large to allocate exits 2, and a NumericError 3."""
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -162,7 +162,37 @@ def test_train_with_fewer_train_rows_than_k_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == ("error: group size 40 exceeds the 30 training "
                                        "rows used: no step can run\n")
-    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_out_is_a_file_exit_2_before_training(config_file, tmp_path, capsys,
+                                                    monkeypatch):
+    out = tmp_path / "run"
+    out.write_text("")
+    runs = []
+    monkeypatch.setattr("afm.cli.train", lambda *a: runs.append(a))
+    assert main(["train", "--config", config_file, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
+    assert runs == []
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                 "(1000000000000, 2) and data type int64"),
+     "error: out of memory: Unable to allocate 14.6 TiB for an array with shape "
+     "(1000000000000, 2) and data type int64\n"),
+    (MemoryError(), "error: out of memory\n")], ids=["numpy", "bare"])
+def test_train_memory_error_exit_2(config_file, tmp_path, capsys, monkeypatch, exc, line):
+    """A config whose arrays cannot be allocated, such as m = 10**12, exits 2
+    with an error line. The error is raised by a stand-in for train(), since
+    whether a huge allocation fails at once depends on the machine."""
+    def exhausted(dataset, config):
+        raise exc
+
+    monkeypatch.setattr("afm.cli.train", exhausted)
+    assert main(["train", "--config", config_file, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_determinism_byte_identical(config_file, tmp_path):
@@ -185,12 +215,34 @@ def test_sweep_lambda(config_file, tmp_path):
 
 
 def test_sweep_group_size_axis(config_file, tmp_path):
-    out = tmp_path / "sweepk"
-    rc = main(["sweep", "--config", config_file, "--axis", "group-size",
-               "--values", "2,3", "--seeds", "0", "--out", str(out)])
-    assert rc == 0
-    rows = read_csv(out / "summary.csv")
-    assert [r["value"] for r in rows] == ["2", "3"]
+    """`group-size` is an alias of the config key `k`: a sweep over either
+    runs the same trainings."""
+    for axis in ("group-size", "k"):
+        assert main(["sweep", "--config", config_file, "--axis", axis, "--values", "2,3",
+                     "--seeds", "0", "--out", str(tmp_path / axis)]) == 0
+    alias, key = (read_csv(tmp_path / axis / "summary.csv") for axis in ("group-size", "k"))
+    assert [(r["axis"], r["value"]) for r in alias] == [("group-size", "2"), ("group-size", "3")]
+    assert [{**r, "axis": "k"} for r in alias] == key
+    for v in ("2", "3"):
+        assert ((tmp_path / "group-size" / f"group-size_{v}" / "seed_0" / "metrics.csv").read_bytes()
+                == (tmp_path / "k" / f"k_{v}" / "seed_0" / "metrics.csv").read_bytes())
+
+
+def test_sweep_data_key_axis_trains_what_train_trains(config_file, tmp_path):
+    """A sweep run is the config file with its axis and seed lines appended:
+    a data key is an axis, and its run's metrics equal those of `afm train`
+    on the appended file."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config_file, "--axis", "noise_rate",
+                 "--values", "0.2,0.4", "--seeds", "1", "--out", str(out)]) == 0
+    assert [(r["value"], r["n_runs"]) for r in read_csv(out / "summary.csv")] == [
+        ("0.2", "1"), ("0.4", "1")]
+    appended = tmp_path / "appended.cfg"
+    appended.write_text(SMALL + "noise_rate = 0.2\nseed = 1\n")
+    assert main(["train", "--config", str(appended), "--out", str(tmp_path / "run")]) == 0
+    metrics = (out / "noise_rate_0.2" / "seed_1" / "metrics.csv").read_bytes()
+    assert metrics == (tmp_path / "run" / "metrics.csv").read_bytes()
+    assert metrics != (out / "noise_rate_0.4" / "seed_1" / "metrics.csv").read_bytes()
 
 
 def test_sweep_parallel_matches_serial(config_file, tmp_path):
@@ -257,10 +309,38 @@ def test_sweep_rejects_fewer_than_one_thread(config_file, tmp_path, capsys, monk
     assert pools == [] and not (tmp_path / "sweep").exists()
 
 
-def test_sweep_unknown_axis(config_file, tmp_path):
+def test_sweep_unknown_axis(config_file, tmp_path, capsys):
     rc = main(["sweep", "--config", config_file, "--axis", "dropout",
                "--values", "1", "--seeds", "0", "--out", str(tmp_path / "x")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown config key 'dropout'" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("axis,values,message", [
+    ("k", "x", "config key 'k': cannot parse 'x'"),
+    ("noise_rate", "low", "config key 'noise_rate': cannot parse 'low'"),
+    ("seed", "1,2", "--axis seed: a sweep's seeds are given by --seeds")])
+def test_sweep_bad_axis_exit_2(config_file, tmp_path, capsys, axis, values, message):
+    """An axis value that does not parse, or the seed as an axis, exits 2
+    before any run; the error names the key."""
+    rc = main(["sweep", "--config", config_file, "--axis", axis,
+               "--values", values, "--seeds", "0", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_reports_rejected_data_value_as_failed_run(config_file, tmp_path, capsys):
+    """A data value that only the dataset builder rejects fails its runs,
+    as the same value in the config file does, and the sweep exits 1."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config_file, "--axis", "noise_rate",
+                 "--values", "0.2,1.5", "--seeds", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("run failed: value=1.5 seed=0: noise rate must "
+                                       "be in [0, 1], got 1.5\n")
+    assert [r["value"] for r in read_csv(out / "summary.csv")] == ["0.2"]
 
 
 def test_sweep_zero_epochs_exit_2(tmp_path, capsys):
