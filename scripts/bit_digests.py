@@ -4,11 +4,12 @@ every float bit.
 Each configuration trains 4 epochs at seed 0 on the default benchmark data
 (blobs, C=3, d0=32, 1000/250 samples per class, symmetric noise 0.4), the
 last on the same data with pairflip noise 0.4 instead. For
-each it prints the first 16 hex digits of the sha256 of the final
-parameters (the model's, then the attention net's; each name's UTF-8
-bytes followed by the raw bytes of its values) and of the sha256 of
-repr(log.rows). Then come the sha256 of the CSV that
-`afm dump-features --interpolations 3000` writes from the afm K=2 run,
+each it prints the first 16 hex digits of three sha256 digests: of the
+final parameters' names (the model's, then the attention net's, each
+name's UTF-8 bytes followed by a newline), of their values in that order
+(the raw bytes of each), and of repr(log.rows). A change that renames a
+parameter thus moves only the names digest. Then come the sha256 of the
+CSV that `afm dump-features --interpolations 3000` writes from the afm K=2 run,
 and that of the checkpoint file `save_state` writes of that run. Last
 come the repr of the worst finite-difference errors of
 `afm.verify.check_gradients()` and `afm.verify.check_step_loss()`, so a
@@ -60,14 +61,16 @@ def main():
     dataset = cli.build_dataset(spec)
     pairflip = cli.build_dataset({**spec, "noise_model": "pairflip"})
     width = max(map(len, CONFIGS))
-    print(f"{'config':<{width}}  {'parameters':<16}  log.rows")
+    print(f"{'config':<{width}}  {'names':<16}  {'values':<16}  log.rows")
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in CONFIGS.items():
             state, log = train(pairflip if name == PAIRFLIP else dataset,
                                TrainConfig(epochs=4, seed=0, **overrides))
             named = state.model.parameters() + (state.ga.parameters() if state.ga else [])
-            params = b"".join(n.encode() + p.values.tobytes() for n, p in named)
-            print(f"{name:<{width}}  {digest(params)}  {digest(repr(log.rows).encode())}")
+            names = b"".join(n.encode() + b"\n" for n, _ in named)
+            values = b"".join(p.values.tobytes() for _, p in named)
+            print(f"{name:<{width}}  {digest(names)}  {digest(values)}  "
+                  f"{digest(repr(log.rows).encode())}")
             if name == "afm K=2":
                 checkpoint = os.path.join(tmp, "checkpoint.bin")
                 save_state(checkpoint, state)

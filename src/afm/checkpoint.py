@@ -1,9 +1,8 @@
 """Binary serialization for parameter sets and datasets.
 
-Layout: magic "AFM1", 32 reserved zero bytes, u32 record count; then
-per record: u32 name length, utf-8 name, u32 rank, u64 dims, raw float64
-little-endian values. Round trips are bit-exact. The reserved bytes are
-written as zeros and skipped on read.
+Layout: magic "AFM2", u32 record count; then per record: u32 name length,
+utf-8 name, u32 rank, u64 dims, raw float64 little-endian values. Round
+trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -15,14 +14,12 @@ import numpy as np
 
 from .errors import ConfigError
 
-MAGIC = b"AFM1"
-RESERVED = 32  # zero bytes after the magic
+MAGIC = b"AFM2"
 
 
 def write_arrays(path, arrays: dict[str, np.ndarray]):
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(bytes(RESERVED))
         f.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
             arr = np.ascontiguousarray(arr, dtype="<f8")
@@ -41,9 +38,9 @@ def read_arrays(path) -> dict[str, np.ndarray]:
     numpy cannot make, or a NaN or inf value raises ConfigError."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:4] != MAGIC:
+    if data[:len(MAGIC)] != MAGIC:
         raise ConfigError(f"{path}: bad magic, not a checkpoint file")
-    offset = 4
+    offset = len(MAGIC)
 
     def take(size, what):
         nonlocal offset
@@ -53,7 +50,6 @@ def read_arrays(path) -> dict[str, np.ndarray]:
         offset += size
         return data[offset - size:offset]
 
-    take(RESERVED, "reserved bytes")
     (count,) = struct.unpack("<I", take(4, "record count"))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -90,14 +86,13 @@ def read_record(path, arrays, name) -> np.ndarray:
     return arrays[name]
 
 
-def read_integers(path, arrays, name, low, high=2 ** 63, size=None) -> np.ndarray:
+def read_integers(path, arrays, name, low, high, size) -> np.ndarray:
     """Record ``name`` of ``arrays``, read from ``path``, as int64 values; raises
-    ConfigError, naming both, when it is missing or holds anything but integers
-    in [low, high), or other than exactly ``size`` of them when ``size`` is given."""
+    ConfigError, naming both, when it is missing or holds other than exactly
+    ``size`` values, each an integer in [low, high)."""
     values = read_record(path, arrays, name).reshape(-1)
-    if (size is not None and len(values) != size) or not np.all(
+    if len(values) != size or not np.all(
             (values == np.floor(values)) & (values >= low) & (values < high)):
-        count = "" if size is None else f", {size} of them"
         raise ConfigError(f"{path}: record {name!r} must hold only integers in "
-                          f"[{low}, {high}){count}")
+                          f"[{low}, {high}), {size} of them")
     return values.astype(np.int64)

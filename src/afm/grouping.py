@@ -108,7 +108,8 @@ class GAParams:
             self.proj = [Affine("ga.proj_shared", d, d, source)] * k
         else:
             self.proj = []
-        self.att1 = Affine("ga.att1", k * d if interaction == "concat" else d, d, source)
+        self.att1 = Affine(f"ga.att1.{interaction}", k * d if interaction == "concat" else d,
+                           d, source)
         self.att2 = Affine("ga.att2", d, k, source)
 
     def parameters(self):

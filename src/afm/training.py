@@ -13,7 +13,7 @@ from operator import attrgetter, is_, is_not, methodcaller
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import read_arrays, read_integers, read_record, write_arrays
+from .checkpoint import read_arrays, read_record, write_arrays
 from .data import NoisyDataset, one_hot
 from .errors import AfmError, ConfigError, NumericError
 from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
@@ -89,8 +89,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if not 0.0 < self.data_fraction <= 1.0:
             raise ConfigError("data_fraction must be in (0, 1]")
-        if self.m is not None and self.m < 1:
-            raise ConfigError("m must be >= 1")
+        most = np.iinfo(np.intp).max // 8 // self.k  # numpy's size limit on (m, K) int64s
+        if self.m is not None and not 1 <= self.m <= most:
+            raise ConfigError(f"m must be in [1, {most}] at group size {self.k}, got {self.m}")
         return self
 
 
@@ -368,11 +369,9 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
 # ---------------------------------------------------------------------------
 
 def save_state(path, state: TrainState):
-    """Write the named parameters and afm's interaction, which no shape gives."""
+    """Write the named parameters, whose names and shapes load_state reads."""
     named = state.model.parameters() + (state.ga.parameters() if state.ga else [])
-    meta = {} if state.ga is None else {"__meta__/interaction": np.asarray(
-        float(INTERACTIONS.index(state.ga.interaction)))}
-    write_arrays(path, {**meta, **{name: p.values for name, p in named}})
+    write_arrays(path, {name: p.values for name, p in named})
 
 
 def load_state(path) -> tuple[Model, GAParams | None]:
@@ -380,7 +379,8 @@ def load_state(path) -> tuple[Model, GAParams | None]:
     are the rows of backbone.{i}.weight for i = 0, 1, ... while it exists, then
     of classifier.head1.weight, whose columns are n_classes; heads are shared
     unless classifier.head2.weight exists; ga.att2.weight gives K (its columns),
-    and ga.proj0.* or ga.proj_shared.* distinct or shared projections, else none.
+    the one ga.att1.<interaction>.weight the interaction, and ga.proj0.* or
+    ga.proj_shared.* distinct or shared projections, else none.
     Each parameter is its stored record, shape-checked before the next is read."""
     arrays = read_arrays(path)
 
@@ -400,14 +400,14 @@ def load_state(path) -> tuple[Model, GAParams | None]:
     if "ga.att2.weight" in arrays:
         k = stored("ga.att2.weight").values.shape[1]
         stored("ga.att2.weight", (d, max(k, 2)))  # one column per member, K >= 2
-        interaction = read_integers(path, arrays, "__meta__/interaction", 0,
-                                    len(INTERACTIONS), 1).item()
-        ga = GAParams(d, k, INTERACTIONS[interaction],
+        # with none, sum's record is named missing; with two, the second unexpected
+        interaction = next((i for i in INTERACTIONS if f"ga.att1.{i}.weight" in arrays), "sum")
+        ga = GAParams(d, k, interaction,
                       "distinct" if "ga.proj0.weight" in arrays else
                       "shared" if "ga.proj_shared.weight" in arrays else "none",
                       source=stored)
     params = dict(model.parameters() + (ga.parameters() if ga else []))
-    for name in arrays:  # each record is a parameter or afm's interaction
-        if name not in params and not (ga and name == "__meta__/interaction"):
+    for name in arrays:  # each record is a parameter
+        if name not in params:
             raise ConfigError(f"{path}: unexpected record {name!r}")
     return model, ga

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afm import tensor as T
-from afm.checkpoint import read_arrays, write_arrays
+from afm.checkpoint import MAGIC, read_arrays, write_arrays
 from afm.cli import DATA_KEYS, KEY_ALIASES, TRAIN_KEY_TYPES, main, parse_config
 from afm.data import generate, load_dataset, one_hot, save_dataset
 from afm.errors import ConfigError, NumericError
-from afm.grouping import INTERACTIONS, attend, sample_groups
+from afm.grouping import attend, sample_groups
 from afm.mixing import gather_members, interpolate
 from afm.training import TrainConfig, load_state, train
 
@@ -141,6 +141,7 @@ BAD_CONFIG_LINES = [
     "data_kind=rings;data_d0=1", "data_kind=two-moons;data_classes=2;data_d0=1",
     "data_separation=nan", "data_separation=inf", "data_seed=-1", "noise_seed=-1",
     "noise_rate=nan", "noise_rate=-0.5",
+    "m=4000000000000000000",  # past numpy's array limit, so nothing is allocated
 ]
 
 
@@ -495,7 +496,12 @@ def test_load_state_rejects_wrong_parameter_shape(config_file, tmp_path):
         load_state(ck)
 
 
-@pytest.mark.parametrize("cut", [10, 45, -8])
+HEADER = len(MAGIC) + 4  # the magic, then the u32 record count
+
+
+# HEADER - 2: inside the record count; HEADER + 5: before the first record's
+# rank; -8: inside the last record's values
+@pytest.mark.parametrize("cut", [HEADER - 2, HEADER + 5, -8])
 def test_dump_features_truncated_checkpoint_exit_2(config_file, tmp_path, capsys, cut):
     run = tmp_path / "run"
     main(["train", "--config", config_file, "--out", str(run)])
@@ -508,11 +514,11 @@ def test_dump_features_truncated_checkpoint_exit_2(config_file, tmp_path, capsys
     assert "truncated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name,value", [
-    ("__meta__/interaction", 7.0),      # past the end of INTERACTIONS
-    ("__meta__/interaction", -1.0),     # would index from the end
-    ("__meta__/projections", 2.5),      # records of the old format,
-    ("__meta__/widths", [8.0, -8.0]),   # which no loader reads now
+@pytest.mark.parametrize("name,value", [  # records of old formats, which no loader reads now
+    ("__meta__/interaction", 7.0),
+    ("__meta__/interaction", -1.0),
+    ("__meta__/projections", 2.5),
+    ("__meta__/widths", [8.0, -8.0]),
 ])
 def test_dump_features_forged_metadata_exit_2(config_file, tmp_path, capsys, name, value):
     run = tmp_path / "run"
@@ -537,29 +543,37 @@ def _with(name, value):
     return lambda arrays: {**arrays, name: value(arrays)}
 
 
+def _renamed(old, new):
+    """Rename each record whose name starts with ``old`` to start with ``new``."""
+    return lambda arrays: {new + n[len(old):] if n.startswith(old) else n: v
+                           for n, v in arrays.items()}
+
+
 def _old_format(arrays):
     """The records as a checkpoint written before the architecture was read
-    off the parameter records: six float-coded metadata records first."""
+    off the parameter records: six float-coded metadata records first, the
+    interaction among them, and the attention net's first layer ga.att1."""
     meta = {"__meta__/widths": np.asarray([8.0, 8.0]), "__meta__/n_classes": np.asarray(3.0),
             "__meta__/shared": np.asarray(1.0), "__meta__/k": np.asarray(2.0),
-            "__meta__/interaction": arrays["__meta__/interaction"],
-            "__meta__/projections": np.asarray(0.0)}
-    return {**meta, **_without("__meta__/interaction")(arrays)}
+            "__meta__/interaction": np.asarray(1.0), "__meta__/projections": np.asarray(0.0)}
+    return {**meta, **_renamed("ga.att1.sum.", "ga.att1.")(arrays)}
 
 
-# the small config's checkpoint: an 8-wide backbone layer, 3 classes, K=2
+# the small config's checkpoint: an 8-wide backbone layer, 3 classes, K=2,
+# the sum interaction; with no ga.att1.<interaction>.weight, sum's is missing
 @pytest.mark.parametrize("unshared,name,forge", [
-    (False, "__meta__/interaction", _without("__meta__/interaction")),
-    (False, "__meta__/interaction", _with("__meta__/interaction", lambda a: np.asarray(2.5))),
+    (False, "ga.att1.sum.weight", _without("ga.att1.sum.weight")),
+    (False, "ga.att1.sum.weight", _renamed("ga.att1.sum.", "ga.att1.2.5.")),
+    (False, "ga.att1.mul.weight", lambda a: {**a, **_renamed("ga.att1.sum.", "ga.att1.mul.")(a)}),
     (False, "ga.att2.weight", _with("ga.att2.weight", lambda a: a["ga.att2.weight"][:, :1])),
     (False, "classifier.head1.weight",
      _with("classifier.head1.weight", lambda a: a["classifier.head1.weight"].ravel())),
     (False, "classifier.head1.weight",
      _with("classifier.head1.weight", lambda a: np.zeros((8, 0)))),
     (True, "classifier.head2.bias", _without("classifier.head2.weight")),
-    (False, "__meta__/widths", _old_format),
-], ids=["interaction-missing", "interaction-2.5", "att2-one-column", "head1-1d",
-        "head1-no-columns", "head2-bias-without-weight", "old-format"])
+    (False, "ga.att1.sum.weight", _old_format),
+], ids=["interaction-missing", "interaction-2.5", "two-interactions", "att2-one-column",
+        "head1-1d", "head1-no-columns", "head2-bias-without-weight", "old-format"])
 def test_dump_features_forged_architecture_exit_2(tmp_path, capsys, unshared, name, forge):
     """A checkpoint whose records describe no network that save_state writes
     exits 2 and names the record at fault."""
@@ -586,12 +600,11 @@ FORGED_WIDE = {
         "backbone.0.weight": np.zeros((_WIDE, 1)), "backbone.0.bias": np.zeros((1, _WIDE)),
         "classifier.head1.weight": np.zeros((_WIDE, 1)),
         "classifier.head1.bias": np.zeros((1, 1))}),
-    "attention": ("ga.att1.weight", {
-        "__meta__/interaction": np.asarray(float(INTERACTIONS.index("sum"))),
+    "attention": ("ga.att1.sum.weight", {
         "backbone.0.weight": np.zeros((1, _WIDE)), "backbone.0.bias": np.zeros((1, _WIDE)),
         "classifier.head1.weight": np.zeros((_WIDE, 1)),
         "classifier.head1.bias": np.zeros((1, 1)),
-        "ga.att1.weight": np.zeros((1, 1)), "ga.att2.weight": np.zeros((_WIDE, 2))}),
+        "ga.att1.sum.weight": np.zeros((1, 1)), "ga.att2.weight": np.zeros((_WIDE, 2))}),
 }
 
 

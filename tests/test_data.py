@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from afm.checkpoint import read_arrays, write_arrays
+from afm.checkpoint import MAGIC, read_arrays, write_arrays
 from afm.data import (NoisyDataset, generate, inject_noise, load_dataset,
                       one_hot, save_dataset)
 from afm.errors import ConfigError
 from afm.training import TrainConfig, load_state, save_state, train
+
+HEADER = len(MAGIC) + 4  # the magic, then the u32 record count
 
 
 def small_blobs(seed=0):
@@ -174,21 +176,22 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     }
     p = tmp_path / "ck.bin"
     write_arrays(p, arrays)
-    assert p.read_bytes()[4:36] == bytes(32)  # the reserved bytes are zeros
+    assert p.read_bytes()[:HEADER] == MAGIC + struct.pack("<I", 2)
     back = read_arrays(p)
     for k in arrays:
         np.testing.assert_array_equal(back[k], arrays[k])
         assert back[k].dtype == np.float64
 
 
-def test_read_arrays_skips_reserved_bytes(tmp_path):
-    # the reserved bytes are written as zeros and skipped on read, whatever
-    # they hold
+def test_read_arrays_rejects_the_old_layout(tmp_path):
+    # a file of the old layout, magic "AFM1" and 32 reserved zero bytes
+    # before the record count, fails at its magic
     p = tmp_path / "ck.bin"
     write_arrays(p, {"w": np.arange(6.0).reshape(2, 3)})
     data = p.read_bytes()
-    p.write_bytes(data[:4] + bytes(range(1, 33)) + data[36:])
-    np.testing.assert_array_equal(read_arrays(p)["w"], np.arange(6.0).reshape(2, 3))
+    p.write_bytes(b"AFM1" + bytes(32) + data[len(MAGIC):])
+    with pytest.raises(ConfigError, match="bad magic"):
+        read_arrays(p)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -204,10 +207,10 @@ def checkpoint_bytes(tmp_path):
     return p.read_bytes()
 
 
-@pytest.mark.parametrize("cut", [10, 45, -8, -1])
+@pytest.mark.parametrize("cut", [HEADER - 2, HEADER + 5, -8, -1])
 def test_checkpoint_truncated_raises_config_error(tmp_path, cut):
-    # 10: inside the reserved bytes; 45: before the first record's rank; -8
-    # and -1: inside the last record's values
+    # HEADER - 2: inside the record count; HEADER + 5: before the first
+    # record's rank; -8 and -1: inside the last record's values
     data = checkpoint_bytes(tmp_path)
     p = tmp_path / "cut.bin"
     p.write_bytes(data[:cut])
@@ -226,7 +229,7 @@ def test_checkpoint_trailing_bytes_raise_config_error(tmp_path):
                                          (2**32 - 1, "truncated")])
 def test_checkpoint_forged_record_count(tmp_path, count, match):
     data = bytearray(checkpoint_bytes(tmp_path))
-    data[36:40] = count.to_bytes(4, "little")
+    data[HEADER - 4:HEADER] = count.to_bytes(4, "little")
     p = tmp_path / "forged.bin"
     p.write_bytes(bytes(data))
     with pytest.raises(ConfigError, match=match):
@@ -238,18 +241,21 @@ def forged(at, patch, match, name=None):
     return pytest.param(at, patch, match, id=name or f"{at}-{patch.decode('latin-1')}")
 
 
-# the first record starts at byte 40: name length (4 bytes), name "w"
-# (1 byte), rank at 45, dims from 49, values from 65; the name of the
-# second record, "b", is at 117
+# the first record starts at byte HEADER: name length (4 bytes), name "w"
+# (1 byte), rank at HEADER + 5, dims from HEADER + 9, values from HEADER +
+# 25; the name of the second record, "b", is at HEADER + 77
 @pytest.mark.parametrize("at,patch,match", [
-    forged(45, b"\xff" * 4, "truncated"),
-    forged(49, b"\xff" * 8, "truncated"),
+    forged(HEADER + 5, b"\xff" * 4, "truncated"),
+    forged(HEADER + 9, b"\xff" * 8, "truncated"),
     # rank 70 > numpy's limit, with 70 dims of 1 and one value
-    forged(45, struct.pack("<I70Qd", 70, *[1] * 70, 0.0), "unusable shape", "rank-70"),
-    forged(49, struct.pack("<2Q", 0, 2**63), "unusable shape", "dims-0-2**63"),
-    forged(117, b"w", "duplicate record 'w'", "duplicate-name"),
-    forged(65, struct.pack("<d", np.nan), "record 'w' holds NaN or inf", "nan-value"),
-    forged(105, struct.pack("<d", -np.inf), "record 'w' holds NaN or inf", "inf-value"),
+    forged(HEADER + 5, struct.pack("<I70Qd", 70, *[1] * 70, 0.0), "unusable shape",
+           "rank-70"),
+    forged(HEADER + 9, struct.pack("<2Q", 0, 2**63), "unusable shape", "dims-0-2**63"),
+    forged(HEADER + 77, b"w", "duplicate record 'w'", "duplicate-name"),
+    forged(HEADER + 25, struct.pack("<d", np.nan), "record 'w' holds NaN or inf",
+           "nan-value"),
+    forged(HEADER + 65, struct.pack("<d", -np.inf), "record 'w' holds NaN or inf",
+           "inf-value"),
 ])
 def test_checkpoint_forged_rank_and_dims(tmp_path, at, patch, match):
     data = bytearray(checkpoint_bytes(tmp_path))
@@ -265,7 +271,7 @@ def file_variants(good):
     truncation and single-byte change of a valid file."""
     return st.one_of(
         st.binary(max_size=200),
-        st.binary(max_size=200).map(lambda tail: good[:40] + tail),
+        st.binary(max_size=200).map(lambda tail: good[:HEADER] + tail),
         st.integers(0, len(good) - 1).map(lambda n: good[:n]),
         st.tuples(st.integers(0, len(good) - 1), st.integers(0, 255)).map(
             lambda at_byte: (good[:at_byte[0]] + bytes([at_byte[1]])

@@ -45,9 +45,9 @@ def test_source_gives_each_parameter_by_name_in_order():
         assert [name for name, _ in named][:4] == [
             "backbone.0.weight", "backbone.0.bias", "backbone.1.weight", "backbone.1.bias"]
         assert [name for name, _ in ga.parameters()] == [
-            "ga.proj_shared.weight", "ga.proj_shared.bias", "ga.att1.weight", "ga.att1.bias",
-            "ga.att2.weight", "ga.att2.bias"]
-        assert dict(asked)["ga.att1.weight"] == (9, 3)
+            "ga.proj_shared.weight", "ga.proj_shared.bias", "ga.att1.concat.weight",
+            "ga.att1.concat.bias", "ga.att2.weight", "ga.att2.bias"]
+        assert dict(asked)["ga.att1.concat.weight"] == (9, 3)
 
 
 def test_backbone_feature_dim():

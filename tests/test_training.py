@@ -487,6 +487,11 @@ def test_config_validation():
     for intra_ratio in (1.5, -0.5, float("nan")):
         with pytest.raises(ConfigError, match="intra_ratio"):
             TrainConfig(intra_ratio=intra_ratio).validate()
+    most = np.iinfo(np.intp).max // 8  # int64s in the largest array numpy can describe
+    TrainConfig(m=most // 2).validate()
+    for m, k in ((most // 2 + 1, 2), (most // 3 + 1, 3), (4_000_000_000_000_000_000, 2)):
+        with pytest.raises(ConfigError, match=f"m must be in .*, got {m}"):
+            TrainConfig(m=m, k=k).validate()
 
 
 def test_baseline_with_positive_lambda_rejected_before_training():
@@ -538,8 +543,9 @@ def test_checkpoint_roundtrip_restores_every_parameter(config):
 
 
 def test_checkpoint_roundtrip_catches_a_misread_interaction(monkeypatch):
-    """A loader that reads mul for a sum run fails the check, though sum and
-    mul give the attention net the same parameter names and shapes."""
+    """A loader that reads mul for a sum run fails the check, though every
+    parameter keeps the name and shape it was loaded under: the check compares
+    the interaction itself, not only through the ga.att1.<interaction> names."""
     state, _ = train(tiny_dataset(), tiny_config(epochs=1))
     assert state.ga.interaction == "sum"
 
