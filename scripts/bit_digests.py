@@ -10,7 +10,8 @@ name's UTF-8 bytes followed by a newline), of their values in that order
 (the raw bytes of each), and of repr(log.rows). A change that renames a
 parameter thus moves only the names digest. Then come the sha256 of the
 CSV that `afm dump-features --interpolations 3000` writes from the afm K=2 run,
-and that of the checkpoint file `save_state` writes of that run. Last
+that of the checkpoint file `save_state` writes of that run, and that of
+the raw bytes of that run's final optimizer velocity. Last
 come the repr of the worst finite-difference errors of
 `afm.verify.check_gradients()` and `afm.verify.check_step_loss()`, so a
 change to how the gradient checks build their functions is compared bit
@@ -74,6 +75,7 @@ def main():
             if name == "afm K=2":
                 checkpoint = os.path.join(tmp, "checkpoint.bin")
                 save_state(checkpoint, state)
+                velocity = digest(state.optimizer.velocity.tobytes())
         data, out = os.path.join(tmp, "dataset.bin"), os.path.join(tmp, "features.csv")
         save_dataset(data, dataset)
         if cli.main(["dump-features", "--checkpoint", checkpoint, "--dataset", data,
@@ -83,6 +85,7 @@ def main():
             print(f"dump-features, 3000 interpolations: {digest(f.read())}")
         with open(checkpoint, "rb") as f:
             print(f"checkpoint file, afm K=2: {digest(f.read())}")
+    print(f"optimizer velocity, afm K=2: {velocity}")
     print(f"verify.check_gradients(): {verify.check_gradients()!r}")
     print(f"verify.check_step_loss(): {verify.check_step_loss()!r}")
 

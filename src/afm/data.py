@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checkpoint import read_arrays, read_integers, read_record, write_arrays
-from .errors import ConfigError
+from .errors import MOST_ELEMENTS, ConfigError
 
 DATASET_KINDS = ("blobs", "two-moons", "rings")
 NOISE_MODELS = ("symmetric", "pairflip")
@@ -61,11 +61,18 @@ def generate(kind: str, classes: int, per_class_train: int, per_class_test: int,
         raise ConfigError(f"{kind} draws its pattern in 2 dims, needs d0 >= 2")
     if not np.isfinite(separation):
         raise ConfigError(f"separation must be finite, got {separation}")
+    n = classes * (per_class_train + per_class_test)
+    if n * d0 > MOST_ELEMENTS:  # every other array but the blobs basis draw is smaller
+        raise ConfigError(f"dataset features of shape ({n}, {d0}) are past numpy's "
+                          "array size limit")
     rng = np.random.default_rng([int(seed), 0xDA7A])
 
     if kind == "blobs":
         if classes > d0:
             raise ConfigError("blobs needs classes <= d0 for orthogonal centers")
+        if d0 * d0 > MOST_ELEMENTS:
+            raise ConfigError(f"blobs basis draw of shape ({d0}, {d0}) is past numpy's "
+                              "array size limit")
         # orthonormal directions give exact pairwise center distance = separation
         q, _ = np.linalg.qr(rng.normal(size=(d0, d0)))
         centers = (separation / np.sqrt(2.0)) * q[:classes]

@@ -1,5 +1,10 @@
 """Error and warning types shared across the package."""
 
+import numpy as np
+
+# the most float64 or int64 elements numpy can describe in one array
+MOST_ELEMENTS = np.iinfo(np.intp).max // 8
+
 
 class AfmError(Exception):
     """Base class for all errors raised by this package."""

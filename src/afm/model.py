@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError, ShapeError
+from .errors import MOST_ELEMENTS, ConfigError, NumericError, ShapeError
 from .tensor import Tensor
 
 
@@ -22,9 +22,13 @@ def glorot(rng: np.random.Generator):
 
 class Affine:
     """Dense layer y = x @ W + b, optionally followed by relu, as one tape
-    node; ``source(name, shape)`` gives ``{name}.weight`` and ``{name}.bias``."""
+    node; ``source(name, shape)`` gives ``{name}.weight`` and ``{name}.bias``.
+    A weight numpy could not describe raises ConfigError."""
 
     def __init__(self, name: str, fan_in: int, fan_out: int, source):
+        if fan_in * fan_out > MOST_ELEMENTS:
+            raise ConfigError(f"layer {name!r} of shape ({fan_in}, {fan_out}) is past "
+                              "numpy's array size limit")
         self.name = name
         self.weight = source(f"{name}.weight", (fan_in, fan_out))
         self.bias = source(f"{name}.bias", (1, fan_out))

@@ -14,12 +14,14 @@ relu alike; grad_check skips coordinates whose finite-difference probes
 cross a relu kink.
 
 Each tensor owns its grad array: no two tensors' grads share memory, so
-``+=`` on one leaf's grad after ``backward`` changes no other grad. A
-backward that has just computed an array for one parent hands it over
-as is, as it may hand views of disjoint parts of one fresh array. A
-backward that would hand one array to more than one tensor, or a view of
-its output's grad, hands each a copy instead: add, affine's one-row bias,
-group_affine's bias gradient and concat_last's slices.
+``+=`` on one leaf's grad after ``backward`` changes no other grad; the
+grads of an optimizer's leaves are disjoint views of its gradient vector,
+which backward adds into. A backward that has just computed an array for
+one parent hands it over as is, as it may hand views of disjoint parts of
+one fresh array. A backward that would hand one array to more than one
+tensor, or a view of its output's grad, hands each a copy instead: add,
+affine's one-row bias, group_affine's bias gradient and concat_last's
+slices.
 """
 
 from __future__ import annotations
@@ -466,8 +468,8 @@ def backward(root: Tensor):
     The root is seeded with 1 and each node's backward runs once, in
     decreasing creation number: a node is made after its parents, so it
     runs after every node that consumes it. Gradients add up across the
-    uses of a node, and leaves keep adding across repeated calls until
-    their grad is set to None.
+    uses of a node; leaves keep adding across calls until their grad is
+    set to None or, as a view of an optimizer's gradient vector, zeroed.
     """
     if root.values.ndim != 0:
         raise ShapeError(f"backward root must be scalar, got shape {root.values.shape}")

@@ -7,15 +7,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import count, repeat
-from operator import attrgetter, is_, is_not, methodcaller
+from itertools import chain, count
+from operator import attrgetter, is_
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import read_arrays, read_record, write_arrays
 from .data import NoisyDataset, one_hot
-from .errors import AfmError, ConfigError, NumericError
+from .errors import MOST_ELEMENTS, AfmError, ConfigError, NumericError
 from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
                        sample_groups)
 from .mixing import InterpolationBatch, gather_members, interpolate
@@ -23,7 +23,7 @@ from .model import Model, glorot
 from .tensor import Tensor, backward
 
 MODES = ("afm", "baseline", "standard-mixup", "manifold-mixup")
-_values, _grad, _ravel = attrgetter("values"), attrgetter("grad"), methodcaller("ravel")
+_bound = attrgetter("values", "grad")
 METRIC_COLUMNS = ("epoch", "train_loss", "test_acc",
                   "mean_attn_clean", "mean_attn_noisy", "lr")
 
@@ -89,7 +89,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if not 0.0 < self.data_fraction <= 1.0:
             raise ConfigError("data_fraction must be in (0, 1]")
-        most = np.iinfo(np.intp).max // 8 // self.k  # numpy's size limit on (m, K) int64s
+        most = MOST_ELEMENTS // self.k  # numpy's size limit on (m, K) int64s
         if self.m is not None and not 1 <= self.m <= most:
             raise ConfigError(f"m must be in [1, {most}] at group size {self.k}, got {self.m}")
         return self
@@ -133,10 +133,10 @@ class SGD:
 
     The constructor copies each distinct parameter (a shared one is listed
     under several names and stepped once, with its first name's settings)
-    into one contiguous vector and rebinds its ``values`` to a view of its
-    slice, so a step is a few whole-vector operations that update every
-    parameter in place. Rebinding a parameter's ``values`` afterwards
-    detaches it from the vector, and ``step`` raises for it.
+    into one contiguous vector, ``flat``, and binds its ``values`` and
+    ``grad`` to its slices of ``flat`` and of a zeroed ``grad``, which
+    backward adds into; a step is a few whole-vector operations in place.
+    Rebinding either afterwards detaches it, and ``step`` raises for it.
     """
 
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0, lr_scales=None,
@@ -149,38 +149,35 @@ class SGD:
         self.params = list(distinct.values())  # [(name, Tensor)], each tensor once
         names, self._tensors = map(list, zip(*self.params))
         sizes = [p.values.size for p in self._tensors]
-        self.flat = np.concatenate([p.values.ravel() for p in self._tensors])
-        for p, piece in zip(self._tensors, np.split(self.flat, np.cumsum(sizes)[:-1])):
-            p.values = piece.reshape(p.values.shape)
-        self._views = [p.values for p in self._tensors]
+        self.flat, self.grad = rows = np.zeros((2, sum(sizes)))
+        self.flat[:] = np.concatenate([p.values.ravel() for p in self._tensors])
+        for p, piece in zip(self._tensors, np.split(rows, np.cumsum(sizes)[:-1], axis=1)):
+            p.values, p.grad = piece.reshape(2, *p.values.shape)  # views of both rows
+        self._bound = list(chain.from_iterable(map(_bound, self._tensors)))
         lr_scales, decay_overrides = lr_scales or {}, decay_overrides or {}
         self._lr_scale = np.repeat([lr_scales.get(n, 1.0) for n in names], sizes)
         self._decay = np.repeat([decay_overrides.get(n, weight_decay) for n in names], sizes)
         self.velocity = np.zeros_like(self.flat)
-        self._grad, self._update = np.empty_like(self.flat), np.empty_like(self.flat)
+        self._update = np.empty_like(self.flat)
 
     def zero_grad(self):
-        for p in self._tensors:
-            p.grad = None
+        self.grad.fill(0.0)
 
     def step(self):
-        if not all(map(is_, map(_values, self._tensors), self._views)):
-            name = next(n for (n, p), v in zip(self.params, self._views) if p.values is not v)
-            raise AfmError(f"parameter {name!r} was rebound after the "
-                           "optimizer was built; build a new optimizer")
-        grads = list(map(_grad, self._tensors))
-        if not all(map(is_not, grads, repeat(None))):  # a parameter the loss never read
-            grads = [np.zeros_like(v) if g is None else g for g, v in zip(grads, self._views)]
-        g = np.concatenate(list(map(_ravel, grads)), out=self._grad)
+        held = list(map(is_, chain.from_iterable(map(_bound, self._tensors)), self._bound))
+        if not all(held):  # values, grad of each parameter in turn
+            raise AfmError(f"parameter {self.params[held.index(False) // 2][0]!r} was rebound "
+                           "after the optimizer was built; build a new optimizer")
+        g, u = self.grad, self._update
         if not np.isfinite(g @ g):  # finite unless a gradient is not, or g @ g overflows
             for name, p in self.params:
-                if p.grad is not None and not np.isfinite(p.grad).all():
+                if not np.isfinite(p.grad).all():
                     raise NumericError(f"non-finite gradient for parameter {name!r}")
         # the class formula, operation for operation, in preallocated vectors
         v = self.velocity
         v *= self.momentum
-        v += np.add(g, np.multiply(self._decay, self.flat, out=self._update), out=g)
-        self.flat -= np.multiply(np.multiply(self.lr, self._lr_scale, out=g), v, out=g)
+        v += np.add(g, np.multiply(self._decay, self.flat, out=u), out=u)
+        self.flat -= np.multiply(np.multiply(self.lr, self._lr_scale, out=u), v, out=u)
 
 
 @dataclass

@@ -141,7 +141,10 @@ BAD_CONFIG_LINES = [
     "data_kind=rings;data_d0=1", "data_kind=two-moons;data_classes=2;data_d0=1",
     "data_separation=nan", "data_separation=inf", "data_seed=-1", "noise_seed=-1",
     "noise_rate=nan", "noise_rate=-0.5",
-    "m=4000000000000000000",  # past numpy's array limit, so nothing is allocated
+    # past numpy's array limit, so nothing is allocated
+    "m=4000000000000000000", "hidden=4000000000000000000",
+    "data_per_class_train=4000000000000000000", "data_per_class_test=4000000000000000000",
+    "data_d0=4000000000000000000",
 ]
 
 

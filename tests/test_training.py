@@ -35,7 +35,8 @@ def tiny_config(**kw):
 def test_sgd_step_matches_hand_computation():
     """Three steps give the bits of v = m*v + (g + wd*p), p -= (lr*scale)*v,
     with lr changed between steps as train() does each epoch, one lr scale,
-    one decay override and one parameter whose grad is None, a zero grad."""
+    one decay override and one parameter whose grad is never written, a
+    zero grad."""
     rng = np.random.default_rng(0)
     shapes = {"a": (2, 3), "b": (1, 3), "c": (3, 1)}
     tensors = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
@@ -48,8 +49,8 @@ def test_sgd_step_matches_hand_computation():
         opt.lr = lr
         opt.zero_grad()
         g = {n: rng.normal(size=shapes[n]) for n in ("a", "b")}
-        tensors["a"].grad, tensors["b"].grad = g["a"].copy(), g["b"].copy()
-        g["c"] = np.zeros(shapes["c"])  # c.grad stays None
+        tensors["a"].grad[...], tensors["b"].grad[...] = g["a"], g["b"]
+        g["c"] = np.zeros(shapes["c"])  # c.grad is never written
         opt.step()
         for n, t in tensors.items():
             v[n] = 0.9 * v[n] + (g[n] + decay[n] * p[n])
@@ -57,19 +58,67 @@ def test_sgd_step_matches_hand_computation():
             np.testing.assert_array_equal(t.values, p[n])
 
 
+def test_sgd_step_leaves_gradients_unchanged():
+    """step computes in its own scratch vector: after it, every grad still
+    holds the gradient the step used, bit for bit."""
+    rng = np.random.default_rng(1)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    opt = SGD([("a", a), ("b", b)], lr=0.1, momentum=0.9, weight_decay=0.01,
+              lr_scales={"b": 10.0})
+    for _ in range(2):
+        opt.grad[:] = rng.normal(size=opt.grad.shape)
+        held = [a.grad, b.grad, opt.grad.copy()]
+        opt.step()
+        assert a.grad is held[0] and b.grad is held[1]
+        assert opt.grad.tobytes() == held[2].tobytes()
+
+
+def test_sgd_gradients_are_views_of_its_vector_after_backward():
+    """Backward adds each parameter's gradient into its view of SGD.grad,
+    a shared projection's once, with the values that a backward through
+    the same network without an optimizer gives; zero_grad zeroes them
+    all and keeps the views."""
+    ds = tiny_dataset()
+    config = tiny_config(k=3, projections="shared")
+    x, y = T.constant(ds.features[:32]), one_hot(ds.given_labels[:32], 3)
+    draws = training.draw_step(ds.given_labels[:32], config, np.random.default_rng(0))
+
+    def network():
+        source = glorot(np.random.default_rng(0))
+        model = Model([8, 8], 3, source=source)
+        ga = GAParams(8, 3, "sum", "shared", source=source)
+        return model, ga, model.parameters() + ga.parameters()
+
+    model, ga, free = network()
+    T.backward(training.step_loss(model, ga, x, y, draws, config)[0])
+    model, ga, params = network()
+    opt = SGD(params, lr=0.1)
+    T.backward(training.step_loss(model, ga, x, y, draws, config)[0])
+    for (name, p), (_, q) in zip(params, free):
+        assert np.shares_memory(p.grad, opt.grad), name
+        np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
+    np.testing.assert_array_equal(
+        opt.grad, np.concatenate([p.grad.ravel() for _, p in opt.params]))
+    views = [p.grad for _, p in params]
+    opt.zero_grad()
+    assert not opt.grad.any()
+    assert all(p.grad is view for (_, p), view in zip(params, views))
+
+
 def test_sgd_lr_scale_and_decay_override():
     p = Tensor(np.array([[2.0]]), requires_grad=True)
-    p.grad = np.array([[1.0]])
     opt = SGD([("p", p)], lr=0.1, momentum=0.0, weight_decay=0.5,
               lr_scales={"p": 2.0}, decay_overrides={"p": 0.0})
+    p.grad[...] = 1.0
     opt.step()
     np.testing.assert_allclose(p.values, [[2.0 - 0.2]])  # decay overridden to 0
 
 
 def test_sgd_shared_parameter_stepped_once():
     p = Tensor(np.array([[1.0]]), requires_grad=True)
-    p.grad = np.array([[1.0]])
     opt = SGD([("a", p), ("b", p)], lr=0.1, momentum=0.0)
+    p.grad[...] = 1.0
     opt.step()
     np.testing.assert_allclose(p.values, [[0.9]])  # not 0.8
 
@@ -82,32 +131,40 @@ def test_sgd_updates_parameters_in_place_through_one_vector():
     np.testing.assert_array_equal(opt.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
     assert np.shares_memory(a.values, opt.flat) and np.shares_memory(b.values, opt.flat)
     held = a.values
-    a.grad = np.ones((2, 2))  # b.grad stays None: a zero gradient
+    a.grad[...] = 1.0  # b.grad is never written: a zero gradient
     opt.step()
     assert a.values is held
     np.testing.assert_array_equal(held, [[0.5, 1.5], [2.5, 3.5]])
     np.testing.assert_array_equal(b.values, [[5.0]])
-    b.grad = np.array([[1.0]])
+    b.grad[...] = 1.0
     opt.step()
     np.testing.assert_array_equal(opt.flat, [0.0, 1.0, 2.0, 3.0, 4.0])
 
 
-def test_sgd_rejects_parameter_rebound_after_construction():
+@pytest.mark.parametrize("field", ["values", "grad"])
+def test_sgd_rejects_parameter_rebound_after_construction(field):
+    """A parameter whose values or grad is no longer a view of the
+    optimizer's vectors would be stepped, or its gradient read, nowhere:
+    step names it and steps nothing."""
     p = Tensor(np.array([[1.0]]), requires_grad=True)
-    opt = SGD([("p", p)], lr=0.1)
-    p.values = np.array([[2.0]])  # no longer a view of the optimizer's vector
-    p.grad = np.array([[1.0]])
-    with pytest.raises(AfmError, match="'p' was rebound"):
+    q = Tensor(np.array([[1.0]]), requires_grad=True)
+    opt = SGD([("p", p), ("q", q)], lr=0.1)
+    opt.grad[:] = 1.0
+    setattr(q, field, np.array([[2.0]]))
+    with pytest.raises(AfmError, match="^parameter 'q' was rebound after the optimizer "
+                                       "was built"):
         opt.step()
-    np.testing.assert_array_equal(p.values, [[2.0]])
+    np.testing.assert_array_equal(opt.flat, [1.0, 1.0])
+    np.testing.assert_array_equal(q.values, [[2.0]] if field == "values" else [[1.0]])
 
 
 def test_sgd_rejects_nonfinite_gradient():
     p = Tensor(np.array([[1.0]]), requires_grad=True)
     q = Tensor(np.array([[1.0]]), requires_grad=True)
-    p.grad, q.grad = np.array([[1.0]]), np.array([[np.nan]])
+    opt = SGD([("p", p), ("q", q)], lr=0.1)
+    p.grad[...], q.grad[...] = 1.0, np.nan
     with pytest.raises(NumericError, match="parameter 'q'"):
-        SGD([("p", p), ("q", q)], lr=0.1).step()
+        opt.step()
 
 
 # ----------------------------------------------------------------------- loss
