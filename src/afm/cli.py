@@ -102,10 +102,7 @@ def build_dataset(spec: dict) -> NoisyDataset:
     ds = generate(spec["data_kind"], spec["data_classes"],
                   spec["data_per_class_train"], spec["data_per_class_test"],
                   spec["data_d0"], spec["data_separation"], spec["data_seed"])
-    if spec["noise_rate"] != 0:  # inject_noise rejects a negative or NaN rate
-        ds = inject_noise(ds, spec["noise_model"], spec["noise_rate"],
-                          spec["noise_seed"])
-    return ds
+    return inject_noise(ds, spec["noise_model"], spec["noise_rate"], spec["noise_seed"])
 
 
 def _check_out(path):
@@ -263,7 +260,7 @@ def cmd_dump_features(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_all  # imported by this command only
-    results = run_all(inject_fault=args.inject_fault)
+    results = run_all()
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
         print(f"[{'pass' if ok else 'FAIL'}] {name}: {detail}")
@@ -313,8 +310,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dump_features)
 
     p = sub.add_parser("verify", help="run the property suite")
-    p.add_argument("--inject-fault", default=None, choices=[None, "grad-sign"],
-                   help="test hook: flip a gradient sign to force a failure")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -180,22 +180,16 @@ def pure_noisy_group_ratio(n_noisy: int, n_total: int, k: int) -> float:
     return ratio
 
 
-def sampled_pure_noisy_ratio(n_noisy: int, n_total: int, k: int, trials: int,
-                             rng: np.random.Generator) -> float:
-    """Monte-Carlo estimate of pure_noisy_group_ratio: the share of
-    ``trials`` groups, sampled by sample_groups from n_total samples of which
-    the first n_noisy are mislabeled, whose members are all mislabeled."""
-    noisy = np.arange(n_total) < n_noisy
-    groups = sample_groups(np.zeros(n_total, dtype=np.int64), trials, k, rng=rng)
-    return float(noisy[groups].all(axis=1).mean())
-
-
 def check_sampled_ratio(n_noisy: int, n_total: int, k: int, trials: int,
                         rng: np.random.Generator) -> tuple[float, float, float, bool]:
-    """(closed form, sampled ratio, 3 sigma, within): the ratio of ``trials``
-    groups is within when at most 3 binomial sigma from pure_noisy_group_ratio,
+    """(closed form, sampled ratio, 3 sigma, within). The sampled ratio is the
+    share of ``trials`` groups, drawn by sample_groups from n_total samples of
+    which the first n_noisy are mislabeled, whose members are all mislabeled.
+    It is within when at most 3 binomial sigma from pure_noisy_group_ratio,
     so an exact match passes where the closed form is 0 or 1 and sigma is 0."""
     closed = pure_noisy_group_ratio(n_noisy, n_total, k)
-    freq = sampled_pure_noisy_ratio(n_noisy, n_total, k, trials, rng)
+    noisy = np.arange(n_total) < n_noisy
+    groups = sample_groups(np.zeros(n_total, dtype=np.int64), trials, k, rng=rng)
+    freq = float(noisy[groups].all(axis=1).mean())
     three_sigma = 3.0 * float(np.sqrt(closed * (1 - closed) / trials))
     return closed, freq, three_sigma, abs(freq - closed) <= three_sigma

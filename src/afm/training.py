@@ -272,10 +272,10 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     data-order randomness identical across modes. A step is draw_step on
     the grouping stream, step_loss (which afm verify differentiates),
     backward and SGD. With lambda 0 no mode samples groups or interpolates,
-    so every mode trains as the baseline and the attention columns are
-    NaN. Raises NumericError when a step's loss, a gradient or an epoch's
-    test logits are not finite, and ConfigError, naming the epoch and
-    step, when a batch cannot be grouped as configured.
+    so every mode trains as the baseline, no attention net is built and
+    the attention columns are NaN. Raises NumericError when a step's loss,
+    a gradient or an epoch's test logits are not finite, and ConfigError,
+    naming the epoch and step, when a batch cannot be grouped as configured.
     """
     config.validate()
     init_rng = np.random.default_rng([config.seed, 0])
@@ -296,7 +296,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     source = glorot(init_rng)
     model = Model([d0, *config.hidden], c, config.shared_classifiers, source=source)
     ga = None
-    if config.mode == "afm":
+    if config.mode == "afm" and config.lam > 0.0:
         ga = GAParams(model.feature_dim, config.k, config.interaction,
                       config.projections, source=source)
 
@@ -330,7 +330,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
                 raise ConfigError(f"epoch {epoch}, step {state.step}: {exc}") from exc
             loss, interp = step_loss(model, ga, T.constant(dataset.features[batch_idx]),
                                      given_onehot[batch_idx], draws, config)
-            if ga is not None and interp is not None:
+            if ga is not None:
                 step_weights.append(interp.weights.values)
                 step_noisy.append(noise_mask[batch_idx[draws[0]]])
             if not np.isfinite(loss.values):

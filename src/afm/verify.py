@@ -1,9 +1,7 @@
 """The property checks behind `afm verify` and the acceptance gate.
 
 Each `check_*` function returns (passed, detail); `run_all` and
-tests/test_acceptance.py call the same functions. The `inject_fault` hook
-("grad-sign") negates the tape gradient of the functions the gradient
-checks differentiate, for testing that failures are detected and named.
+tests/test_acceptance.py call the same functions.
 """
 
 from __future__ import annotations
@@ -76,26 +74,13 @@ _POSITIVE_DOMAIN = ("log", "reciprocal", "normalize-rows", "kl-from-logits",
 PRIMITIVE_POINTS = 5  # random points per primitive
 
 
-def _with_fault(fn, inject_fault):
-    """fn, or under "grad-sign" 2 * fn(constant copy) - fn(leaves): the same
-    value with the negated tape gradient."""
-    if inject_fault != "grad-sign":
-        return fn
-
-    def negated(leaves):
-        frozen = fn([T.constant(leaf.values) for leaf in leaves])
-        return T.add(T.smul(frozen, 2.0), T.smul(fn(leaves), -1.0))
-    return negated
-
-
-def check_gradients(inject_fault=None):
+def check_gradients():
     """Worst finite-difference error over every primitive at random points."""
     rng = np.random.default_rng(7)
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SubgradientWarning)
         for name, (fn, shapes) in PRIMITIVE_CASES.items():
-            fn = _with_fault(fn, inject_fault)
             for _ in range(PRIMITIVE_POINTS):
                 point = [0.5 + rng.uniform(size=s) if name in _POSITIVE_DOMAIN
                          else rng.normal(size=s) for s in shapes]
@@ -149,7 +134,7 @@ def step_loss_case(config, rng):
     return list(drawn), [p.values for p in drawn.values()], loss
 
 
-def check_step_loss(configs=LOSS_CONFIGS, n_points=1, inject_fault=None):
+def check_step_loss(configs=LOSS_CONFIGS, n_points=1):
     """Worst finite-difference error of the step loss over ``configs`` at
     ``n_points`` points each. Half the afm groups are intra-class, so
     their soft labels are one-hot and the KL mixing term meets 0 * log 0."""
@@ -160,7 +145,7 @@ def check_step_loss(configs=LOSS_CONFIGS, n_points=1, inject_fault=None):
         for config in configs:
             for _ in range(n_points):
                 _, point, loss = step_loss_case(config, rng)
-                worst = max(worst, T.grad_check(_with_fault(loss, inject_fault), point))
+                worst = max(worst, T.grad_check(loss, point))
     return worst
 
 
@@ -243,12 +228,10 @@ def check_inference_equivalence(model, x):
             f"{same}/{len(x)} predictions identical, logits bit-equal {bit_equal}")
 
 
-def check_determinism(dataset, config, log=None):
-    """Criterion 9: a rerun with the same seed logs byte-identical metrics.
-    Rows are compared through repr, so the NaN attention columns of
-    baseline and mixup runs compare equal."""
-    if log is None:
-        log = train(dataset, config)[1]
+def check_determinism(dataset, config, log):
+    """Criterion 9: a rerun with the same seed of the run that logged ``log``
+    logs byte-identical metrics. Rows are compared through repr, so the NaN
+    attention columns of baseline and mixup runs compare equal."""
     same = repr(log.rows) == repr(train(dataset, config)[1].rows)
     return same, "two identical-seed runs produce byte-identical metrics"
 
@@ -268,11 +251,11 @@ def check_checkpoint_roundtrip(state):
     return loaded == saved, f"architecture and {len(saved) - 1} named parameters bit-exact"
 
 
-def run_all(inject_fault=None):
+def run_all():
     """Run every property; returns a list of (name, passed, detail)."""
     results = [(name, err < 1e-5, f"max rel err {err:.2e}") for name, err in (
-        ("grad-check-primitives", check_gradients(inject_fault=inject_fault)),
-        ("grad-check-afm-loss", check_step_loss(inject_fault=inject_fault)))]
+        ("grad-check-primitives", check_gradients()),
+        ("grad-check-afm-loss", check_step_loss()))]
 
     rng = np.random.default_rng(42)
     feats = T.constant(rng.normal(size=(6, 5)))

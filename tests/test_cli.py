@@ -141,6 +141,8 @@ BAD_CONFIG_LINES = [
     "data_kind=rings;data_d0=1", "data_kind=two-moons;data_classes=2;data_d0=1",
     "data_separation=nan", "data_separation=inf", "data_seed=-1", "noise_seed=-1",
     "noise_rate=nan", "noise_rate=-0.5",
+    # a rate of 0 flips nothing, but the noise model and seed are still checked
+    "noise_rate=0;noise_model=bogus", "noise_rate=0;noise_seed=-1",
     # past numpy's array limit, so nothing is allocated
     "m=4000000000000000000", "hidden=4000000000000000000",
     "data_per_class_train=4000000000000000000", "data_per_class_test=4000000000000000000",
@@ -468,18 +470,21 @@ def test_dump_features_bytes_match_csv_writer(config_file, tmp_path):
 
 def test_dump_features_mismatched_inputs_exit_2(config_file, tmp_path, capsys):
     """A dataset of another input width, and interpolations asked of a
-    checkpoint without an attention net, exit 2 with an error line."""
-    run, base = tmp_path / "run", tmp_path / "base"
+    checkpoint without an attention net, exit 2 with an error line. An afm
+    run at lambda 0 trains as the baseline and builds no attention net."""
+    run, base, lam0 = tmp_path / "run", tmp_path / "base", tmp_path / "lam0"
     main(["train", "--config", config_file, "--out", str(run)])
-    baseline = tmp_path / "baseline.cfg"
-    baseline.write_text(SMALL + "mode = baseline\nlambda = 0\n")
-    main(["train", "--config", str(baseline), "--out", str(base)])
+    for out, lines in ((base, "mode = baseline\nlambda = 0\n"), (lam0, "lambda = 0\n")):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(SMALL + lines)
+        main(["train", "--config", str(cfg), "--out", str(out)])
     wide = tmp_path / "wide.bin"
     save_dataset(wide, generate("blobs", 3, 10, 5, 9, 4.0, seed=0))
     capsys.readouterr()
     for checkpoint, dataset, n, message in (
             (run, wide, "0", "dataset width 9 does not match backbone input 8"),
-            (base, base / "dataset.bin", "5", "no attention parameters")):
+            (base, base / "dataset.bin", "5", "no attention parameters"),
+            (lam0, lam0 / "dataset.bin", "5", "no attention parameters")):
         assert main(["dump-features", "--checkpoint", str(checkpoint / "checkpoint.bin"),
                      "--dataset", str(dataset), "--out", str(tmp_path / "features.csv"),
                      "--interpolations", n]) == 2
@@ -787,9 +792,13 @@ def test_verify_command(capsys):
     assert "[pass]" in text and "[FAIL]" not in text
 
 
-def test_verify_fault_injection_detected(capsys):
-    # a deliberately negated gradient must be caught by both grad checks
-    assert main(["verify", "--inject-fault", "grad-sign"]) == 1
+def test_verify_fault_injection_detected(capsys, monkeypatch):
+    # a deliberately negated gradient must be caught by both grad checks:
+    # the tape's backward, which grad_check calls, runs on -root; training
+    # calls its own binding and is unaffected
+    backward = T.backward
+    monkeypatch.setattr(T, "backward", lambda root: backward(T.smul(root, -1.0)))
+    assert main(["verify"]) == 1
     out, err = capsys.readouterr()
     assert "[FAIL] grad-check-primitives" in out
     assert "[FAIL] grad-check-afm-loss" in out

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from afm import tensor as T
 from afm.errors import ConfigError, ShapeError
 from afm.grouping import (GAParams, attend, check_sampled_ratio, member_selectors,
-                          pure_noisy_group_ratio, sample_groups,
-                          sampled_pure_noisy_ratio)
+                          pure_noisy_group_ratio, sample_groups)
 from afm.model import glorot
 from afm.tensor import backward
 
@@ -229,13 +228,13 @@ def test_pure_noisy_ratio_edge_cases():
 def test_pure_noisy_ratio_monte_carlo():
     # empirical all-noisy frequency within 3 binomial sigma of closed form
     n_total, n_noisy, k, trials = 50, 20, 2, 100_000
-    freq = sampled_pure_noisy_ratio(n_noisy, n_total, k, trials, np.random.default_rng(12))
+    freq = check_sampled_ratio(n_noisy, n_total, k, trials, np.random.default_rng(12))[1]
     p = pure_noisy_group_ratio(n_noisy, n_total, k)
     sigma = np.sqrt(p * (1 - p) / trials)
     assert abs(freq - p) < 3 * sigma
     # the first n_noisy samples are the mislabeled ones
-    assert sampled_pure_noisy_ratio(10, 10, 3, 50, np.random.default_rng(0)) == 1.0
-    assert sampled_pure_noisy_ratio(1, 10, 2, 50, np.random.default_rng(0)) == 0.0
+    assert check_sampled_ratio(10, 10, 3, 50, np.random.default_rng(0))[1] == 1.0
+    assert check_sampled_ratio(1, 10, 2, 50, np.random.default_rng(0))[1] == 0.0
 
 
 def test_check_sampled_ratio_passes_exact_degenerate_ratios():
@@ -245,4 +244,7 @@ def test_check_sampled_ratio_passes_exact_degenerate_ratios():
     closed, freq, three_sigma, within = check_sampled_ratio(
         20, 50, 2, 100_000, np.random.default_rng(12))
     assert within and three_sigma == 3 * np.sqrt(closed * (1 - closed) / 100_000)
-    assert freq == sampled_pure_noisy_ratio(20, 50, 2, 100_000, np.random.default_rng(12))
+    # the sampled ratio is that of sample_groups' groups of the first 20 samples
+    groups = sample_groups(np.zeros(50, dtype=np.int64), 100_000, 2,
+                           rng=np.random.default_rng(12))
+    assert freq == float((groups < 20).all(axis=1).mean())

@@ -227,9 +227,9 @@ def test_every_node_builder_has_a_primitive_case(monkeypatch):
 
 def test_node_values_are_float64_arrays(monkeypatch):
     """Every node a primitive makes holds a float64 ndarray, the 0-d ones
-    included, which numpy computes as scalars: each PRIMITIVE_CASES function,
-    then the grad-sign fault's chain add(smul(loss, 2.0), smul(loss, -1.0))
-    and a 0-d mul."""
+    included, which numpy computes as scalars: each PRIMITIVE_CASES function
+    on constants and on parameters, then the chain add(smul(frozen, 2.0),
+    smul(loss, -1.0)) of the two and a 0-d mul."""
     made = []
     make = T._make
 
@@ -240,8 +240,9 @@ def test_node_values_are_float64_arrays(monkeypatch):
     monkeypatch.setattr(T, "_make", recorded)
     rng = np.random.default_rng(0)
     for fn, shapes in verify.PRIMITIVE_CASES.values():
-        loss = verify._with_fault(fn, "grad-sign")([T.parameter(0.5 + rng.uniform(size=s))
-                                                     for s in shapes])
+        point = [0.5 + rng.uniform(size=s) for s in shapes]
+        frozen = fn(list(map(T.constant, point)))
+        loss = T.add(T.smul(frozen, 2.0), T.smul(fn(list(map(T.parameter, point))), -1.0))
         T.mul(loss, loss)
     assert len(made) > 4 * len(verify.PRIMITIVE_CASES)
     assert {(type(t.values), t.values.dtype) for t in made} == {(np.ndarray, np.dtype(float))}
