@@ -12,10 +12,10 @@ parameter thus moves only the names digest. Then come the sha256 of the
 CSV that `afm dump-features --interpolations 3000` writes from the afm K=2 run,
 that of the checkpoint file `save_state` writes of that run, and that of
 the raw bytes of that run's final optimizer velocity. Last
-come the repr of the worst finite-difference errors of
-`afm.verify.check_gradients()` and `afm.verify.check_step_loss()`, so a
-change to how the gradient checks build their functions is compared bit
-for bit as well.
+come the repr of what `afm.verify.check_gradients()` and
+`afm.verify.check_step_loss()` return (worst finite-difference error,
+directions probed, directions skipped), so a change to how the gradient
+checks build their functions is compared bit for bit as well.
 
 Run from the repository root, on two checkouts, and compare the output:
 

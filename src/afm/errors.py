@@ -23,4 +23,4 @@ class ConfigError(AfmError):
 
 
 class SubgradientWarning(UserWarning):
-    """A finite-difference probe crossed a relu kink; the coordinate was skipped."""
+    """A finite-difference probe crossed a relu kink; the leaf was skipped."""

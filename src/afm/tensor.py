@@ -10,8 +10,8 @@ enter (files, configs) and where training uses them (each step's loss,
 every gradient).
 
 relu's subgradient at 0 is defined as 0, in relu and in affine's fused
-relu alike; grad_check skips coordinates whose finite-difference probes
-cross a relu kink.
+relu alike; grad_check skips a leaf whose two finite-difference probes,
+along its random direction, cross a relu kink.
 
 Each tensor owns its grad array: no two tensors' grads share memory, so
 ``+=`` on one leaf's grad after ``backward`` changes no other grad; the
@@ -38,6 +38,7 @@ from .errors import NumericError, ShapeError, SubgradientWarning
 # here. grad_check uses this to detect finite-difference probes that cross
 # a kink.
 _relu_trace: list[np.ndarray] | None = None
+EPSILON = 1e-5  # grad_check's central-difference step along each direction
 
 # numbers tape nodes in creation order: a node's parents have lower numbers
 _serial = itertools.count()
@@ -489,57 +490,45 @@ def backward(root: Tensor):
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def grad_check(function, point, epsilon=1e-5) -> float:
+def grad_check(function, point) -> float:
     """Compare reverse-mode gradients of a scalar function against central
-    finite differences.
+    finite differences, along one random unit direction per leaf.
 
-    ``function`` maps a list of Tensors to a scalar Tensor. Returns the max
-    over coordinates of |ad - fd| / max(1, |ad|, |fd|). Coordinates whose
-    perturbed evaluations land on different relu activation patterns are
-    skipped with a SubgradientWarning.
+    ``function`` maps a list of Tensors to a scalar Tensor, and ``point``
+    is a list of arrays, one per leaf. Each leaf's direction v comes from
+    a generator with a fixed seed, so a call is deterministic and leaves
+    numpy's global generator alone. Returns the max over leaves of
+    |ad - fd| / max(1, |ad|, |fd|), with ad = <grad, v> and
+    fd = (f(x + EPSILON v) - f(x - EPSILON v)) / (2 EPSILON). A leaf whose
+    two probes land on different relu activation patterns is skipped with
+    a SubgradientWarning.
     """
-    global _relu_trace
-    if epsilon <= 0:
-        raise ShapeError("epsilon must be positive")
-    leaves = [Tensor(np.asarray(p.values if isinstance(p, Tensor) else p,
-                                dtype=np.float64).copy(), requires_grad=True)
-              for p in point]
-    out = function(leaves)
-    if out.values.ndim != 0:
-        raise ShapeError("grad_check function must return a scalar")
-    backward(out)
-    grads = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.values)
-             for leaf in leaves]
+    leaves = list(map(parameter, point))
+    backward(function(leaves))
 
-    def evaluate(leaf_idx, flat_idx, delta):
-        probes = [Tensor(l.values.copy()) for l in leaves]
-        probes[leaf_idx].values.flat[flat_idx] += delta
+    def evaluate(li, delta):
+        """f with leaf li moved by delta, and the relu masks it made."""
         global _relu_trace
+        probes = [Tensor(l.values) for l in leaves]
+        probes[li] = Tensor(leaves[li].values + delta)
         _relu_trace = []
         try:
-            val = float(function(probes).values)
-            trace = _relu_trace
+            return float(function(probes).values), _relu_trace
         finally:
             _relu_trace = None
-        return val, trace
 
+    rng = np.random.default_rng(0)
     max_err = 0.0
     for li, leaf in enumerate(leaves):
-        for fi in range(leaf.values.size):
-            f_plus, trace_plus = evaluate(li, fi, epsilon)
-            f_minus, trace_minus = evaluate(li, fi, -epsilon)
-            kink = len(trace_plus) != len(trace_minus) or any(
-                tp.shape != tm.shape or not np.array_equal(tp, tm)
-                for tp, tm in zip(trace_plus, trace_minus)
-            )
-            if kink:
-                warnings.warn(
-                    f"relu kink at leaf {li} coordinate {fi}; skipped",
-                    SubgradientWarning,
-                )
-                continue
-            fd = (f_plus - f_minus) / (2.0 * epsilon)
-            ad = float(grads[li].flat[fi])
-            err = abs(ad - fd) / max(1.0, abs(ad), abs(fd))
-            max_err = max(max_err, err)
+        v = rng.standard_normal(leaf.values.shape)
+        v /= np.linalg.norm(v)
+        f_plus, trace_plus = evaluate(li, EPSILON * v)
+        f_minus, trace_minus = evaluate(li, -EPSILON * v)
+        if (len(trace_plus) != len(trace_minus)
+                or not all(map(np.array_equal, trace_plus, trace_minus))):
+            warnings.warn(f"relu kink at leaf {li}; skipped", SubgradientWarning)
+            continue
+        fd = (f_plus - f_minus) / (2.0 * EPSILON)
+        ad = 0.0 if leaf.grad is None else float(np.vdot(leaf.grad, v))
+        max_err = max(max_err, abs(ad - fd) / max(1.0, abs(ad), abs(fd)))
     return max_err

@@ -12,11 +12,10 @@ import pytest
 
 from afm.data import generate, inject_noise
 from afm.training import TrainConfig, train
-from afm.verify import (LOSS_CONFIGS, PRIMITIVE_CASES, PRIMITIVE_POINTS,
-                        check_determinism, check_gradients,
+from afm.verify import (check_determinism, check_gradients,
                         check_inference_equivalence, check_order_symmetry,
                         check_pure_noisy_ratio, check_simplex_and_hull,
-                        check_step_loss)
+                        check_step_loss, grad_check_detail)
 
 SEEDS = range(5)
 
@@ -69,13 +68,13 @@ def bench():
 
 def test_criterion_1_gradient_correctness():
     t0 = time.time()
-    err_prim = check_gradients()
-    err_step = check_step_loss(n_points=2)  # train()'s step loss, every configuration
+    prim = check_gradients()
+    step = check_step_loss()  # train()'s step loss, every configuration
     elapsed = time.time() - t0
-    worst = max(err_prim, err_step)
-    points = PRIMITIVE_POINTS * len(PRIMITIVE_CASES) + 2 * len(LOSS_CONFIGS)
+    worst = max(prim[0], step[0])
     verdict(1, worst < 1e-5 and elapsed < 60.0,
-            f"max rel err {worst:.2e} over {points} points in {elapsed:.1f}s")
+            f"{grad_check_detail(worst, prim[1] + step[1], prim[2] + step[2])} "
+            f"in {elapsed:.1f}s")
 
 
 def test_criterion_2_order_symmetry():

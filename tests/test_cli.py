@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import io
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -790,6 +791,10 @@ def test_verify_command(capsys):
     assert main(["verify"]) == 0
     text = capsys.readouterr().out
     assert "[pass]" in text and "[FAIL]" not in text
+    # both grad checks say how many directions they probed and skipped
+    assert re.findall(r"\] (grad-check-\S+): max rel err \S+ over [1-9]\d* directions, "
+                      r"\d+ skipped at relu kinks", text) == ["grad-check-primitives",
+                                                            "grad-check-afm-loss"]
 
 
 def test_verify_fault_injection_detected(capsys, monkeypatch):

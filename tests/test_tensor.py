@@ -446,32 +446,56 @@ def test_kl_from_logits_scale_equals_smul_bit_for_bit(scale):
 def test_grad_check_composites(fn, shapes):
     rng = np.random.default_rng(42)
     point = [rng.standard_normal(s) for s in shapes]
-    err = grad_check(fn, point, epsilon=1e-5)
+    err = grad_check(fn, point)
     assert err < 1e-6
 
 
 def test_grad_check_relu_kink_warns_and_skips():
-    # a coordinate sitting exactly on the kink must warn, not fail
-    point = [np.array([[0.0, 1.0]])]
+    # a leaf with a coordinate exactly on the kink must warn, not fail
+    point = [np.array([[0.0, 1.0]]), np.array([[0.3, -0.7]])]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        err = grad_check(lambda ls: T.sum_reduce(T.relu(ls[0])), point, epsilon=1e-5)
-    assert any(issubclass(w.category, SubgradientWarning) for w in caught)
-    assert err < 1e-6  # the smooth coordinate still checks
+        err = grad_check(lambda ls: T.add(T.sum_reduce(T.relu(ls[0])),
+                                          T.sum_reduce(T.sigmoid(ls[1]))), point)
+    kinks = [str(w.message) for w in caught if issubclass(w.category, SubgradientWarning)]
+    assert kinks == ["relu kink at leaf 0; skipped"]
+    assert err < 1e-6  # the smooth leaf still checks
 
 
 def test_grad_check_affine_relu_kink_warns_and_skips():
-    # column 0's pre-activation is 3e-6, within epsilon of the kink: probes
-    # of b[0, 0] (leaf 2, coordinate 0) land on both sides of it
-    point = [np.array([[1.0, 2.0]]), np.array([[0.5, 1.0], [-0.25, 1.0]]),
-             np.array([[3e-6, 0.0]])]
+    # column 0's pre-activation is 1e-6, within epsilon of the kink: the
+    # probes of w (leaf 1) and b (leaf 2) along their directions land on
+    # both sides of it. x's probes move column 1 only, as w's column 0 is 0.
+    point = [np.array([[1.0, 2.0]]), np.array([[0.0, 1.0], [0.0, 1.0]]),
+             np.array([[1e-6, 0.0]])]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        err = grad_check(lambda ls: T.sum_reduce(T.affine(*ls, relu=True)), point,
-                         epsilon=1e-5)
+        err = grad_check(lambda ls: T.sum_reduce(T.affine(*ls, relu=True)), point)
     kinks = [str(w.message) for w in caught if issubclass(w.category, SubgradientWarning)]
-    assert "relu kink at leaf 2 coordinate 0; skipped" in kinks
-    assert err < 1e-6  # the skipped coordinate does not count; column 1 checks
+    assert kinks == ["relu kink at leaf 1; skipped", "relu kink at leaf 2; skipped"]
+    assert err < 1e-6  # the skipped leaves do not count; x checks
+
+
+def test_grad_check_is_deterministic_and_leaves_global_rng_alone():
+    # the directions come from grad_check's own generator: numpy's global
+    # state neither changes the result nor is advanced by the call
+    def fn(ls):
+        return T.sum_reduce(T.mul(T.sigmoid(ls[0]), ls[1]))
+
+    point = [rnd(3, 4, seed=5), rnd(3, 4, seed=6)]
+    saved = np.random.get_state()
+    try:
+        results = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            results.append(grad_check(fn, point))
+            after = np.random.get_state()
+            assert after[1].tobytes() == before[1].tobytes() and after[2:] == before[2:]
+    finally:
+        np.random.set_state(saved)
+    assert repr(results[0]) == repr(results[1])
+    assert 0.0 < results[0] < 1e-6
 
 
 def test_grad_check_catches_wrong_gradient():
@@ -484,8 +508,8 @@ def test_grad_check_catches_wrong_gradient():
         return T.add(T.smul(frozen, -0.01), T.smul(fn(ls), 1.01))
 
     point = [rnd(2, 2, seed=3)]
-    assert grad_check(fn, point, epsilon=1e-5) < 1e-6  # sanity: the true graph passes
-    assert grad_check(wrong, point, epsilon=1e-5) > 1e-5
+    assert grad_check(fn, point) < 1e-6  # sanity: the true graph passes
+    assert grad_check(wrong, point) > 1e-5
 
 
 @pytest.mark.parametrize("shared", [False, True])
