@@ -48,7 +48,6 @@ CONFIGS = {
     "manifold-mixup": dict(mode="manifold-mixup"),
     "sum + shared, K=2": dict(projections="shared"),
     "sum + shared, K=3": dict(projections="shared", k=3),
-    "data_fraction=0.5": dict(data_fraction=0.5),
     PAIRFLIP: {},
 }
 

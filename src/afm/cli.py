@@ -64,9 +64,8 @@ ANNOTATION_KINDS = {"bool": bool, "int": int, "float": float, "str": str,
                     "tuple[int, ...]": tuple}
 TRAIN_KEY_TYPES = {f.name: ANNOTATION_KINDS[f.type] for f in fields(TrainConfig)}
 # second spellings of TrainConfig fields, accepted wherever a key is read:
-# 'lambda' for the trade-off weight and hyphenated names for three more
-KEY_ALIASES = {"lambda": "lam", "group-size": "k", "intra-inter-ratio": "intra_ratio",
-               "data-fraction": "data_fraction"}
+# 'lambda', the paper's name for the trade-off weight, which no field can take
+KEY_ALIASES = {"lambda": "lam"}
 
 
 def parse_config(path, extra=()) -> tuple[TrainConfig, dict]:

@@ -15,7 +15,7 @@ import numpy as np
 from .checkpoint import read_arrays, read_integers, read_record, write_arrays
 from .errors import MOST_ELEMENTS, ConfigError
 
-DATASET_KINDS = ("blobs", "two-moons", "rings")
+DATASET_KINDS = ("blobs",)
 NOISE_MODELS = ("symmetric", "pairflip")
 
 
@@ -52,60 +52,33 @@ class NoisyDataset:
 
 def generate(kind: str, classes: int, per_class_train: int, per_class_test: int,
              d0: int, separation: float, seed: int) -> NoisyDataset:
-    """Deterministic noise-free dataset; train block first, then test block."""
+    """Deterministic noise-free Gaussian blobs, train block first, then test
+    block: unit-variance clouds around ``classes`` orthogonal centers at
+    pairwise distance ``separation``. ``kind`` must be one of DATASET_KINDS."""
     if kind not in DATASET_KINDS:
         raise ConfigError(f"kind must be one of {DATASET_KINDS}")
     if classes < 2 or per_class_train < 1 or per_class_test < 1 or seed < 0:
         raise ConfigError("need classes >= 2, per-class counts >= 1 and seed >= 0")
-    if kind != "blobs" and d0 < 2:
-        raise ConfigError(f"{kind} draws its pattern in 2 dims, needs d0 >= 2")
     if not np.isfinite(separation):
         raise ConfigError(f"separation must be finite, got {separation}")
     n = classes * (per_class_train + per_class_test)
-    if n * d0 > MOST_ELEMENTS:  # every other array but the blobs basis draw is smaller
+    if n * d0 > MOST_ELEMENTS:  # every other array but the basis draw is smaller
         raise ConfigError(f"dataset features of shape ({n}, {d0}) are past numpy's "
                           "array size limit")
+    if classes > d0:
+        raise ConfigError("blobs needs classes <= d0 for orthogonal centers")
+    if d0 * d0 > MOST_ELEMENTS:
+        raise ConfigError(f"blobs basis draw of shape ({d0}, {d0}) is past numpy's "
+                          "array size limit")
     rng = np.random.default_rng([int(seed), 0xDA7A])
-
-    if kind == "blobs":
-        if classes > d0:
-            raise ConfigError("blobs needs classes <= d0 for orthogonal centers")
-        if d0 * d0 > MOST_ELEMENTS:
-            raise ConfigError(f"blobs basis draw of shape ({d0}, {d0}) is past numpy's "
-                              "array size limit")
-        # orthonormal directions give exact pairwise center distance = separation
-        q, _ = np.linalg.qr(rng.normal(size=(d0, d0)))
-        centers = (separation / np.sqrt(2.0)) * q[:classes]
-    else:
-        centers = None
-
-    def pattern(c, count):
-        if kind == "blobs":
-            return centers[c] + rng.normal(size=(count, d0))
-        t = rng.uniform(0.0, np.pi, size=count)
-        pts = np.zeros((count, d0))
-        if kind == "two-moons":
-            if classes != 2:
-                raise ConfigError("two-moons supports exactly 2 classes")
-            r = separation
-            if c == 0:
-                pts[:, 0] = r * np.cos(t)
-                pts[:, 1] = r * np.sin(t)
-            else:
-                pts[:, 0] = r - r * np.cos(t)
-                pts[:, 1] = r / 2.0 - r * np.sin(t)
-        else:  # rings
-            radius = separation * (c + 1)
-            full = rng.uniform(0.0, 2.0 * np.pi, size=count)
-            pts[:, 0] = radius * np.cos(full)
-            pts[:, 1] = radius * np.sin(full)
-        pts += rng.normal(scale=0.25, size=(count, d0))
-        return pts
+    # orthonormal directions give exact pairwise center distance = separation
+    q, _ = np.linalg.qr(rng.normal(size=(d0, d0)))
+    centers = (separation / np.sqrt(2.0)) * q[:classes]
 
     feats, labels = [], []
     for split_count in (per_class_train, per_class_test):
         for c in range(classes):
-            feats.append(pattern(c, split_count))
+            feats.append(centers[c] + rng.normal(size=(split_count, d0)))
             labels.append(np.full(split_count, c, dtype=np.int64))
     clean = np.concatenate(labels)
     return NoisyDataset(np.concatenate(feats), clean.copy(), clean,

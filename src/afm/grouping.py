@@ -39,6 +39,19 @@ def _distinct_draws(rng: np.random.Generator, size, m: int, k: int) -> np.ndarra
     return out
 
 
+def fixed_ratio_gap(labels, m: int, k: int, intra_ratio: float) -> str:
+    """Why fixed-ratio grouping cannot draw m groups of K from samples with
+    these labels, or "" when it can: its round(intra_ratio * m) intra-class
+    groups need a class of K members, and its other groups two classes."""
+    counts = np.unique(labels, return_counts=True)[1]
+    m_intra = int(round(intra_ratio * m))
+    if m_intra > 0 and counts.max() < k:
+        return f"no class has >= {k} members; intra groups unachievable"
+    if m_intra < m and len(counts) < 2:
+        return "a single class; inter groups unachievable"
+    return ""
+
+
 def sample_groups(labels, m: int, k: int, intra_ratio: float | None = None, *,
                   rng: np.random.Generator) -> np.ndarray:
     """Sample m groups of K distinct indices from a minibatch; returns an
@@ -47,7 +60,9 @@ def sample_groups(labels, m: int, k: int, intra_ratio: float | None = None, *,
 
     With ``intra_ratio`` None, members are drawn uniformly without
     replacement within a group. Otherwise grouping is fixed-ratio: the first
-    round(intra_ratio * m) groups are intra-class and the rest inter-class.
+    round(intra_ratio * m) groups are intra-class and the rest inter-class,
+    and a batch that fixed_ratio_gap finds a gap in raises ConfigError
+    before anything is drawn from ``rng``.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -61,14 +76,13 @@ def sample_groups(labels, m: int, k: int, intra_ratio: float | None = None, *,
     if not 0.0 <= intra_ratio <= 1.0:
         raise ConfigError(f"intra_ratio must be in [0, 1], got {intra_ratio}")
 
-    classes, counts = np.unique(labels, return_counts=True)
+    gap = fixed_ratio_gap(labels, m, k, intra_ratio)
+    if gap:
+        raise ConfigError(gap)
+    counts = np.unique(labels, return_counts=True)[1]
     rich = np.flatnonzero(counts >= k)
     m_intra = int(round(intra_ratio * m))
     m_inter = m - m_intra
-    if m_intra > 0 and len(rich) == 0:
-        raise ConfigError(f"no class has >= {k} members; intra groups unachievable")
-    if m_inter > 0 and len(classes) < 2:
-        raise ConfigError("single-class batch; inter groups unachievable")
 
     # intra: a class per group, then K distinct members of that class,
     # found through the batch indices sorted by label

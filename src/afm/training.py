@@ -17,7 +17,7 @@ from .checkpoint import read_arrays, read_record, write_arrays
 from .data import NoisyDataset, one_hot
 from .errors import MOST_ELEMENTS, AfmError, ConfigError, NumericError
 from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
-                       sample_groups)
+                       fixed_ratio_gap, sample_groups)
 from .mixing import InterpolationBatch, gather_members, interpolate
 from .model import Model, glorot
 from .tensor import Tensor, backward
@@ -48,7 +48,6 @@ class TrainConfig:
     mode: str = "afm"
     beta_param: float = 1.0         # Beta(b, b) draw for the mixup baselines
     intra_ratio: float | None = None  # None -> random groups; else fixed-ratio
-    data_fraction: float = 1.0
     ga_lr_scale: float = 10.0       # lr multiplier for the attention net
 
     def validate(self):
@@ -87,8 +86,6 @@ class TrainConfig:
         for name in ("weight_decay", "lr_decay"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
-        if not 0.0 < self.data_fraction <= 1.0:
-            raise ConfigError("data_fraction must be in (0, 1]")
         most = MOST_ELEMENTS // self.k  # numpy's size limit on (m, K) int64s
         if self.m is not None and not 1 <= self.m <= most:
             raise ConfigError(f"m must be in [1, {most}] at group size {self.k}, got {self.m}")
@@ -222,11 +219,15 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
 def draw_step(labels, config: TrainConfig, rng: np.random.Generator):
     """One step's random draws on a batch with these labels: (groups, Beta
     weights). afm draws (m, K) groups; the mixup modes draw (m, 2) pairs,
-    then a Beta(b, b) weight per pair; with lambda 0 both are None."""
+    then a Beta(b, b) weight per pair; with lambda 0 both are None. A batch
+    that fixed-ratio grouping cannot group gets None, drawing nothing."""
     if config.lam == 0.0:
         return None, None
     m = config.m if config.m is not None else len(labels)
     if config.mode == "afm":
+        if config.intra_ratio is not None and fixed_ratio_gap(labels, m, config.k,
+                                                              config.intra_ratio):
+            return None
         return sample_groups(labels, m, config.k, config.intra_ratio, rng=rng), None
     groups = sample_groups(labels, m, 2, rng=rng)
     return groups, rng.beta(config.beta_param, config.beta_param, size=m)
@@ -273,9 +274,12 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     the grouping stream, step_loss (which afm verify differentiates),
     backward and SGD. With lambda 0 no mode samples groups or interpolates,
     so every mode trains as the baseline, no attention net is built and
-    the attention columns are NaN. Raises NumericError when a step's loss,
-    a gradient or an epoch's test logits are not finite, and ConfigError,
-    naming the epoch and step, when a batch cannot be grouped as configured.
+    the attention columns are NaN. A batch that fixed-ratio grouping cannot
+    group is skipped, with no draw and no step. Raises NumericError, naming
+    the epoch and step, when a step's loss or a gradient is not finite, or
+    the epoch when its test logits are not, and ConfigError, before any
+    network is built, when no step could run or the training split cannot
+    hold a full batch's fixed-ratio groups.
     """
     config.validate()
     init_rng = np.random.default_rng([config.seed, 0])
@@ -283,13 +287,14 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     group_rng = np.random.default_rng([config.seed, 2])
 
     n_train = dataset.n_train
-    train_idx = np.arange(n_train)
-    if config.data_fraction < 1.0:
-        keep = max(config.batch_size, int(round(config.data_fraction * n_train)))
-        train_idx = data_rng.permutation(n_train)[:keep]
-    if len(train_idx) < config.k:
-        raise ConfigError(f"group size {config.k} exceeds the {len(train_idx)} "
+    if n_train < config.k:
+        raise ConfigError(f"group size {config.k} exceeds the {n_train} "
                           "training rows used: no step can run")
+    if config.mode == "afm" and config.lam > 0.0 and config.intra_ratio is not None:
+        m = config.m if config.m is not None else min(config.batch_size, n_train)
+        gap = fixed_ratio_gap(dataset.given_labels[:n_train], m, config.k, config.intra_ratio)
+        if gap:
+            raise ConfigError(f"training split: {gap}")
 
     d0 = dataset.input_dim
     c = dataset.n_classes
@@ -319,15 +324,14 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     for epoch in range(config.epochs):
         lr_e = config.lr * config.lr_decay ** (epoch // config.lr_decay_every)
         opt.lr = lr_e
-        order = train_idx[data_rng.permutation(len(train_idx))]
+        order = data_rng.permutation(n_train)
         losses = []
         step_weights, step_noisy = [], []  # of each afm step, for _attention_stats
         for start in range(0, len(order) - config.k + 1, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            try:
-                draws = draw_step(dataset.given_labels[batch_idx], config, group_rng)
-            except ConfigError as exc:
-                raise ConfigError(f"epoch {epoch}, step {state.step}: {exc}") from exc
+            draws = draw_step(dataset.given_labels[batch_idx], config, group_rng)
+            if draws is None:
+                continue
             loss, interp = step_loss(model, ga, T.constant(dataset.features[batch_idx]),
                                      given_onehot[batch_idx], draws, config)
             if ga is not None:
@@ -337,7 +341,10 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
                 raise NumericError(f"non-finite loss at epoch {epoch}, step {state.step}")
             opt.zero_grad()
             backward(loss)
-            opt.step()
+            try:
+                opt.step()
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, step {state.step}: {exc}") from exc
             state.step += 1
             losses.append(float(loss.values))
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from afm import tensor as T
+from afm import tensor as T, training
 from afm.checkpoint import MAGIC, read_arrays, write_arrays
 from afm.cli import DATA_KEYS, KEY_ALIASES, TRAIN_KEY_TYPES, main, parse_config
 from afm.data import generate, load_dataset, one_hot, save_dataset
@@ -102,8 +102,7 @@ NON_DEFAULT = dict(
     lam=0.0, k=3, m=16, interaction="concat", projections="shared",
     shared_classifiers=False, hidden=(8, 4), batch_size=64, epochs=3, lr=0.05,
     lr_decay=0.5, lr_decay_every=7, momentum=0.5, weight_decay=0.001, seed=5,
-    mode="baseline", beta_param=0.4, intra_ratio=0.25, data_fraction=0.5,
-    ga_lr_scale=3.0)
+    mode="baseline", beta_param=0.4, intra_ratio=0.25, ga_lr_scale=3.0)
 
 
 def test_every_train_key_parses_back(tmp_path):
@@ -221,18 +220,18 @@ def test_sweep_lambda(config_file, tmp_path):
         assert 0.0 <= float(r["mean_acc"]) <= 1.0
 
 
-def test_sweep_group_size_axis(config_file, tmp_path):
-    """`group-size` is an alias of the config key `k`: a sweep over either
-    runs the same trainings."""
-    for axis in ("group-size", "k"):
-        assert main(["sweep", "--config", config_file, "--axis", axis, "--values", "2,3",
+def test_sweep_lambda_axis(config_file, tmp_path):
+    """`lambda` is the second spelling of the config key `lam`: a sweep over
+    either runs the same trainings."""
+    for axis in ("lambda", "lam"):
+        assert main(["sweep", "--config", config_file, "--axis", axis, "--values", "0.5,0.75",
                      "--seeds", "0", "--out", str(tmp_path / axis)]) == 0
-    alias, key = (read_csv(tmp_path / axis / "summary.csv") for axis in ("group-size", "k"))
-    assert [(r["axis"], r["value"]) for r in alias] == [("group-size", "2"), ("group-size", "3")]
-    assert [{**r, "axis": "k"} for r in alias] == key
-    for v in ("2", "3"):
-        assert ((tmp_path / "group-size" / f"group-size_{v}" / "seed_0" / "metrics.csv").read_bytes()
-                == (tmp_path / "k" / f"k_{v}" / "seed_0" / "metrics.csv").read_bytes())
+    alias, key = (read_csv(tmp_path / axis / "summary.csv") for axis in ("lambda", "lam"))
+    assert [(r["axis"], r["value"]) for r in alias] == [("lambda", "0.5"), ("lambda", "0.75")]
+    assert [{**r, "axis": "lam"} for r in alias] == key
+    for v in ("0.5", "0.75"):
+        assert ((tmp_path / "lambda" / f"lambda_{v}" / "seed_0" / "metrics.csv").read_bytes()
+                == (tmp_path / "lam" / f"lam_{v}" / "seed_0" / "metrics.csv").read_bytes())
 
 
 def test_sweep_data_key_axis_trains_what_train_trains(config_file, tmp_path):
@@ -393,6 +392,34 @@ def test_train_numeric_error_exit_3(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err == ("numeric error: test evaluation at epoch 0: "
                                        "non-finite logits, shape (30, 3)\n")
+
+
+def test_train_nonfinite_gradient_exit_3(config_file, tmp_path, capsys, monkeypatch):
+    """A NaN written into one gradient after the second step's backward
+    stops the run there: main exits 3 naming the epoch, the step and the
+    parameter."""
+    made, backwards = {}, []
+    glorot, backward = training.glorot, training.backward
+
+    def recording(rng):  # the fresh network's source, keeping each parameter by name
+        source = glorot(rng)
+
+        def named(name, shape):
+            made[name] = source(name, shape)
+            return made[name]
+        return named
+
+    def poisoned(loss):
+        backward(loss)
+        backwards.append(loss)
+        if len(backwards) == 2:
+            made["backbone.0.weight"].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(training, "glorot", recording)
+    monkeypatch.setattr(training, "backward", poisoned)
+    assert main(["train", "--config", config_file, "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == ("numeric error: epoch 0, step 1: non-finite gradient "
+                                       "for parameter 'backbone.0.weight'\n")
 
 
 def test_noise_ratio_table(tmp_path, capsys):
@@ -726,7 +753,7 @@ def test_bad_arguments_exit_2(config_file, tmp_path, capsys):
             "--out", str(tmp_path / "features.csv")]
     for argv in (
             sweep + ["--axis", "lambda", "--values", "0.5", "--seeds", "a"],
-            sweep + ["--axis", "group-size", "--values", "x", "--seeds", "0"],
+            sweep + ["--axis", "k", "--values", "x", "--seeds", "0"],
             sweep + ["--axis", "lambda", "--values", "0.5", "--seeds", "-1"],
             sweep + ["--axis", "lambda", "--values", "0.5,0.5", "--seeds", "0"],
             ["noise-ratio", "--n-noisy", "2", "--n-total", "10", "--values", "x"],

@@ -23,9 +23,17 @@ MUTANTS = {
         "return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)",
         "out = np.zeros(n * d)\n    out[bins] = rows.ravel()\n    return out.reshape(n, d)",
         lambda config: config.mode in ("afm", "manifold-mixup")),
+    # the member and width axes swapped where the gradient is scattered;
+    # standard mixup gathers inputs, which take no gradient
+    "gather-rows-axes-swapped": (
+        "gather_rows", "out.grad.reshape(m, -1, d)", "out.grad.reshape(m, d, -1).swapaxes(1, 2)",
+        lambda config: config.mode in ("afm", "manifold-mixup")),
     "affine-bias-dropped": (
         "affine", "g.copy() if len(g) == 1 else np.add.reduce(g, 0, keepdims=True)",
         "np.zeros_like(b.values)", lambda config: True),
+    # no training batch has one row
+    "affine-one-row-bias-zeroed": (
+        "affine", "g.copy() if len(g) == 1", "np.zeros_like(g) if len(g) == 1", None),
     "affine-relu-mask-dropped": (
         "affine", "g = out.grad if mask is None else out.grad * mask", "g = out.grad",
         lambda config: True),

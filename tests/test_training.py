@@ -1,5 +1,6 @@
 """Training loop, optimizer, loss, determinism, and state roundtrips."""
 
+import importlib.util
 import os
 import sys
 from dataclasses import replace
@@ -289,12 +290,38 @@ def test_train_rejects_nonfinite_loss(mode, lam):
         train(tiny_dataset(), tiny_config(mode=mode, lam=lam, lr=1e300))
 
 
-def test_train_names_step_of_ungroupable_batch():
-    # 130 training samples in batches of 128 leave a last batch of 2, here
-    # of one class, in which fixed-ratio grouping finds no inter-class group
+def test_train_skips_a_batch_fixed_ratio_grouping_cannot_group(monkeypatch):
+    """130 training samples in batches of 128 leave a last batch of 2: one
+    class has no inter-class group, two have no intra-class one. That batch
+    is skipped, drawing nothing, so each of the 3 epochs takes one step."""
     ds = inject_noise(generate("blobs", 2, 65, 10, 8, 4.0, seed=0), "symmetric", 0.4, seed=0)
-    with pytest.raises(ConfigError, match="^epoch 0, step 1: single-class batch"):
-        train(ds, TrainConfig(hidden=(8,), epochs=3, batch_size=128, intra_ratio=0.5))
+    sampled, sample = [], training.sample_groups
+
+    def recorded(labels, *args, **kwargs):
+        sampled.append(len(labels))
+        return sample(labels, *args, **kwargs)
+
+    monkeypatch.setattr(training, "sample_groups", recorded)
+    state, log = train(ds, TrainConfig(hidden=(8,), epochs=3, batch_size=128, intra_ratio=0.5))
+    assert state.step == 3 and sampled == [128, 128, 128]
+    assert all(np.isfinite(row["train_loss"]) for row in log.rows)
+
+
+@pytest.mark.parametrize("classes,per_class,gap", [
+    (2, 40, "training split: a single class; inter groups unachievable"),
+    (3, 1, "training split: no class has >= 2 members; intra groups unachievable")])
+def test_train_rejects_a_split_fixed_ratio_grouping_cannot_group(monkeypatch, classes,
+                                                                  per_class, gap):
+    """A training split of one given class, or with no class of K rows,
+    cannot hold a batch's fixed-ratio groups: train() raises before any
+    network is built."""
+    ds = generate("blobs", classes, per_class, 5, 8, 4.0, seed=0)
+    if classes == 2:
+        ds = replace(ds, given_labels=np.where(np.arange(len(ds.features)) < ds.n_train,
+                                               0, ds.clean_labels))
+    monkeypatch.setattr(training, "Model", None)
+    with pytest.raises(ConfigError, match=f"^{gap}$"):
+        train(ds, TrainConfig(hidden=(8,), batch_size=32, intra_ratio=0.5))
 
 
 def test_train_rejects_nonfinite_test_logits():
@@ -561,6 +588,17 @@ def test_config_validation():
             TrainConfig(m=m, k=k).validate()
 
 
+def test_bit_digest_configs_validate():
+    """Every run of scripts/bit_digests.py, which the suite does not run,
+    is a config train() accepts, so dropping a field cannot break it unseen."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bit_digests.py")
+    spec = importlib.util.spec_from_file_location("bit_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)  # defines CONFIGS; main runs only as a script
+    for overrides in script.CONFIGS.values():
+        TrainConfig(epochs=4, seed=0, **overrides).validate()
+
+
 def test_baseline_with_positive_lambda_rejected_before_training():
     # baseline makes no interpolations, so a positive lambda could only
     # fail at the first step; validation names it instead
@@ -652,9 +690,3 @@ def test_inference_equivalence_catches_a_dropped_bias(monkeypatch):
         x, w, T.constant(np.zeros_like(b.values)), relu))
     passed, detail = verify.check_inference_equivalence(state.model, x)
     assert not passed and "logits bit-equal False" in detail
-
-
-def test_data_fraction_subsamples():
-    cfg = tiny_config(mode="baseline", lam=0.0, data_fraction=0.5, batch_size=16)
-    state, log = train(tiny_dataset(), cfg)
-    assert len(log.rows) == 2  # smoke: reduced data still trains
