@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import MOST_ELEMENTS, ConfigError, ShapeError
 from .model import Affine
 from .tensor import Tensor
 
@@ -68,8 +68,9 @@ def sample_groups(labels, m: int, k: int, intra_ratio: float | None = None, *,
     n = len(labels)
     if k < 1 or n < k:
         raise ConfigError(f"need n >= K >= 1, got n={n}, K={k}")
-    if m < 1:
-        raise ConfigError(f"need m >= 1, got m={m}")
+    most = MOST_ELEMENTS // k  # numpy's size limit on (m, K) int64s
+    if not 1 <= m <= most:
+        raise ConfigError(f"need 1 <= m <= {most} groups of K={k}, got m={m}")
 
     if intra_ratio is None:
         return _distinct_draws(rng, n, m, k)
@@ -181,9 +182,11 @@ def attend(members: Tensor, params: GAParams) -> Tensor:
 
 def pure_noisy_group_ratio(n_noisy: int, n_total: int, k: int) -> float:
     """Fraction of ordered K-groups whose members are all mislabeled:
-    prod_{t<K} (n_noisy - t) / (n_total - t); 0 when n_noisy < K."""
-    if not 0 <= n_noisy <= n_total:
-        raise ConfigError(f"need 0 <= n_noisy <= n_total, got {n_noisy}, {n_total}")
+    prod_{t<K} (n_noisy - t) / (n_total - t); 0 when n_noisy < K. n_total
+    is at most numpy's array size limit, as check_sampled_ratio needs."""
+    if not 0 <= n_noisy <= n_total <= MOST_ELEMENTS:
+        raise ConfigError(f"need 0 <= n_noisy <= n_total <= {MOST_ELEMENTS}, got "
+                          f"{n_noisy}, {n_total}")
     if not 1 <= k <= n_total:
         raise ConfigError(f"need 1 <= K <= n_total, got K={k}")
     if n_noisy < k:

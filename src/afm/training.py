@@ -26,10 +26,19 @@ MODES = ("afm", "baseline", "standard-mixup", "manifold-mixup")
 _bound = attrgetter("values", "grad")
 METRIC_COLUMNS = ("epoch", "train_loss", "test_acc",
                   "mean_attn_clean", "mean_attn_noisy", "lr")
+# fixed settings: SGD's momentum and weight decay, lr times LR_DECAY every
+# LR_DECAY_EVERY epochs, the mixup baselines' Beta(b, b) weight draw, and the
+# attention net's lr multiplier (derived for K=2 in train())
+MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4
+LR_DECAY, LR_DECAY_EVERY = 0.1, 30
+BETA_PARAM = 1.0
+GA_LR_SCALE = 10.0
 
 
 @dataclass
 class TrainConfig:
+    """A run's settings; the optimiser's and the draws' fixed ones are the
+    module constants above, which no config sets."""
     lam: float = 0.75
     k: int = 2
     m: int | None = None            # groups per batch; None -> batch size
@@ -40,15 +49,9 @@ class TrainConfig:
     batch_size: int = 128
     epochs: int = 40
     lr: float = 0.02
-    lr_decay: float = 0.1
-    lr_decay_every: int = 30
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     seed: int = 0
     mode: str = "afm"
-    beta_param: float = 1.0         # Beta(b, b) draw for the mixup baselines
     intra_ratio: float | None = None  # None -> random groups; else fixed-ratio
-    ga_lr_scale: float = 10.0       # lr multiplier for the attention net
 
     def validate(self):
         """Reject values train() cannot run; comparisons are written so
@@ -76,16 +79,8 @@ class TrainConfig:
             raise ConfigError("seed must be nonnegative")
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
-        if self.lr_decay_every < 1:
-            raise ConfigError("lr_decay_every must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name in ("lr", "beta_param", "ga_lr_scale"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and positive")
-        for name in ("weight_decay", "lr_decay"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and >= 0")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError("lr must be finite and positive")
         most = MOST_ELEMENTS // self.k  # numpy's size limit on (m, K) int64s
         if self.m is not None and not 1 <= self.m <= most:
             raise ConfigError(f"m must be in [1, {most}] at group size {self.k}, got {self.m}")
@@ -219,8 +214,9 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
 def draw_step(labels, config: TrainConfig, rng: np.random.Generator):
     """One step's random draws on a batch with these labels: (groups, Beta
     weights). afm draws (m, K) groups; the mixup modes draw (m, 2) pairs,
-    then a Beta(b, b) weight per pair; with lambda 0 both are None. A batch
-    that fixed-ratio grouping cannot group gets None, drawing nothing."""
+    then a Beta(BETA_PARAM, BETA_PARAM) weight per pair; with lambda 0 both
+    are None. A batch that fixed-ratio grouping cannot group gets None,
+    drawing nothing."""
     if config.lam == 0.0:
         return None, None
     m = config.m if config.m is not None else len(labels)
@@ -230,7 +226,7 @@ def draw_step(labels, config: TrainConfig, rng: np.random.Generator):
             return None
         return sample_groups(labels, m, config.k, config.intra_ratio, rng=rng), None
     groups = sample_groups(labels, m, 2, rng=rng)
-    return groups, rng.beta(config.beta_param, config.beta_param, size=m)
+    return groups, rng.beta(BETA_PARAM, BETA_PARAM, size=m)
 
 
 def step_loss(model: Model, ga: GAParams | None, x: Tensor, y, draws,
@@ -309,10 +305,10 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     params = model.parameters() + ga_params
     # the attention net's gradient is scaled by lambda, the sigmoid slope
     # and d(normalised weight)/d(raw weight): 0.75 * 0.25 * 0.5 ~= 0.094 at
-    # K=2 and initialisation, hence ga_lr_scale ~= 10. It takes no weight
+    # K=2 and initialisation, hence GA_LR_SCALE ~= 10. It takes no weight
     # decay, which only shrinks it towards a constant output.
-    opt = SGD(params, config.lr, config.momentum, config.weight_decay,
-              lr_scales={name: config.ga_lr_scale for name, _ in ga_params},
+    opt = SGD(params, config.lr, MOMENTUM, WEIGHT_DECAY,
+              lr_scales={name: GA_LR_SCALE for name, _ in ga_params},
               decay_overrides={name: 0.0 for name, _ in ga_params})
     state = TrainState(epoch=0, step=0, model=model, ga=ga, optimizer=opt)
 
@@ -322,7 +318,7 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     log = MetricsLog()
 
     for epoch in range(config.epochs):
-        lr_e = config.lr * config.lr_decay ** (epoch // config.lr_decay_every)
+        lr_e = config.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
         opt.lr = lr_e
         order = data_rng.permutation(n_train)
         losses = []

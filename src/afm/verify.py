@@ -290,8 +290,7 @@ def run_all():
 
     ds = inject_noise(generate("blobs", 3, 60, 20, 8, 4.0, seed=0),
                       "symmetric", 0.4, seed=0)
-    cfg = TrainConfig(epochs=2, batch_size=32, hidden=(16, 8), seed=3,
-                      lr=0.05, lr_decay_every=10)
+    cfg = TrainConfig(epochs=2, batch_size=32, hidden=(16, 8), seed=3, lr=0.05)
     state, log = train(ds, cfg)
     results.append(("inference-equivalence",
                      *check_inference_equivalence(state.model, ds.features[ds.n_train:])))

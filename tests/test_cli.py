@@ -101,8 +101,7 @@ def test_parse_config_gives_config_or_config_error(tmp_path_factory, lines):
 NON_DEFAULT = dict(
     lam=0.0, k=3, m=16, interaction="concat", projections="shared",
     shared_classifiers=False, hidden=(8, 4), batch_size=64, epochs=3, lr=0.05,
-    lr_decay=0.5, lr_decay_every=7, momentum=0.5, weight_decay=0.001, seed=5,
-    mode="baseline", beta_param=0.4, intra_ratio=0.25, ga_lr_scale=3.0)
+    seed=5, mode="baseline", intra_ratio=0.25)
 
 
 def test_every_train_key_parses_back(tmp_path):
@@ -132,12 +131,16 @@ def test_train_command(config_file, tmp_path):
 
 
 BAD_CONFIG_LINES = [
-    "nope=1", "hidden=0", "hidden=8,-1", "lr_decay_every=0",
+    "nope=1", "hidden=0", "hidden=8,-1",
     "intra_ratio=1.5", "intra_ratio=-0.5", "intra_ratio=nan",
-    "lr=0", "lr=nan", "lr=inf", "momentum=1", "momentum=nan", "momentum=inf",
-    "weight_decay=nan", "weight_decay=inf", "lr_decay=-1",
-    "ga_lr_scale=nan", "ga_lr_scale=inf", "beta_param=nan", "beta_param=inf",
-    "seed=-1", "epochs=0",
+    "lr=0", "lr=nan", "lr=inf", "seed=-1", "epochs=0",
+    # settings that are constants, not keys: unknown at any value, their old
+    # default included
+    "momentum=0.9", "weight_decay=0.0005", "lr_decay=0.1", "lr_decay_every=30",
+    "beta_param=1.0", "ga_lr_scale=10.0", "lr_decay_every=0",
+    "momentum=1", "momentum=nan", "momentum=inf", "weight_decay=nan",
+    "weight_decay=inf", "lr_decay=-1", "ga_lr_scale=nan", "ga_lr_scale=inf",
+    "beta_param=nan", "beta_param=inf",
     "data_kind=rings;data_d0=1", "data_kind=two-moons;data_classes=2;data_d0=1",
     "data_separation=nan", "data_separation=inf", "data_seed=-1", "noise_seed=-1",
     "noise_rate=nan", "noise_rate=-0.5",
@@ -321,6 +324,23 @@ def test_sweep_unknown_axis(config_file, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unknown config key 'dropout'" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key", ["momentum", "weight_decay", "lr_decay", "lr_decay_every",
+                                 "beta_param", "ga_lr_scale"])
+def test_fixed_settings_are_unknown_keys(config_file, tmp_path, capsys, key):
+    """A setting that is a module constant, not a TrainConfig field, exits 2
+    as an unknown key at its constant's value, in a config line or as a
+    sweep axis."""
+    value = getattr(training, key.upper())
+    p = tmp_path / "fixed.cfg"
+    p.write_text(f"{SMALL}{key} = {value}\n")
+    sweep = ["--axis", key, "--values", str(value), "--seeds", "0"]
+    for argv in (["train", "--config", str(p)], ["sweep", "--config", config_file, *sweep]):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"unknown config key {key!r}" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -767,6 +787,24 @@ def test_bad_arguments_exit_2(config_file, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err, argv
     assert not (tmp_path / "sweep").exists()
     assert not (tmp_path / "features.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "noise-ratio --n-noisy 1 --n-total 10 --values 2 --trials 4000000000000000000",
+    "noise-ratio --n-noisy 1 --n-total 4000000000000000000 --values 2 --trials 10",
+    "dump-features --checkpoint {run}/checkpoint.bin --dataset {run}/dataset.bin "
+    "--out {tmp}/f.csv --interpolations 4000000000000000000",
+], ids=["trials", "n-total", "interpolations"])
+def test_sizes_past_numpys_limit_exit_2(config_file, tmp_path, capsys, argv):
+    """A size past the largest array numpy can describe exits 2 with an
+    error line from main before anything is allocated, not numpy's
+    ValueError."""
+    run = tmp_path / "run"
+    main(["train", "--config", config_file, "--out", str(run)])
+    capsys.readouterr()
+    assert main(argv.format(tmp=tmp_path, run=run).split()) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

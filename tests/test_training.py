@@ -560,11 +560,11 @@ def test_seed_changes_trajectory():
 
 
 def test_lr_schedule_recorded():
-    cfg = tiny_config(mode="baseline", lam=0.0, epochs=4, lr=0.1,
-                      lr_decay=0.1, lr_decay_every=2)
+    # lr falls by LR_DECAY = 0.1 every LR_DECAY_EVERY = 30 epochs
+    cfg = tiny_config(mode="baseline", lam=0.0, epochs=31, lr=0.1)
     log = train(tiny_dataset(), cfg)[1]
-    assert log.rows[0]["lr"] == pytest.approx(0.1)
-    assert log.rows[3]["lr"] == pytest.approx(0.01)
+    assert log.rows[29]["lr"] == pytest.approx(0.1)
+    assert log.rows[30]["lr"] == pytest.approx(0.01)
 
 
 def test_config_validation():
