@@ -18,14 +18,13 @@ import numpy as np
 from . import tensor as T
 from .data import (NoisyDataset, generate, inject_noise, load_dataset,
                    one_hot, save_dataset)
-from .errors import ConfigError, NumericError
+from .errors import MOST_ELEMENTS, ConfigError, NumericError
 from .grouping import (attend, check_sampled_ratio, pure_noisy_group_ratio,
                        sample_groups)
 from .mixing import gather_members, interpolate
 from .training import TrainConfig, load_state, save_state, train, write_csv
 
 DATA_KEYS = {
-    "data_kind": ("blobs", str),
     "data_classes": (3, int),
     "data_per_class_train": (1000, int),
     "data_per_class_test": (250, int),
@@ -98,7 +97,7 @@ def parse_config(path, extra=()) -> tuple[TrainConfig, dict]:
 
 
 def build_dataset(spec: dict) -> NoisyDataset:
-    ds = generate(spec["data_kind"], spec["data_classes"],
+    ds = generate("blobs", spec["data_classes"],
                   spec["data_per_class_train"], spec["data_per_class_test"],
                   spec["data_d0"], spec["data_separation"], spec["data_seed"])
     return inject_noise(ds, spec["noise_model"], spec["noise_rate"], spec["noise_seed"])
@@ -145,14 +144,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--axis seed: a sweep's seeds are given by --seeds")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     seeds = _parse_list("--seeds", args.seeds, int)
-    if not values or not seeds or len(set(values)) != len(values) \
-            or len(set(seeds)) != len(seeds):
-        raise ConfigError("need nonempty lists of distinct values and seeds")
     # each run is the config file with its axis and seed lines appended, and
-    # every run's config is checked before the first run starts
+    # every run's config is checked, and told apart, before the first starts
     jobs = [(v, s, (*parse_config(args.config, [f"{args.axis} = {v}", f"seed = {s}"]),
                     os.path.join(args.out, f"{args.axis}_{v}", f"seed_{s}")))
             for v in values for s in seeds]
+    if not jobs or len({(repr(c), repr(d)) for _, _, (c, d, _) in jobs}) != len(jobs):
+        raise ConfigError("need --values and --seeds that give at least one run, all distinct")
     # with AFM_THREADS > 1 the runs start at once in that many worker processes,
     # at most one per run; otherwise each runs when the loop below reaches it
     workers = _parse_value("AFM_THREADS", os.environ.get("AFM_THREADS", "1"), int)
@@ -190,9 +188,10 @@ def cmd_noise_ratio(args) -> int:
         raise ConfigError("need at least one K value")
     for k in ks:
         pure_noisy_group_ratio(args.n_noisy, args.n_total, k)
-    if args.trials < 1 or args.seed < 0:
-        raise ConfigError(f"need --trials >= 1 and --seed >= 0, got {args.trials} "
-                          f"and {args.seed}")
+    most = MOST_ELEMENTS // max(ks)  # numpy's size limit on (trials, K) int64s
+    if not 1 <= args.trials <= most or args.seed < 0:
+        raise ConfigError(f"need 1 <= --trials <= {most} for K={max(ks)} and --seed >= 0, "
+                          f"got {args.trials} and {args.seed}")
     if args.out:
         _check_out(args.out)
 
@@ -218,6 +217,9 @@ def cmd_dump_features(args) -> int:
                           f"{args.interpolations} and {args.seed}")
     _check_out(args.out)
     model, ga = load_state(args.checkpoint)
+    if ga is not None and args.interpolations > MOST_ELEMENTS // ga.k:
+        raise ConfigError(f"need --interpolations <= {MOST_ELEMENTS // ga.k} for K={ga.k}, "
+                          f"got {args.interpolations}")
     dataset = load_dataset(args.dataset)
     if dataset.input_dim != model.input_dim:
         raise ConfigError(

@@ -117,38 +117,35 @@ def _fmt(v):
 
 
 class SGD:
-    """v <- momentum*v + grad + wd*param; param <- param - lr*v.
+    """v <- MOMENTUM*v + grad + wd*param; param <- param - lr*scale*v.
 
-    ``lr_scales`` maps parameter names to per-parameter learning-rate
-    multipliers; ``decay_overrides`` maps names to per-parameter weight
-    decay. Both are used to give the attention net its own regime.
+    Each tensor of ``params`` takes lr scale 1 and weight decay
+    WEIGHT_DECAY; each of ``ga_params``, the attention net's, takes
+    GA_LR_SCALE and no decay. Both are lists of (name, Tensor).
 
     The constructor copies each distinct parameter (a shared one is listed
-    under several names and stepped once, with its first name's settings)
+    under several names and stepped once, with its first listing's regime)
     into one contiguous vector, ``flat``, and binds its ``values`` and
     ``grad`` to its slices of ``flat`` and of a zeroed ``grad``, which
     backward adds into; a step is a few whole-vector operations in place.
     Rebinding either afterwards detaches it, and ``step`` raises for it.
     """
 
-    def __init__(self, params, lr, momentum=0.9, weight_decay=0.0, lr_scales=None,
-                 decay_overrides=None):
+    def __init__(self, params, lr, ga_params=()):
         self.lr = lr
-        self.momentum = momentum
-        distinct = {}
-        for name, p in params:
-            distinct.setdefault(id(p), (name, p))
-        self.params = list(distinct.values())  # [(name, Tensor)], each tensor once
-        names, self._tensors = map(list, zip(*self.params))
+        distinct = {}  # id -> ((name, Tensor), (lr scale, decay)) of its first listing
+        for regime, listed in (((1.0, WEIGHT_DECAY), params), ((GA_LR_SCALE, 0.0), ga_params)):
+            for name, p in listed:
+                distinct.setdefault(id(p), ((name, p), regime))
+        self.params, regimes = map(list, zip(*distinct.values()))  # each tensor once
+        self._tensors = [p for _, p in self.params]
         sizes = [p.values.size for p in self._tensors]
         self.flat, self.grad = rows = np.zeros((2, sum(sizes)))
         self.flat[:] = np.concatenate([p.values.ravel() for p in self._tensors])
         for p, piece in zip(self._tensors, np.split(rows, np.cumsum(sizes)[:-1], axis=1)):
             p.values, p.grad = piece.reshape(2, *p.values.shape)  # views of both rows
         self._bound = list(chain.from_iterable(map(_bound, self._tensors)))
-        lr_scales, decay_overrides = lr_scales or {}, decay_overrides or {}
-        self._lr_scale = np.repeat([lr_scales.get(n, 1.0) for n in names], sizes)
-        self._decay = np.repeat([decay_overrides.get(n, weight_decay) for n in names], sizes)
+        self._lr_scale, self._decay = (np.repeat(r, sizes) for r in zip(*regimes))
         self.velocity = np.zeros_like(self.flat)
         self._update = np.empty_like(self.flat)
 
@@ -167,7 +164,7 @@ class SGD:
                     raise NumericError(f"non-finite gradient for parameter {name!r}")
         # the class formula, operation for operation, in preallocated vectors
         v = self.velocity
-        v *= self.momentum
+        v *= MOMENTUM
         v += np.add(g, np.multiply(self._decay, self.flat, out=u), out=u)
         self.flat -= np.multiply(np.multiply(self.lr, self._lr_scale, out=u), v, out=u)
 
@@ -301,15 +298,11 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
         ga = GAParams(model.feature_dim, config.k, config.interaction,
                       config.projections, source=source)
 
-    ga_params = ga.parameters() if ga else []
-    params = model.parameters() + ga_params
     # the attention net's gradient is scaled by lambda, the sigmoid slope
     # and d(normalised weight)/d(raw weight): 0.75 * 0.25 * 0.5 ~= 0.094 at
     # K=2 and initialisation, hence GA_LR_SCALE ~= 10. It takes no weight
     # decay, which only shrinks it towards a constant output.
-    opt = SGD(params, config.lr, MOMENTUM, WEIGHT_DECAY,
-              lr_scales={name: GA_LR_SCALE for name, _ in ga_params},
-              decay_overrides={name: 0.0 for name, _ in ga_params})
+    opt = SGD(model.parameters(), config.lr, ga.parameters() if ga else ())
     state = TrainState(epoch=0, step=0, model=model, ga=ga, optimizer=opt)
 
     test_x, test_y = dataset.features[n_train:], dataset.clean_labels[n_train:]

@@ -141,7 +141,8 @@ BAD_CONFIG_LINES = [
     "momentum=1", "momentum=nan", "momentum=inf", "weight_decay=nan",
     "weight_decay=inf", "lr_decay=-1", "ga_lr_scale=nan", "ga_lr_scale=inf",
     "beta_param=nan", "beta_param=inf",
-    "data_kind=rings;data_d0=1", "data_kind=two-moons;data_classes=2;data_d0=1",
+    "data_kind=blobs", "data_kind=rings;data_d0=1",
+    "data_kind=two-moons;data_classes=2;data_d0=1",
     "data_separation=nan", "data_separation=inf", "data_seed=-1", "noise_seed=-1",
     "noise_rate=nan", "noise_rate=-0.5",
     # a rate of 0 flips nothing, but the noise model and seed are still checked
@@ -776,6 +777,7 @@ def test_bad_arguments_exit_2(config_file, tmp_path, capsys):
             sweep + ["--axis", "k", "--values", "x", "--seeds", "0"],
             sweep + ["--axis", "lambda", "--values", "0.5", "--seeds", "-1"],
             sweep + ["--axis", "lambda", "--values", "0.5,0.5", "--seeds", "0"],
+            sweep + ["--axis", "lambda", "--values", "0.5,0.50", "--seeds", "0"],
             ["noise-ratio", "--n-noisy", "2", "--n-total", "10", "--values", "x"],
             ["noise-ratio", "--n-noisy", "2", "--n-total", "10", "--values", "2",
              "--seed", "-1"],
@@ -789,21 +791,24 @@ def test_bad_arguments_exit_2(config_file, tmp_path, capsys):
     assert not (tmp_path / "features.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    "noise-ratio --n-noisy 1 --n-total 10 --values 2 --trials 4000000000000000000",
-    "noise-ratio --n-noisy 1 --n-total 4000000000000000000 --values 2 --trials 10",
-    "dump-features --checkpoint {run}/checkpoint.bin --dataset {run}/dataset.bin "
-    "--out {tmp}/f.csv --interpolations 4000000000000000000",
+@pytest.mark.parametrize("argv, name", [
+    ("noise-ratio --n-noisy 1 --n-total 10 --values 2 --trials 4000000000000000000",
+     "--trials"),
+    ("noise-ratio --n-noisy 1 --n-total 4000000000000000000 --values 2 --trials 10",
+     "n_total"),
+    ("dump-features --checkpoint {run}/checkpoint.bin --dataset {run}/dataset.bin "
+     "--out {tmp}/f.csv --interpolations 4000000000000000000", "--interpolations"),
 ], ids=["trials", "n-total", "interpolations"])
-def test_sizes_past_numpys_limit_exit_2(config_file, tmp_path, capsys, argv):
+def test_sizes_past_numpys_limit_exit_2(config_file, tmp_path, capsys, argv, name):
     """A size past the largest array numpy can describe exits 2 with an
-    error line from main before anything is allocated, not numpy's
-    ValueError."""
+    error line from main that names it, before anything is allocated or
+    printed, not numpy's ValueError."""
     run = tmp_path / "run"
     main(["train", "--config", config_file, "--out", str(run)])
     capsys.readouterr()
     assert main(argv.format(tmp=tmp_path, run=run).split()) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and name in err
     assert not (tmp_path / "f.csv").exists()
 
 

@@ -29,9 +29,7 @@ def test_unused_imports_found():
                           "from a import b, c as d\nx: b = d\n") == []
 
 
-# __init__.py imports names to re-export them
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 

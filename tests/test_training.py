@@ -15,8 +15,9 @@ from afm.grouping import GAParams, attend, sample_groups
 from afm.mixing import InterpolationBatch, gather_members, interpolate
 from afm.model import Model, glorot
 from afm.tensor import Tensor
-from afm.training import (MetricsLog, SGD, TrainConfig, _attention_stats,
-                          compute_loss, load_state, save_state, train)
+from afm.training import (GA_LR_SCALE, MOMENTUM, WEIGHT_DECAY, MetricsLog, SGD,
+                          TrainConfig, _attention_stats, compute_loss, load_state,
+                          save_state, train)
 from afm.verify import check_determinism
 
 
@@ -35,15 +36,16 @@ def tiny_config(**kw):
 
 def test_sgd_step_matches_hand_computation():
     """Three steps give the bits of v = m*v + (g + wd*p), p -= (lr*scale)*v,
-    with lr changed between steps as train() does each epoch, one lr scale,
-    one decay override and one parameter whose grad is never written, a
-    zero grad."""
+    with lr changed between steps as train() does each epoch, one tensor in
+    the attention net's regime (ga_params: GA_LR_SCALE, no decay) and one
+    parameter whose grad is never written, a zero grad."""
     rng = np.random.default_rng(0)
     shapes = {"a": (2, 3), "b": (1, 3), "c": (3, 1)}
     tensors = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
-    opt = SGD(list(tensors.items()), lr=0.1, momentum=0.9, weight_decay=0.01,
-              lr_scales={"b": 10.0}, decay_overrides={"b": 0.0})
-    scale, decay = {"a": 1.0, "b": 10.0, "c": 1.0}, {"a": 0.01, "b": 0.0, "c": 0.01}
+    opt = SGD([("a", tensors["a"]), ("c", tensors["c"])], lr=0.1,
+              ga_params=[("b", tensors["b"])])
+    scale = {"a": 1.0, "b": GA_LR_SCALE, "c": 1.0}
+    decay = {"a": WEIGHT_DECAY, "b": 0.0, "c": WEIGHT_DECAY}
     p = {n: t.values.copy() for n, t in tensors.items()}
     v = {n: np.zeros(s) for n, s in shapes.items()}
     for lr in (0.1, 0.05, 0.01):
@@ -54,7 +56,7 @@ def test_sgd_step_matches_hand_computation():
         g["c"] = np.zeros(shapes["c"])  # c.grad is never written
         opt.step()
         for n, t in tensors.items():
-            v[n] = 0.9 * v[n] + (g[n] + decay[n] * p[n])
+            v[n] = MOMENTUM * v[n] + (g[n] + decay[n] * p[n])
             p[n] = p[n] - (lr * scale[n]) * v[n]
             np.testing.assert_array_equal(t.values, p[n])
 
@@ -65,8 +67,7 @@ def test_sgd_step_leaves_gradients_unchanged():
     rng = np.random.default_rng(1)
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-    opt = SGD([("a", a), ("b", b)], lr=0.1, momentum=0.9, weight_decay=0.01,
-              lr_scales={"b": 10.0})
+    opt = SGD([("a", a)], lr=0.1, ga_params=[("b", b)])
     for _ in range(2):
         opt.grad[:] = rng.normal(size=opt.grad.shape)
         held = [a.grad, b.grad, opt.grad.copy()]
@@ -108,38 +109,46 @@ def test_sgd_gradients_are_views_of_its_vector_after_backward():
 
 
 def test_sgd_lr_scale_and_decay_override():
+    """A ga_params tensor takes GA_LR_SCALE and no decay; a params tensor
+    lr scale 1 and WEIGHT_DECAY."""
     p = Tensor(np.array([[2.0]]), requires_grad=True)
-    opt = SGD([("p", p)], lr=0.1, momentum=0.0, weight_decay=0.5,
-              lr_scales={"p": 2.0}, decay_overrides={"p": 0.0})
-    p.grad[...] = 1.0
+    q = Tensor(np.array([[2.0]]), requires_grad=True)
+    opt = SGD([("q", q)], lr=0.1, ga_params=[("p", p)])
+    p.grad[...], q.grad[...] = 1.0, 1.0
     opt.step()
-    np.testing.assert_allclose(p.values, [[2.0 - 0.2]])  # decay overridden to 0
+    np.testing.assert_allclose(p.values, [[2.0 - 0.1 * GA_LR_SCALE]])
+    np.testing.assert_allclose(q.values, [[2.0 - 0.1 * (1.0 + WEIGHT_DECAY * 2.0)]])
 
 
 def test_sgd_shared_parameter_stepped_once():
+    """A tensor listed three times, the last in ga_params, is stepped once,
+    in the regime of its first listing."""
     p = Tensor(np.array([[1.0]]), requires_grad=True)
-    opt = SGD([("a", p), ("b", p)], lr=0.1, momentum=0.0)
+    opt = SGD([("a", p), ("b", p)], lr=0.1, ga_params=[("c", p)])
     p.grad[...] = 1.0
     opt.step()
-    np.testing.assert_allclose(p.values, [[0.9]])  # not 0.8
+    assert [name for name, _ in opt.params] == ["a"]
+    np.testing.assert_array_equal(p.values, [[1.0 - 0.1 * (1.0 + WEIGHT_DECAY * 1.0)]])
 
 
 def test_sgd_updates_parameters_in_place_through_one_vector():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
     b = Tensor(np.array([[5.0]]), requires_grad=True)
-    opt = SGD([("a", a), ("b", b), ("a2", a)], lr=0.5, momentum=0.0,
-              lr_scales={"b": 2.0})
+    opt = SGD([("a", a)], lr=0.5, ga_params=[("b", b), ("a2", a)])
     np.testing.assert_array_equal(opt.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
     assert np.shares_memory(a.values, opt.flat) and np.shares_memory(b.values, opt.flat)
-    held = a.values
+    held, a0 = a.values, a.values.copy()
     a.grad[...] = 1.0  # b.grad is never written: a zero gradient
     opt.step()
     assert a.values is held
-    np.testing.assert_array_equal(held, [[0.5, 1.5], [2.5, 3.5]])
+    va = 1.0 + WEIGHT_DECAY * a0
+    a1 = a0 - 0.5 * va
+    np.testing.assert_array_equal(held, a1)
     np.testing.assert_array_equal(b.values, [[5.0]])
     b.grad[...] = 1.0
     opt.step()
-    np.testing.assert_array_equal(opt.flat, [0.0, 1.0, 2.0, 3.0, 4.0])
+    a2 = a1 - 0.5 * (MOMENTUM * va + (1.0 + WEIGHT_DECAY * a1))
+    np.testing.assert_array_equal(opt.flat, [*a2.ravel(), 5.0 - 0.5 * GA_LR_SCALE])
 
 
 @pytest.mark.parametrize("field", ["values", "grad"])
