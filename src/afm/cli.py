@@ -59,8 +59,7 @@ def _parse_list(what, raw, kind):
 # TrainConfig annotation text -> the kind its config value is parsed as;
 # a field with an annotation missing here fails at import
 ANNOTATION_KINDS = {"bool": bool, "int": int, "float": float, "str": str,
-                    "int | None": int, "float | None": float,
-                    "tuple[int, ...]": tuple}
+                    "float | None": float, "tuple[int, ...]": tuple}
 TRAIN_KEY_TYPES = {f.name: ANNOTATION_KINDS[f.type] for f in fields(TrainConfig)}
 # second spellings of TrainConfig fields, accepted wherever a key is read:
 # 'lambda', the paper's name for the trade-off weight, which no field can take

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import read_arrays, read_record, write_arrays
 from .data import NoisyDataset, one_hot
-from .errors import MOST_ELEMENTS, AfmError, ConfigError, NumericError
+from .errors import AfmError, ConfigError, NumericError
 from .grouping import (GAParams, INTERACTIONS, PROJECTION_MODES, attend,
                        fixed_ratio_gap, sample_groups)
 from .mixing import InterpolationBatch, gather_members, interpolate
@@ -41,7 +41,6 @@ class TrainConfig:
     module constants above, which no config sets."""
     lam: float = 0.75
     k: int = 2
-    m: int | None = None            # groups per batch; None -> batch size
     interaction: str = "sum"
     projections: str = "distinct"
     shared_classifiers: bool = True
@@ -81,9 +80,6 @@ class TrainConfig:
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError("lr must be finite and positive")
-        most = MOST_ELEMENTS // self.k  # numpy's size limit on (m, K) int64s
-        if self.m is not None and not 1 <= self.m <= most:
-            raise ConfigError(f"m must be in [1, {most}] at group size {self.k}, got {self.m}")
         return self
 
 
@@ -209,14 +205,14 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
 
 
 def draw_step(labels, config: TrainConfig, rng: np.random.Generator):
-    """One step's random draws on a batch with these labels: (groups, Beta
-    weights). afm draws (m, K) groups; the mixup modes draw (m, 2) pairs,
-    then a Beta(BETA_PARAM, BETA_PARAM) weight per pair; with lambda 0 both
-    are None. A batch that fixed-ratio grouping cannot group gets None,
-    drawing nothing."""
+    """One step's random draws on a batch of m rows with these labels:
+    (groups, Beta weights), one group per row. afm draws (m, K) groups; the
+    mixup modes draw (m, 2) pairs, then a Beta(BETA_PARAM, BETA_PARAM) weight
+    per pair; with lambda 0 both are None. A batch that fixed-ratio grouping
+    cannot group gets None, drawing nothing."""
     if config.lam == 0.0:
         return None, None
-    m = config.m if config.m is not None else len(labels)
+    m = len(labels)
     if config.mode == "afm":
         if config.intra_ratio is not None and fixed_ratio_gap(labels, m, config.k,
                                                               config.intra_ratio):
@@ -284,8 +280,8 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
         raise ConfigError(f"group size {config.k} exceeds the {n_train} "
                           "training rows used: no step can run")
     if config.mode == "afm" and config.lam > 0.0 and config.intra_ratio is not None:
-        m = config.m if config.m is not None else min(config.batch_size, n_train)
-        gap = fixed_ratio_gap(dataset.given_labels[:n_train], m, config.k, config.intra_ratio)
+        gap = fixed_ratio_gap(dataset.given_labels[:n_train], min(config.batch_size, n_train),
+                              config.k, config.intra_ratio)
         if gap:
             raise ConfigError(f"training split: {gap}")
 

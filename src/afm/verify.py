@@ -111,13 +111,12 @@ def check_gradients():
 # every configuration training can run, on a 2-layer backbone with 12 groups
 # per batch: afm at each K, interaction and projection mode with half its groups
 # intra-class, then the other three modes; each with shared and unshared heads
-_SMALL = dict(hidden=(4, 5), m=12)
 LOSS_CONFIGS = [TrainConfig(k=k, interaction=i, projections=p, shared_classifiers=s,
-                            intra_ratio=0.5, **_SMALL)
+                            intra_ratio=0.5, hidden=(4, 5))
                 for k in (2, 3, 4) for i in INTERACTIONS for p in PROJECTION_MODES
                 for s in (True, False)]
 LOSS_CONFIGS += [TrainConfig(mode=mode, lam=0.0 if mode == "baseline" else 0.75,
-                             shared_classifiers=s, **_SMALL)
+                             shared_classifiers=s, hidden=(4, 5))
                  for mode in MODES[1:] for s in (True, False)]
 
 

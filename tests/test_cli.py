@@ -99,7 +99,7 @@ def test_parse_config_gives_config_or_config_error(tmp_path_factory, lines):
 
 # a value for every TrainConfig field, none of them its default
 NON_DEFAULT = dict(
-    lam=0.0, k=3, m=16, interaction="concat", projections="shared",
+    lam=0.0, k=3, interaction="concat", projections="shared",
     shared_classifiers=False, hidden=(8, 4), batch_size=64, epochs=3, lr=0.05,
     seed=5, mode="baseline", intra_ratio=0.25)
 
@@ -141,6 +141,8 @@ BAD_CONFIG_LINES = [
     "momentum=1", "momentum=nan", "momentum=inf", "weight_decay=nan",
     "weight_decay=inf", "lr_decay=-1", "ga_lr_scale=nan", "ga_lr_scale=inf",
     "beta_param=nan", "beta_param=inf",
+    # groups per batch are the batch's rows, not a key: unknown at any value
+    "m=128", "m=4000000000000000000",
     "data_kind=blobs", "data_kind=rings;data_d0=1",
     "data_kind=two-moons;data_classes=2;data_d0=1",
     "data_separation=nan", "data_separation=inf", "data_seed=-1", "noise_seed=-1",
@@ -148,7 +150,7 @@ BAD_CONFIG_LINES = [
     # a rate of 0 flips nothing, but the noise model and seed are still checked
     "noise_rate=0;noise_model=bogus", "noise_rate=0;noise_seed=-1",
     # past numpy's array limit, so nothing is allocated
-    "m=4000000000000000000", "hidden=4000000000000000000",
+    "hidden=4000000000000000000",
     "data_per_class_train=4000000000000000000", "data_per_class_test=4000000000000000000",
     "data_d0=4000000000000000000",
 ]
@@ -187,13 +189,13 @@ def test_train_out_is_a_file_exit_2_before_training(config_file, tmp_path, capsy
 
 
 @pytest.mark.parametrize("exc,line", [
-    (MemoryError("Unable to allocate 14.6 TiB for an array with shape "
-                 "(1000000000000, 2) and data type int64"),
-     "error: out of memory: Unable to allocate 14.6 TiB for an array with shape "
-     "(1000000000000, 2) and data type int64\n"),
+    (MemoryError("Unable to allocate 58.2 TiB for an array with shape "
+                 "(8, 1000000000000) and data type float64"),
+     "error: out of memory: Unable to allocate 58.2 TiB for an array with shape "
+     "(8, 1000000000000) and data type float64\n"),
     (MemoryError(), "error: out of memory\n")], ids=["numpy", "bare"])
 def test_train_memory_error_exit_2(config_file, tmp_path, capsys, monkeypatch, exc, line):
-    """A config whose arrays cannot be allocated, such as m = 10**12, exits 2
+    """A config whose arrays cannot be allocated, such as hidden = 10**12, exits 2
     with an error line. The error is raised by a stand-in for train(), since
     whether a huge allocation fails at once depends on the machine."""
     def exhausted(dataset, config):
@@ -348,14 +350,16 @@ def test_fixed_settings_are_unknown_keys(config_file, tmp_path, capsys, key):
 @pytest.mark.parametrize("axis,values,message", [
     ("k", "x", "config key 'k': cannot parse 'x'"),
     ("noise_rate", "low", "config key 'noise_rate': cannot parse 'low'"),
-    ("seed", "1,2", "--axis seed: a sweep's seeds are given by --seeds")])
+    ("seed", "1,2", "--axis seed: a sweep's seeds are given by --seeds"),
+    # the axis line is read after the config file's 13 lines
+    ("m", "128", "{config}:14: unknown config key 'm'")])
 def test_sweep_bad_axis_exit_2(config_file, tmp_path, capsys, axis, values, message):
-    """An axis value that does not parse, or the seed as an axis, exits 2
-    before any run; the error names the key."""
+    """An axis value that does not parse, the seed as an axis, or an axis
+    that is no config key exits 2 before any run; the error names the key."""
     rc = main(["sweep", "--config", config_file, "--axis", axis,
                "--values", values, "--seeds", "0", "--out", str(tmp_path / "x")])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(config=config_file)}\n"
     assert not (tmp_path / "x").exists()
 
 

@@ -3,6 +3,7 @@ with the package's own error."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -13,8 +14,7 @@ from afm.grouping import INTERACTIONS, PROJECTION_MODES
 from afm.training import MODES, TrainConfig, load_state, save_state, train
 
 # a size is tiny or past what any machine can map, since one in between
-# would really be allocated and filled; so a fixed-ratio split of a huge m,
-# round(intra_ratio * m) intra groups, is 0, m or also too large to map
+# would really be allocated and filled
 HUGE = MOST_ELEMENTS // 8
 # each field's values inside validate()'s bounds, edges included...
 INSIDE = dict(
@@ -23,11 +23,11 @@ INSIDE = dict(
     shared_classifiers=st.booleans(), hidden=st.lists(st.integers(1, 4), max_size=2).map(tuple),
     epochs=st.integers(1, 2), lr=st.sampled_from([5e-324, 1e-3, 0.1, 1e300]),
     seed=st.integers(0, 3), mode=st.sampled_from(MODES),
-    intra_ratio=st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)))
+    intra_ratio=st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 # ...and just outside them, for K = k
 OUTSIDE = dict(
     lam=[-1e-9, 1.0 + 1e-9, math.nan], k=[1, 0], batch_size=lambda k: [k - 1],
-    m=lambda k: [0, MOST_ELEMENTS // k + 1], interaction=["avg"], projections=["all"],
+    interaction=["avg"], projections=["all"],
     hidden=[(0,), (4, -1)], epochs=[0], lr=[0.0, math.inf, math.nan], seed=[-1],
     mode=["dropout"], intra_ratio=[-1e-9, 1.0 + 1e-9, math.nan])
 
@@ -39,8 +39,7 @@ def configs(draw):
     fields = {name: draw(values) for name, values in INSIDE.items()}
     if fields["mode"] == "baseline":
         fields["lam"] = 0.0  # the only lambda baseline takes
-    fields.update(k=k, batch_size=draw(st.integers(k, 10)), m=draw(st.one_of(
-        st.none(), st.integers(1, 8), st.integers(HUGE, MOST_ELEMENTS // k))))
+    fields.update(k=k, batch_size=draw(st.integers(k, 10)))
     outside = draw(st.one_of(st.none(), st.sampled_from(list(OUTSIDE))))
     if outside:
         values = OUTSIDE[outside]
@@ -73,18 +72,21 @@ def test_accepted_config_trains_saves_loads_and_dumps(tmp_path_factory, drawn, d
     config.validate()
     tmp = tmp_path_factory.getbasetemp()
     checkpoint, data, out = tmp / "checkpoint.bin", tmp / "dataset.bin", tmp / "out.csv"
-    try:
-        state, _ = train(dataset, config)
-        save_state(checkpoint, state)
-        load_state(checkpoint)
-    except (AfmError, MemoryError) as exc:  # main reports a MemoryError as exit 2
-        event(f"train, save or load raised {type(exc).__name__}")
-        return
-    save_dataset(data, dataset)
-    out.unlink(missing_ok=True)
-    rc = cli.main(["dump-features", "--checkpoint", str(checkpoint), "--dataset", str(data),
-                   "--out", str(out), "--interpolations", str(interpolations),
-                   "--seed", str(dump_seed)])
+    # an lr of up to 1e300 overflows on purpose; train()'s finiteness checks,
+    # not numpy's warnings, report what matters
+    with np.errstate(all="ignore"):
+        try:
+            state, _ = train(dataset, config)
+            save_state(checkpoint, state)
+            load_state(checkpoint)
+        except (AfmError, MemoryError) as exc:  # main reports a MemoryError as exit 2
+            event(f"train, save or load raised {type(exc).__name__}")
+            return
+        save_dataset(data, dataset)
+        out.unlink(missing_ok=True)
+        rc = cli.main(["dump-features", "--checkpoint", str(checkpoint), "--dataset", str(data),
+                       "--out", str(out), "--interpolations", str(interpolations),
+                       "--seed", str(dump_seed)])
     event(f"dump-features exit {rc}")
     assert rc in (0, 2, 3)
     if rc == 0:  # a header, each dataset row, then each interpolation

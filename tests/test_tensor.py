@@ -118,7 +118,7 @@ def afm_loss(k=2, interaction="sum", projections="distinct", seed=11):
     intra-class. There is one leaf per distinct parameter tensor, so a
     shared projection is one leaf pair that every position reads."""
     config = TrainConfig(k=k, interaction=interaction, projections=projections,
-                         intra_ratio=0.5, hidden=(4, 5), m=12)
+                         intra_ratio=0.5, hidden=(4, 5))
     _, point, loss = verify.step_loss_case(config, np.random.default_rng(seed))
     leaves = [T.parameter(v) for v in point]
     return leaves, loss(leaves)
