@@ -5,12 +5,9 @@ differences along one random direction per leaf, and shows the relu-kink
 guard in action.
 """
 
-import warnings
-
 import numpy as np
 
 from afm import tensor as T
-from afm.errors import SubgradientWarning
 from afm.tensor import Tensor, backward, grad_check
 
 rng = np.random.default_rng(0)
@@ -36,23 +33,17 @@ def f(leaves):
     return T.mean(T.mul(h, h))
 
 point = [rng.normal(size=(5, 4)), rng.normal(size=(4, 6))]
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", SubgradientWarning)
-    err = grad_check(f, point)
-print(f"max relative error vs finite differences: {err:.2e}")
+err, skipped = grad_check(f, point)
+print(f"max relative error vs finite differences: {err:.2e} (leaves skipped: {skipped})")
 
 # --- the subgradient guard ---------------------------------------------------
 # A leaf with a coordinate exactly on the relu kink has no classical
 # derivative along almost any direction; the checker detects the
-# activation-pattern change between its two probes and skips that leaf with a
-# warning instead of reporting a bogus mismatch. The second, smooth leaf still
-# checks.
+# activation-pattern change between its two probes and skips that leaf,
+# returning its index, instead of reporting a bogus mismatch. The second,
+# smooth leaf still checks.
 kink_point = [np.array([[0.0, 2.0]]), np.array([[0.5, -1.0]])]
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    err = grad_check(lambda ls: T.add(T.sum_reduce(T.relu(ls[0])),
-                                      T.sum_reduce(T.sigmoid(ls[1]))), kink_point)
-for w in caught:
-    if issubclass(w.category, SubgradientWarning):
-        print("kink warning:", w.message)
+err, skipped = grad_check(lambda ls: T.add(T.sum_reduce(T.relu(ls[0])),
+                                           T.sum_reduce(T.sigmoid(ls[1]))), kink_point)
+print("leaves skipped at a relu kink:", skipped)
 print(f"error on the smooth leaf: {err:.2e}")

@@ -1,4 +1,4 @@
-"""Error and warning types shared across the package."""
+"""Error types shared across the package."""
 
 import numpy as np
 
@@ -20,7 +20,3 @@ class NumericError(AfmError):
 
 class ConfigError(AfmError):
     """Invalid configuration or argument bounds."""
-
-
-class SubgradientWarning(UserWarning):
-    """A finite-difference probe crossed a relu kink; the leaf was skipped."""

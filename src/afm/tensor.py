@@ -10,8 +10,8 @@ enter (files, configs) and where training uses them (each step's loss,
 every gradient).
 
 relu's subgradient at 0 is defined as 0, in relu and in affine's fused
-relu alike; grad_check skips a leaf whose two finite-difference probes,
-along its random direction, cross a relu kink.
+relu alike; grad_check skips, and returns the index of, each leaf whose two
+finite-difference probes along its random direction cross a relu kink.
 
 Each tensor owns its grad array: no two tensors' grads share memory, so
 ``+=`` on one leaf's grad after ``backward`` changes no other grad; the
@@ -27,12 +27,11 @@ slices.
 from __future__ import annotations
 
 import itertools
-import warnings
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, SubgradientWarning
+from .errors import NumericError, ShapeError
 
 # When not None, relu and affine(relu=True) append their activation masks
 # here. grad_check uses this to detect finite-difference probes that cross
@@ -490,18 +489,18 @@ def backward(root: Tensor):
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def grad_check(function, point) -> float:
+def grad_check(function, point) -> tuple[float, list[int]]:
     """Compare reverse-mode gradients of a scalar function against central
     finite differences, along one random unit direction per leaf.
 
     ``function`` maps a list of Tensors to a scalar Tensor, and ``point``
     is a list of arrays, one per leaf. Each leaf's direction v comes from
     a generator with a fixed seed, so a call is deterministic and leaves
-    numpy's global generator alone. Returns the max over leaves of
-    |ad - fd| / max(1, |ad|, |fd|), with ad = <grad, v> and
-    fd = (f(x + EPSILON v) - f(x - EPSILON v)) / (2 EPSILON). A leaf whose
-    two probes land on different relu activation patterns is skipped with
-    a SubgradientWarning.
+    numpy's global generator alone. Returns (max_err, skipped): the max over
+    checked leaves of |ad - fd| / max(1, |ad|, |fd|), with ad = <grad, v>
+    and fd = (f(x + EPSILON v) - f(x - EPSILON v)) / (2 EPSILON), and the
+    indices of the leaves skipped because their two probes land on
+    different relu activation patterns.
     """
     leaves = list(map(parameter, point))
     backward(function(leaves))
@@ -518,7 +517,7 @@ def grad_check(function, point) -> float:
             _relu_trace = None
 
     rng = np.random.default_rng(0)
-    max_err = 0.0
+    max_err, skipped = 0.0, []
     for li, leaf in enumerate(leaves):
         v = rng.standard_normal(leaf.values.shape)
         v /= np.linalg.norm(v)
@@ -526,9 +525,9 @@ def grad_check(function, point) -> float:
         f_minus, trace_minus = evaluate(li, -EPSILON * v)
         if (len(trace_plus) != len(trace_minus)
                 or not all(map(np.array_equal, trace_plus, trace_minus))):
-            warnings.warn(f"relu kink at leaf {li}; skipped", SubgradientWarning)
+            skipped.append(li)
             continue
         fd = (f_plus - f_minus) / (2.0 * EPSILON)
         ad = 0.0 if leaf.grad is None else float(np.vdot(leaf.grad, v))
         max_err = max(max_err, abs(ad - fd) / max(1.0, abs(ad), abs(fd)))
-    return max_err
+    return max_err, skipped

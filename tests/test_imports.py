@@ -1,12 +1,14 @@
-"""Every module-level import in src/afm is used by its module, and every
-module-level private name is read somewhere in the package."""
+"""Every module-level import in src/afm, the demos, the scripts and the
+tests is used by its module, and every module-level private name of
+src/afm is read somewhere in the package."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "afm"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "afm"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +31,13 @@ def test_unused_imports_found():
                           "from a import b, c as d\nx: b = d\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+# the file names are distinct across these directories, so each id is the
+# bare name
+LINTED = [p for d in (SRC, ROOT / "demos", ROOT / "scripts", ROOT / "tests")
+          for p in sorted(d.glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 

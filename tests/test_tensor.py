@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afm import tensor as T, verify
-from afm.errors import ShapeError, SubgradientWarning
+from afm.errors import ShapeError
 from afm.grouping import INTERACTIONS, PROJECTION_MODES
 from afm.tensor import Tensor, backward, grad_check
 from afm.training import TrainConfig
@@ -446,33 +446,27 @@ def test_kl_from_logits_scale_equals_smul_bit_for_bit(scale):
 def test_grad_check_composites(fn, shapes):
     rng = np.random.default_rng(42)
     point = [rng.standard_normal(s) for s in shapes]
-    err = grad_check(fn, point)
-    assert err < 1e-6
+    err, skipped = grad_check(fn, point)
+    assert err < 1e-6 and skipped == []
 
 
-def test_grad_check_relu_kink_warns_and_skips():
-    # a leaf with a coordinate exactly on the kink must warn, not fail
+def test_grad_check_relu_kink_skips_the_leaf():
+    # a leaf with a coordinate exactly on the kink is skipped, not failed
     point = [np.array([[0.0, 1.0]]), np.array([[0.3, -0.7]])]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        err = grad_check(lambda ls: T.add(T.sum_reduce(T.relu(ls[0])),
-                                          T.sum_reduce(T.sigmoid(ls[1]))), point)
-    kinks = [str(w.message) for w in caught if issubclass(w.category, SubgradientWarning)]
-    assert kinks == ["relu kink at leaf 0; skipped"]
+    err, skipped = grad_check(lambda ls: T.add(T.sum_reduce(T.relu(ls[0])),
+                                               T.sum_reduce(T.sigmoid(ls[1]))), point)
+    assert skipped == [0]
     assert err < 1e-6  # the smooth leaf still checks
 
 
-def test_grad_check_affine_relu_kink_warns_and_skips():
+def test_grad_check_affine_relu_kink_skips_the_leaves():
     # column 0's pre-activation is 1e-6, within epsilon of the kink: the
     # probes of w (leaf 1) and b (leaf 2) along their directions land on
     # both sides of it. x's probes move column 1 only, as w's column 0 is 0.
     point = [np.array([[1.0, 2.0]]), np.array([[0.0, 1.0], [0.0, 1.0]]),
              np.array([[1e-6, 0.0]])]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        err = grad_check(lambda ls: T.sum_reduce(T.affine(*ls, relu=True)), point)
-    kinks = [str(w.message) for w in caught if issubclass(w.category, SubgradientWarning)]
-    assert kinks == ["relu kink at leaf 1; skipped", "relu kink at leaf 2; skipped"]
+    err, skipped = grad_check(lambda ls: T.sum_reduce(T.affine(*ls, relu=True)), point)
+    assert skipped == [1, 2]
     assert err < 1e-6  # the skipped leaves do not count; x checks
 
 
@@ -495,7 +489,7 @@ def test_grad_check_is_deterministic_and_leaves_global_rng_alone():
     finally:
         np.random.set_state(saved)
     assert repr(results[0]) == repr(results[1])
-    assert 0.0 < results[0] < 1e-6
+    assert 0.0 < results[0][0] < 1e-6 and results[0][1] == []
 
 
 def test_grad_check_catches_wrong_gradient():
@@ -508,8 +502,8 @@ def test_grad_check_catches_wrong_gradient():
         return T.add(T.smul(frozen, -0.01), T.smul(fn(ls), 1.01))
 
     point = [rnd(2, 2, seed=3)]
-    assert grad_check(fn, point) < 1e-6  # sanity: the true graph passes
-    assert grad_check(wrong, point) > 1e-5
+    assert grad_check(fn, point)[0] < 1e-6  # sanity: the true graph passes
+    assert grad_check(wrong, point)[0] > 1e-5
 
 
 @pytest.mark.parametrize("shared", [False, True])

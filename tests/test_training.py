@@ -15,7 +15,7 @@ from afm.grouping import GAParams, attend, sample_groups
 from afm.mixing import InterpolationBatch, gather_members, interpolate
 from afm.model import Model, glorot
 from afm.tensor import Tensor
-from afm.training import (GA_LR_SCALE, MOMENTUM, WEIGHT_DECAY, MetricsLog, SGD,
+from afm.training import (GA_LR_SCALE, MOMENTUM, WEIGHT_DECAY, SGD,
                           TrainConfig, _attention_stats, compute_loss, load_state,
                           save_state, train)
 from afm.verify import check_determinism
