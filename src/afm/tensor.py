@@ -2,8 +2,8 @@
 
 Values are 64-bit floats stored in numpy arrays (row-major). Graph
 construction is single-threaded; tensors are immutable after creation
-except for their grad buffers. Broadcasting is deliberately restricted to
-(matrix, bias-row) addition so every shape rule stays auditable.
+except for their grad buffers. No primitive broadcasts: each accepts only
+the shapes its callers pass, so every shape rule stays auditable.
 Primitives hand ``_make`` the float64 ndarray numpy computes, stored as
 is, and do not scan for NaN or inf: finiteness is checked where values
 enter (files, configs) and where training uses them (each step's loss,
@@ -20,8 +20,7 @@ which backward adds into. A backward that has just computed an array for
 one parent hands it over as is, as it may hand views of disjoint parts of
 one fresh array. A backward that would hand one array to more than one
 tensor, or a view of its output's grad, hands each a copy instead: add,
-affine's one-row bias, group_affine's bias gradient and concat_last's
-slices.
+group_affine's bias gradient and concat_last's slices.
 """
 
 from __future__ import annotations
@@ -111,14 +110,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise addition; also allows (m,n) + (1,n) bias-row broadcast."""
-    bias_row = (
-        a.values.ndim == 2
-        and b.values.ndim == 2
-        and b.values.shape == (1, a.values.shape[1])
-        and a.values.shape[0] != 1
-    )
-    if not bias_row and a.values.shape != b.values.shape:
+    """Elementwise addition of two tensors of one shape."""
+    if a.values.shape != b.values.shape:
         raise ShapeError(f"add: {a.values.shape} + {b.values.shape}")
     out_vals = np.asarray(a.values + b.values)  # numpy gives a 0-d sum as a scalar
 
@@ -126,18 +119,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(out.grad.copy())
         if b.requires_grad:
-            b._accumulate(np.add.reduce(out.grad, axis=0, keepdims=True) if bias_row
-                          else out.grad.copy())
+            b._accumulate(out.grad.copy())
 
     return _make(out_vals, (a, b), backward)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """x @ w + b with a (1, n) bias row ``b``, then relu when ``relu``: one
-    tape node with the values and gradients of add(matmul(x, w), b) and of
-    relu(add(matmul(x, w), b)), bit for bit. As in add, a one-row ``x``
-    gives ``b`` its gradient row as is, not summed (which would turn -0.0
-    into 0.0)."""
+    """x @ w + b with a (1, n) bias row ``b``, then relu when ``relu``, in
+    one tape node; ``b``'s gradient is the sum of the output's grad rows."""
     xv, wv, bv = x.values, w.values, b.values
     if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]
             or bv.shape != (1, wv.shape[1])):
@@ -154,7 +143,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def backward(out):
         g = out.grad if mask is None else out.grad * mask
         if b.requires_grad:
-            b._accumulate(g.copy() if len(g) == 1 else np.add.reduce(g, 0, keepdims=True))
+            b._accumulate(np.add.reduce(g, 0, keepdims=True))
         if x.requires_grad:
             x._accumulate(g @ w.values.T)
         if w.requires_grad:
@@ -190,19 +179,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat_last(tensors) -> Tensor:
+    """Matrices of one row count, side by side."""
     tensors = list(tensors)
-    lead = tensors[0].values.shape[:-1]
-    for t in tensors:
-        if t.values.ndim == 0 or t.values.shape[:-1] != lead:
-            raise ShapeError("concat-last-dim: leading dimensions differ")
-    out_vals = np.concatenate([t.values for t in tensors], axis=-1)
-    widths = [t.values.shape[-1] for t in tensors]
+    shapes = list(map(_shape, tensors))
+    if any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
+        raise ShapeError(f"concat_last: {shapes}")
+    out_vals = np.concatenate(list(map(_values, tensors)), axis=1)
+    widths = [s[1] for s in shapes]
 
     def backward(out):
         offset = 0
         for t, w in zip(tensors, widths):
             if t.requires_grad:
-                t._accumulate(out.grad[..., offset:offset + w].copy())
+                t._accumulate(out.grad[:, offset:offset + w].copy())
             offset += w
 
     return _make(out_vals, tensors, backward)

@@ -267,8 +267,8 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     group is skipped, with no draw and no step. Raises NumericError, naming
     the epoch and step, when a step's loss or a gradient is not finite, or
     the epoch when its test logits are not, and ConfigError, before any
-    network is built, when no step could run or the training split cannot
-    hold a full batch's fixed-ratio groups.
+    network is built, when no step could run, there are no test rows or the
+    training split cannot hold a full batch's fixed-ratio groups.
     """
     config.validate()
     init_rng = np.random.default_rng([config.seed, 0])
@@ -279,6 +279,8 @@ def train(dataset: NoisyDataset, config: TrainConfig) -> tuple[TrainState, Metri
     if n_train < config.k:
         raise ConfigError(f"group size {config.k} exceeds the {n_train} "
                           "training rows used: no step can run")
+    if n_train == len(dataset.features):
+        raise ConfigError(f"all {n_train} rows train: no test rows to evaluate")
     if config.mode == "afm" and config.lam > 0.0 and config.intra_ratio is not None:
         gap = fixed_ratio_gap(dataset.given_labels[:n_train], min(config.batch_size, n_train),
                               config.k, config.intra_ratio)

@@ -65,7 +65,7 @@ PRIMITIVE_CASES = {
                [(3, 4), (4, 2), (1, 2)]),
     "affine-relu": (lambda ls: T.sum_reduce(T.mul(T.affine(*ls, relu=True), _ramp(3, 2))),
                     [(3, 4), (4, 2), (1, 2)]),
-    # one row: the bias takes the output's gradient row as is, not a sum
+    # a one-row layer: the bias gradient sums a single row
     "affine-one-row": (lambda ls: T.sum_reduce(T.mul(T.affine(*ls), _ramp(1, 2))),
                        [(1, 4), (4, 2), (1, 2)]),
 }

@@ -29,11 +29,8 @@ MUTANTS = {
         "gather_rows", "out.grad.reshape(m, -1, d)", "out.grad.reshape(m, d, -1).swapaxes(1, 2)",
         lambda config: config.mode in ("afm", "manifold-mixup")),
     "affine-bias-dropped": (
-        "affine", "g.copy() if len(g) == 1 else np.add.reduce(g, 0, keepdims=True)",
-        "np.zeros_like(b.values)", lambda config: True),
-    # no training batch has one row
-    "affine-one-row-bias-zeroed": (
-        "affine", "g.copy() if len(g) == 1", "np.zeros_like(g) if len(g) == 1", None),
+        "affine", "np.add.reduce(g, 0, keepdims=True)", "np.zeros_like(b.values)",
+        lambda config: True),
     "affine-relu-mask-dropped": (
         "affine", "g = out.grad if mask is None else out.grad * mask", "g = out.grad",
         lambda config: True),

@@ -44,14 +44,10 @@ def test_matmul_shape_error():
         T.matmul(T.constant(rnd(3, 4)), T.constant(rnd(3, 4, seed=1)))
 
 
-def test_add_bias_broadcast():
-    x = T.constant(rnd(5, 3))
-    b = Tensor(rnd(1, 3, seed=2), requires_grad=True)
-    out = T.add(x, b)
-    np.testing.assert_allclose(out.values, x.values + b.values)
-    backward(T.mean(out))
-    # bias grad accumulates over the batch row-wise
-    assert b.grad.shape == (1, 3)
+def test_add_does_not_broadcast():
+    with pytest.raises(ShapeError) as exc:
+        T.add(T.constant(rnd(5, 3)), T.constant(rnd(1, 3, seed=2)))
+    assert str(exc.value) == "add: (5, 3) + (1, 3)"
 
 
 def test_mul_grad():
@@ -68,6 +64,9 @@ def test_concat_last_dim():
     out = T.concat_last([a, b])
     assert out.values.shape == (2, 7)
     np.testing.assert_allclose(out.values[:, :3], a.values)
+    for bad in (T.constant(rnd(2)), T.constant(rnd(2, 4, 1))):
+        with pytest.raises(ShapeError):
+            T.concat_last([a, bad])
 
 
 def test_softmax_rows_sum_to_one():
@@ -376,35 +375,34 @@ def test_kl_from_logits_one_hot_is_cross_entropy():
 
 @pytest.mark.parametrize("rows", [1, 5])
 @pytest.mark.parametrize("relu", [False, True])
-def test_affine_equals_add_matmul_bit_for_bit(relu, rows):
-    """affine against the graph it replaces, add(matmul(x, w), b) and its
-    relu, for values and all three gradients. The layer is a shared head
-    called on two inputs, so the gradients of w and b accumulate. With one
-    row add does not treat b as a bias row; the -0.0 in the upstream
-    gradient shows whether b's gradient was summed (which makes it 0.0)."""
+def test_affine_equals_numpy_bit_for_bit(relu, rows):
+    """affine against x @ w + b and its relu in numpy, for values and all
+    three gradients: g @ w.T, x.T @ g and g summed over the rows, with g
+    the upstream gradient, masked where relu is 0. The layer is a shared
+    head called on two inputs, so the gradients of w and b accumulate,
+    the second call's first, as backward runs them."""
     x_rows = rnd(rows, 4)
     x_rows[0] = 0.0  # pre-activations equal to b: 0, exactly, in column 1
-    b_row = np.array([[0.3, 0.0, -0.2]])
+    xs = [x_rows, rnd(rows, 4, seed=1)]
+    w_vals, b_row = rnd(4, 3, seed=2), np.array([[0.3, 0.0, -0.2]])
     upstream = [rnd(rows, 3, seed=5), rnd(rows, 3, seed=6)]
     for u in upstream:
-        u[:, 0] = -0.0
+        u[:, 0] = -0.0  # the sign of each zero in the sums must match numpy's
 
-    def graph(fused):
-        x = [Tensor(x_rows, requires_grad=True), Tensor(rnd(rows, 4, seed=1), requires_grad=True)]
-        w, b = Tensor(rnd(4, 3, seed=2), requires_grad=True), Tensor(b_row, requires_grad=True)
-        outs = []
-        for xi in x:
-            if fused:
-                outs.append(T.affine(xi, w, b, relu=relu))
-            else:
-                pre = T.add(T.matmul(xi, w), b)
-                outs.append(T.relu(pre) if relu else pre)
-        loss = T.add(*(T.sum_reduce(T.mul(o, T.constant(u))) for o, u in zip(outs, upstream)))
-        backward(loss)
-        return [o.values for o in outs] + [t.grad for t in (*x, w, b)]
+    x = [Tensor(v, requires_grad=True) for v in xs]
+    w, b = Tensor(w_vals, requires_grad=True), Tensor(b_row, requires_grad=True)
+    outs = [T.affine(xi, w, b, relu=relu) for xi in x]
+    backward(T.add(*(T.sum_reduce(T.mul(o, T.constant(u))) for o, u in zip(outs, upstream))))
 
-    for got, expect in zip(graph(True), graph(False)):
-        assert got.tobytes() == expect.tobytes()
+    pres = [v @ w_vals + b_row for v in xs]
+    gs = [u * (p > 0) if relu else u for u, p in zip(upstream, pres)]
+    expect = [np.maximum(p, 0.0) if relu else p for p in pres]
+    expect += [g @ w_vals.T for g in gs]
+    expect.append(xs[1].T @ gs[1] + xs[0].T @ gs[0])
+    expect.append(np.add.reduce(gs[1], 0, keepdims=True) + np.add.reduce(gs[0], 0, keepdims=True))
+    got = [o.values for o in outs] + [t.grad for t in (*x, w, b)]
+    for got_array, expect_array in zip(got, expect, strict=True):
+        assert got_array.tobytes() == expect_array.tobytes()
 
 
 def test_affine_shape_errors():
@@ -508,9 +506,8 @@ def test_grad_check_catches_wrong_gradient():
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_group_affine_equals_per_position_sum(shared):
-    """group_affine of the member block against one gather, matmul and
-    add per position, the graph it replaces, for values and for every
-    gradient."""
+    """group_affine of the member block against one gather and affine per
+    position, summed, for values and for every gradient."""
     groups = np.array([[2, 0, 2], [3, 2, 1], [0, 0, 3]])
     names = ("a", "w0", "w1", "w2", "b0", "b1", "b2")
     shapes = [(4, 5)] + [(5, 3)] * 3 + [(1, 3)] * 3
@@ -531,7 +528,7 @@ def test_group_affine_equals_per_position_sum(shared):
         else:
             out = None
             for k in range(3):
-                xk = T.add(T.matmul(T.gather_rows(ls["a"], groups[:, k:k + 1]), ws[k]), bs[k])
+                xk = T.affine(T.gather_rows(ls["a"], groups[:, k:k + 1]), ws[k], bs[k])
                 out = xk if out is None else T.add(out, xk)
         backward(T.sum_reduce(T.mul(out, T.constant(rnd(3, 3, seed=9)))))
         return out.values, [ls[n].grad for n in names]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from afm import grouping, mixing, tensor as T, training, verify
-from afm.data import generate, inject_noise, one_hot
+from afm.data import NoisyDataset, generate, inject_noise, one_hot
 from afm.errors import AfmError, ConfigError, NumericError
 from afm.grouping import GAParams, attend, sample_groups
 from afm.mixing import InterpolationBatch, gather_members, interpolate
@@ -416,13 +416,18 @@ def test_tape_nodes_per_step(monkeypatch, mode, lam, most):
 
 def test_train_rejects_a_run_that_can_take_no_step(monkeypatch):
     """Group size above the training rows a run uses would run no step and
-    log NaN losses; train() raises before any network is built. At exactly
-    K rows each epoch takes one step."""
+    log NaN losses, and a dataset with no test rows a NaN test accuracy;
+    train() raises before any network is built. At exactly K rows each
+    epoch takes one step."""
     ds = inject_noise(generate("blobs", 3, 10, 5, 8, 4.0, seed=0), "symmetric", 0.4, seed=0)
+    all_train = NoisyDataset(ds.features[:30], ds.given_labels[:30], ds.clean_labels[:30],
+                             30, ds.n_classes)
     with monkeypatch.context() as patch:
         patch.setattr(training, "Model", None)
         with pytest.raises(ConfigError, match="group size 40 exceeds the 30 training rows"):
             train(ds, TrainConfig(k=40, batch_size=64, hidden=(8,), epochs=2))
+        with pytest.raises(ConfigError, match="all 30 rows train: no test rows"):
+            train(all_train, TrainConfig(k=2, batch_size=8, hidden=(8,), epochs=2))
     state, log = train(ds, TrainConfig(k=30, batch_size=64, hidden=(8,), epochs=2))
     assert state.step == 2 and np.isfinite(log.final("train_loss"))
 
