@@ -4,7 +4,6 @@ Everything here calls the same entry point the `afm` console script uses,
 writing its artifacts into a temporary directory.
 """
 
-import os
 import tempfile
 from pathlib import Path
 
@@ -32,14 +31,10 @@ with tempfile.TemporaryDirectory() as tmp:
     main(["train", "--config", str(cfg), "--out", str(tmp / "run")])
     print((tmp / "run" / "metrics.csv").read_text().splitlines()[-1])
 
-    print("\n== sweep over lambda (2 workers via AFM_THREADS) ==")
-    os.environ["AFM_THREADS"] = "2"
-    try:
-        main(["sweep", "--config", str(cfg), "--axis", "lambda",
-              "--values", "0,0.5,0.75", "--seeds", "0,1",
-              "--out", str(tmp / "sweep")])
-    finally:
-        del os.environ["AFM_THREADS"]
+    print("\n== sweep over lambda ==")
+    main(["sweep", "--config", str(cfg), "--axis", "lambda",
+          "--values", "0,0.5,0.75", "--seeds", "0,1",
+          "--out", str(tmp / "sweep")])
     print((tmp / "sweep" / "summary.csv").read_text())
 
     print("== noise-ratio table ==")

@@ -7,7 +7,6 @@ are rejected. CSV output uses '.' decimals and LF line endings.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import os
 import sys
@@ -150,20 +149,15 @@ def cmd_sweep(args) -> int:
             for v in values for s in seeds]
     if not jobs or len({(repr(c), repr(d)) for _, _, (c, d, _) in jobs}) != len(jobs):
         raise ConfigError("need --values and --seeds that give at least one run, all distinct")
-    # with AFM_THREADS > 1 the runs start at once in that many worker processes,
-    # at most one per run; otherwise each runs when the loop below reaches it
-    workers = _parse_value("AFM_THREADS", os.environ.get("AFM_THREADS", "1"), int)
-    if workers < 1:
-        raise ConfigError(f"AFM_THREADS must be >= 1, got {workers}")
-    workers = min(workers, len(jobs))
     os.makedirs(args.out, exist_ok=True)
     results, failures = {}, []
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        futures = [pool.submit(_sweep_worker, job) if pool else None for _, _, job in jobs]
-        for (v, s, job), future in zip(jobs, futures):
+    # the runs start at once in worker processes: one per CPU this process
+    # may use (`taskset` bounds them), at most one per run
+    with ProcessPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0)))) as pool:
+        futures = [pool.submit(_sweep_worker, job) for _, _, job in jobs]
+        for (v, s, _), future in zip(jobs, futures):
             try:
-                acc = future.result() if future else _sweep_worker(job)
-                results.setdefault(v, []).append(acc)
+                results.setdefault(v, []).append(future.result())
             except Exception as exc:
                 failures.append((v, s, str(exc)))
 

@@ -2,7 +2,9 @@
 
 import concurrent.futures
 import csv
+import functools
 import io
+import multiprocessing
 import os
 import re
 import tracemalloc
@@ -257,17 +259,32 @@ def test_sweep_data_key_axis_trains_what_train_trains(config_file, tmp_path):
     assert metrics != (out / "noise_rate_0.4" / "seed_1" / "metrics.csv").read_bytes()
 
 
-def test_sweep_parallel_matches_serial(config_file, tmp_path):
-    serial, par = tmp_path / "s", tmp_path / "p"
-    main(["sweep", "--config", config_file, "--axis", "lambda",
-          "--values", "0.5", "--seeds", "0,1", "--out", str(serial)])
-    os.environ["AFM_THREADS"] = "2"
-    try:
-        main(["sweep", "--config", config_file, "--axis", "lambda",
-              "--values", "0.5", "--seeds", "0,1", "--out", str(par)])
-    finally:
-        del os.environ["AFM_THREADS"]
-    assert (serial / "summary.csv").read_text() == (par / "summary.csv").read_text()
+def tree_bytes(root):
+    """Each file under ``root``, by its path relative to ``root``: its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_sweep_parallel_matches_serial(config_file, tmp_path, monkeypatch):
+    """A sweep on one CPU and on two writes the same output tree."""
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert main(["sweep", "--config", config_file, "--axis", "lambda", "--values", "0.5",
+                     "--seeds", "0,1", "--out", str(tmp_path / str(cpus))]) == 0
+    one, two = tree_bytes(tmp_path / "1"), tree_bytes(tmp_path / "2")
+    assert one == two and len(one) == 3  # summary.csv and two metrics.csv
+
+
+def test_sweep_spawned_workers_match_default(config_file, tmp_path, monkeypatch):
+    """A sweep's workers need nothing that fork passes on: workers started
+    by spawn write the same output tree as the default start method's."""
+    argv = ["sweep", "--config", config_file, "--axis", "lambda", "--values", "0.5",
+            "--seeds", "0,1", "--out"]
+    assert main([*argv, str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(concurrent.futures.ProcessPoolExecutor,
+                                          mp_context=multiprocessing.get_context("spawn")))
+    assert main([*argv, str(tmp_path / "spawn")]) == 0
+    assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "spawn")
 
 
 @pytest.fixture
@@ -298,27 +315,17 @@ def pools(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("threads,seeds,workers", [("64", "0,1", [2]), ("3", "0,1,2,3", [3]),
-                                                  ("64", "0", []), ("1", "0,1", [])])
+@pytest.mark.parametrize("cpus,seeds,workers", [(64, "0,1", [2]), (3, "0,1,2,3", [3]),
+                                               (64, "0", [1]), (1, "0,1", [1])])
 def test_sweep_starts_at_most_one_process_per_run(config_file, tmp_path, monkeypatch, pools,
-                                                  threads, seeds, workers):
-    """AFM_THREADS asks for at most that many worker processes: a sweep of
-    fewer runs makes one per run, and one run or AFM_THREADS=1 makes no pool."""
-    monkeypatch.setenv("AFM_THREADS", threads)
+                                                  cpus, seeds, workers):
+    """A sweep makes one pool, of one worker process per CPU this process
+    may use and at most one per run."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     assert main(["sweep", "--config", config_file, "--axis", "lambda", "--values", "0.5",
                  "--seeds", seeds, "--out", str(tmp_path / "sweep")]) == 0
     assert pools == workers
     assert read_csv(tmp_path / "sweep" / "summary.csv")[0]["n_runs"] == str(len(seeds.split(",")))
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_sweep_rejects_fewer_than_one_thread(config_file, tmp_path, capsys, monkeypatch, pools,
-                                             threads):
-    monkeypatch.setenv("AFM_THREADS", threads)
-    assert main(["sweep", "--config", config_file, "--axis", "lambda", "--values", "0.5",
-                 "--seeds", "0", "--out", str(tmp_path / "sweep")]) == 2
-    assert f"error: AFM_THREADS must be >= 1, got {threads}" in capsys.readouterr().err
-    assert pools == [] and not (tmp_path / "sweep").exists()
 
 
 def test_sweep_unknown_axis(config_file, tmp_path, capsys):
@@ -372,6 +379,7 @@ def test_sweep_reports_rejected_data_value_as_failed_run(config_file, tmp_path, 
     assert capsys.readouterr().err == ("run failed: value=1.5 seed=0: noise rate must "
                                        "be in [0, 1], got 1.5\n")
     assert [r["value"] for r in read_csv(out / "summary.csv")] == ["0.2"]
+    assert multiprocessing.active_children() == []  # the failed run's worker is gone too
 
 
 def test_sweep_zero_epochs_exit_2(tmp_path, capsys):
@@ -384,15 +392,15 @@ def test_sweep_zero_epochs_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sweep_reports_failed_runs(config_file, tmp_path, capsys, monkeypatch):
+def test_sweep_reports_failed_runs(config_file, tmp_path, capsys, monkeypatch, pools):
     """A run that raises is named on stderr, the sweep exits 1, and the
-    summary counts only the runs that finished."""
+    summary counts only the runs that finished. The runs go through the
+    in-process pool, so they see the patched `train`."""
     def failing(dataset, config):
         if config.lam == 0.5 and config.seed == 1:
             raise NumericError("forced failure")
         return train(dataset, config)
 
-    monkeypatch.delenv("AFM_THREADS", raising=False)  # runs in this process
     monkeypatch.setattr("afm.cli.train", failing)
     out = tmp_path / "sweep"
     rc = main(["sweep", "--config", config_file, "--axis", "lambda",
