@@ -71,10 +71,6 @@ class Model:
         return self.widths[-1]
 
     def extract_features(self, batch: Tensor) -> Tensor:
-        if batch.values.ndim != 2 or batch.values.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"backbone expects width {self.input_dim}, got {batch.values.shape}"
-            )
         h = batch
         for layer in self.layers:
             h = layer(h, relu=True)
@@ -84,10 +80,6 @@ class Model:
         """The logits of one head; the losses take their softmax."""
         if head not in (1, 2):
             raise ShapeError(f"head must be 1 or 2, got {head}")
-        if features.values.ndim != 2 or features.values.shape[1] != self.feature_dim:
-            raise ShapeError(
-                f"classifier expects width {self.feature_dim}, got {features.values.shape}"
-            )
         return (self.head1 if head == 1 else self.head2)(features)
 
     def inference_predict(self, batch) -> np.ndarray:

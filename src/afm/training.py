@@ -191,13 +191,11 @@ def compute_loss(model: Model, features: Tensor, batch_labels_onehot,
     regardless of its label. For the mixup modes s is a constant, so the
     gradients equal those of cross-entropy and the loss is lower by the
     constant mean H(s)."""
-    if features.values.shape[0] == 0:
-        raise ConfigError("empty batch")
     loss_org = T.kl_from_logits(model.classify(features, head=2), batch_labels_onehot,
                                 1.0 - config.lam)
     if config.lam == 0.0 and interpolations is None:
         return loss_org
-    if interpolations is None or interpolations.features.values.shape[0] == 0:
+    if interpolations is None:
         raise ConfigError("interpolations required when lambda > 0")
     loss_afm = T.kl_from_logits(model.classify(interpolations.features, head=1),
                                 interpolations.soft_labels, config.lam)

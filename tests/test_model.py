@@ -66,9 +66,12 @@ def test_backbone_relu_nonnegative_features():
 
 
 def test_backbone_wrong_input_dim():
-    model = Model([8, 4], 3, source=glorot(np.random.default_rng(0)))
-    with pytest.raises(ShapeError):
-        model.extract_features(T.constant(np.zeros((2, 5))))
+    # the first layer's affine rejects the width; with no layers, the head's
+    for widths, message in [([8, 4], r"affine: \(2, 5\) @ \(8, 4\)"),
+                            ([6], r"affine: \(2, 5\) @ \(6, 3\) \+ \(1, 3\)")]:
+        model = Model(widths, 3, source=glorot(np.random.default_rng(0)))
+        with pytest.raises(ShapeError, match=message):
+            model.inference_predict(np.zeros((2, 5)))
 
 
 def test_identity_backbone_passthrough():
@@ -107,7 +110,7 @@ def test_classify_rejects_bad_head():
 
 def test_classify_rejects_wrong_feature_width():
     model = Model([6, 4], 2, source=glorot(np.random.default_rng(0)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"affine: \(1, 6\) @ \(4, 2\)"):
         model.classify(T.constant(np.zeros((1, 6))), head=1)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from afm import grouping, mixing, tensor as T, training, verify
 from afm.data import NoisyDataset, generate, inject_noise, one_hot
-from afm.errors import AfmError, ConfigError, NumericError
+from afm.errors import AfmError, ConfigError, NumericError, ShapeError
 from afm.grouping import GAParams, attend, sample_groups
 from afm.mixing import InterpolationBatch, gather_members, interpolate
 from afm.model import Model, glorot
@@ -264,6 +264,14 @@ def test_compute_loss_needs_interp_when_lambda_positive():
     y = one_hot(np.array([0, 1]), 3)
     with pytest.raises(ConfigError):
         compute_loss(model, feats, y, None, tiny_config(lam=0.5, mode="afm"))
+
+
+def test_compute_loss_rejects_an_empty_batch():
+    model = Model([8, 8], 3, source=glorot(np.random.default_rng(0)))
+    feats = model.extract_features(T.constant(np.zeros((0, 8))))
+    with pytest.raises(ShapeError, match=r"kl_from_logits: logits \(0, 3\)"):
+        compute_loss(model, feats, np.zeros((0, 3)), None,
+                     tiny_config(lam=0.0, mode="baseline"))
 
 
 # ------------------------------------------------------------------- training
