@@ -22,31 +22,34 @@ data_d0 = 16
 noise_rate = 0.4
 """
 
-with tempfile.TemporaryDirectory() as tmp:
-    tmp = Path(tmp)
-    cfg = tmp / "run.cfg"
-    cfg.write_text(CONFIG)
+# the sweep's worker processes import this script under the "spawn" start
+# method (the default on macOS and Windows), so it runs only as a script
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tmp / "run.cfg"
+        cfg.write_text(CONFIG)
 
-    print("== train ==")
-    main(["train", "--config", str(cfg), "--out", str(tmp / "run")])
-    print((tmp / "run" / "metrics.csv").read_text().splitlines()[-1])
+        print("== train ==")
+        main(["train", "--config", str(cfg), "--out", str(tmp / "run")])
+        print((tmp / "run" / "metrics.csv").read_text().splitlines()[-1])
 
-    print("\n== sweep over lambda ==")
-    main(["sweep", "--config", str(cfg), "--axis", "lambda",
-          "--values", "0,0.5,0.75", "--seeds", "0,1",
-          "--out", str(tmp / "sweep")])
-    print((tmp / "sweep" / "summary.csv").read_text())
+        print("\n== sweep over lambda ==")
+        main(["sweep", "--config", str(cfg), "--axis", "lambda",
+              "--values", "0,0.5,0.75", "--seeds", "0,1",
+              "--out", str(tmp / "sweep")])
+        print((tmp / "sweep" / "summary.csv").read_text())
 
-    print("== noise-ratio table ==")
-    main(["noise-ratio", "--n-noisy", "200", "--n-total", "1000",
-          "--values", "1,2,3,4", "--trials", "50000"])
+        print("== noise-ratio table ==")
+        main(["noise-ratio", "--n-noisy", "200", "--n-total", "1000",
+              "--values", "1,2,3,4", "--trials", "50000"])
 
-    print("\n== dump-features (first lines) ==")
-    main(["dump-features", "--checkpoint", str(tmp / "run" / "checkpoint.bin"),
-          "--dataset", str(tmp / "run" / "dataset.bin"),
-          "--out", str(tmp / "features.csv"), "--interpolations", "3"])
-    for line in (tmp / "features.csv").read_text().splitlines()[:2]:
-        print(line[:100], "...")
+        print("\n== dump-features (first lines) ==")
+        main(["dump-features", "--checkpoint", str(tmp / "run" / "checkpoint.bin"),
+              "--dataset", str(tmp / "run" / "dataset.bin"),
+              "--out", str(tmp / "features.csv"), "--interpolations", "3"])
+        for line in (tmp / "features.csv").read_text().splitlines()[:2]:
+            print(line[:100], "...")
 
-    print("\n== verify ==")
-    main(["verify"])
+        print("\n== verify ==")
+        main(["verify"])

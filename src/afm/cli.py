@@ -152,8 +152,10 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     results, failures = {}, []
     # the runs start at once in worker processes: one per CPU this process
-    # may use (`taskset` bounds them), at most one per run
-    with ProcessPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0)))) as pool:
+    # may use (`taskset` bounds them; every CPU where os has no affinity
+    # call), at most one per run
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(min(len(jobs), cpus or 1)) as pool:
         futures = [pool.submit(_sweep_worker, job) for _, _, job in jobs]
         for (v, s, _), future in zip(jobs, futures):
             try:

@@ -82,12 +82,11 @@ class Model:
             raise ShapeError(f"head must be 1 or 2, got {head}")
         return (self.head1 if head == 1 else self.head2)(features)
 
-    def inference_predict(self, batch) -> np.ndarray:
-        """argmax of the normal-classifier logits; no group/mixup computation
-        occurs. Ties break toward the lowest class index. A logit that is not
-        finite gives no prediction and raises NumericError."""
-        x = batch if isinstance(batch, Tensor) else T.constant(batch)
-        logits = self.classify(self.extract_features(x), head=2).values
+    def inference_predict(self, batch: np.ndarray) -> np.ndarray:
+        """argmax of the normal-classifier logits of an input array; no
+        group/mixup computation occurs. Ties break toward the lowest class
+        index. A non-finite logit gives no prediction and raises NumericError."""
+        logits = self.classify(self.extract_features(T.constant(batch)), head=2).values
         if not np.all(np.isfinite(logits)):
             raise NumericError(f"non-finite logits, shape {logits.shape}")
         return np.argmax(logits, axis=1)

@@ -178,9 +178,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_vals, (a, b), backward)
 
 
-def concat_last(tensors) -> Tensor:
+def concat_last(tensors: list[Tensor]) -> Tensor:
     """Matrices of one row count, side by side."""
-    tensors = list(tensors)
     shapes = list(map(_shape, tensors))
     if any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
         raise ShapeError(f"concat_last: {shapes}")
@@ -364,7 +363,7 @@ def blend_rows(members: Tensor, w: Tensor) -> Tensor:
     return _make(out_vals, (members, w), backward)
 
 
-def group_affine(members: Tensor, weights, biases) -> Tensor:
+def group_affine(members: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
     """Row i is sum_k (member k of row i) @ weights[k] + biases[k]: each
     group member through the affine map of its position, summed over the
     group, as one matmul of the member block with the K weights stacked by
@@ -372,7 +371,6 @@ def group_affine(members: Tensor, weights, biases) -> Tensor:
     ``weights`` are K (d, h) tensors and ``biases`` K (1, h) tensors. A
     tensor that serves several positions gets the sum of their
     gradients."""
-    weights, biases = list(weights), list(biases)
     if len(weights) != len(biases):
         raise ShapeError(f"group_affine: {len(weights)} weights, {len(biases)} biases")
     d = _member_width(members, len(weights), "group_affine")

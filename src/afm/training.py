@@ -80,7 +80,6 @@ class TrainConfig:
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError("lr must be finite and positive")
-        return self
 
 
 @dataclass
@@ -117,23 +116,19 @@ class SGD:
 
     Each tensor of ``params`` takes lr scale 1 and weight decay
     WEIGHT_DECAY; each of ``ga_params``, the attention net's, takes
-    GA_LR_SCALE and no decay. Both are lists of (name, Tensor).
+    GA_LR_SCALE and no decay. The two lists of (name, Tensor) name each
+    tensor once between them, as Model.parameters() and GAParams.parameters() do.
 
-    The constructor copies each distinct parameter (a shared one is listed
-    under several names and stepped once, with its first listing's regime)
-    into one contiguous vector, ``flat``, and binds its ``values`` and
-    ``grad`` to its slices of ``flat`` and of a zeroed ``grad``, which
-    backward adds into; a step is a few whole-vector operations in place.
-    Rebinding either afterwards detaches it, and ``step`` raises for it.
+    The constructor copies each parameter into one contiguous vector,
+    ``flat``, and binds its ``values`` and ``grad`` to its slices of
+    ``flat`` and of a zeroed ``grad``, which backward adds into; a step is
+    a few whole-vector operations in place. Rebinding either afterwards
+    detaches it, and ``step`` raises for it.
     """
 
     def __init__(self, params, lr, ga_params=()):
         self.lr = lr
-        distinct = {}  # id -> ((name, Tensor), (lr scale, decay)) of its first listing
-        for regime, listed in (((1.0, WEIGHT_DECAY), params), ((GA_LR_SCALE, 0.0), ga_params)):
-            for name, p in listed:
-                distinct.setdefault(id(p), ((name, p), regime))
-        self.params, regimes = map(list, zip(*distinct.values()))  # each tensor once
+        self.params = [*params, *ga_params]
         self._tensors = [p for _, p in self.params]
         sizes = [p.values.size for p in self._tensors]
         self.flat, self.grad = rows = np.zeros((2, sum(sizes)))
@@ -141,6 +136,7 @@ class SGD:
         for p, piece in zip(self._tensors, np.split(rows, np.cumsum(sizes)[:-1], axis=1)):
             p.values, p.grad = piece.reshape(2, *p.values.shape)  # views of both rows
         self._bound = list(chain.from_iterable(map(_bound, self._tensors)))
+        regimes = [(1.0, WEIGHT_DECAY)] * len(params) + [(GA_LR_SCALE, 0.0)] * len(ga_params)
         self._lr_scale, self._decay = (np.repeat(r, sizes) for r in zip(*regimes))
         self.velocity = np.zeros_like(self.flat)
         self._update = np.empty_like(self.flat)

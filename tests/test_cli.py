@@ -328,6 +328,18 @@ def test_sweep_starts_at_most_one_process_per_run(config_file, tmp_path, monkeyp
     assert read_csv(tmp_path / "sweep" / "summary.csv")[0]["n_runs"] == str(len(seeds.split(",")))
 
 
+@pytest.mark.parametrize("cpus,workers", [(3, [2]), (None, [1])])
+def test_sweep_without_affinity_uses_cpu_count(config_file, tmp_path, monkeypatch, pools,
+                                               cpus, workers):
+    """Where os has no sched_getaffinity (macOS, Windows), a sweep sizes
+    its pool from os.cpu_count(), and from one CPU when that is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert main(["sweep", "--config", config_file, "--axis", "lambda", "--values", "0.5",
+                 "--seeds", "0,1", "--out", str(tmp_path / "sweep")]) == 0
+    assert pools == workers
+
+
 def test_sweep_unknown_axis(config_file, tmp_path, capsys):
     rc = main(["sweep", "--config", config_file, "--axis", "dropout",
                "--values", "1", "--seeds", "0", "--out", str(tmp_path / "x")])

@@ -120,21 +120,10 @@ def test_sgd_lr_scale_and_decay_override():
     np.testing.assert_allclose(q.values, [[2.0 - 0.1 * (1.0 + WEIGHT_DECAY * 2.0)]])
 
 
-def test_sgd_shared_parameter_stepped_once():
-    """A tensor listed three times, the last in ga_params, is stepped once,
-    in the regime of its first listing."""
-    p = Tensor(np.array([[1.0]]), requires_grad=True)
-    opt = SGD([("a", p), ("b", p)], lr=0.1, ga_params=[("c", p)])
-    p.grad[...] = 1.0
-    opt.step()
-    assert [name for name, _ in opt.params] == ["a"]
-    np.testing.assert_array_equal(p.values, [[1.0 - 0.1 * (1.0 + WEIGHT_DECAY * 1.0)]])
-
-
 def test_sgd_updates_parameters_in_place_through_one_vector():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
     b = Tensor(np.array([[5.0]]), requires_grad=True)
-    opt = SGD([("a", a)], lr=0.5, ga_params=[("b", b), ("a2", a)])
+    opt = SGD([("a", a)], lr=0.5, ga_params=[("b", b)])
     np.testing.assert_array_equal(opt.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
     assert np.shares_memory(a.values, opt.flat) and np.shares_memory(b.values, opt.flat)
     held, a0 = a.values, a.values.copy()
